@@ -12,9 +12,7 @@
 //                               table share one mini-batch scan. Try:
 //       curl -sN -X POST --data 'SELECT AVG(play_time) FROM conviva'
 //            'http://127.0.0.1:8080/query?batches=30'
-//   flags: --port=N (default 8080), --rows=N (default 200000),
-//          --workers=N (serve mode: default worker-process count for
-//          distributed execution; per-request ?workers= overrides)
+//   flags: --port=N (default 8080), --rows=N (default 200000)
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +48,7 @@ std::string Bar(double lo, double hi, double full_lo, double full_hi) {
 /// --serve mode: the engine behind an HTTP front end, blocking until
 /// SIGINT/SIGTERM. Multiple curl clients POSTing /query concurrently get
 /// independent converging answers while same-table queries share one scan.
-int RunServer(gola::Engine& engine, int port, int workers) {
+int RunServer(gola::Engine& engine, int port) {
   using namespace gola;
 
   // Block the shutdown signals before any thread spawns, so they land in
@@ -63,7 +61,6 @@ int RunServer(gola::Engine& engine, int port, int workers) {
 
   obs::HttpServer http;
   server::QueryService service(&engine);
-  service.set_default_workers(workers);
   service.AttachTo(&http);
   http.Route("/", [] {
     obs::HttpServer::Response r;
@@ -71,7 +68,7 @@ int RunServer(gola::Engine& engine, int port, int workers) {
         "gola dashboard server\n"
         "  POST /query          SQL body -> SSE stream of converging answers\n"
         "                       ?batches= &replicates= &seed= &deadline_ms=\n"
-        "                       &share=0|1 &stream=sse|none &label= &workers=\n"
+        "                       &share=0|1 &stream=sse|none &label=\n"
         "  GET  /sessions       all sessions (JSON)\n"
         "  GET  /sessions/<id>  one session with its latest estimate\n"
         "  GET  /statusz        live introspection incl. sessions\n"
@@ -105,13 +102,11 @@ int main(int argc, char** argv) {
   bool serve = false;
   int port = 8080;
   long long rows = 200'000;
-  int workers = 0;
   std::string segments;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--serve") == 0) serve = true;
     else if (std::strncmp(argv[i], "--port=", 7) == 0) port = std::atoi(argv[i] + 7);
     else if (std::strncmp(argv[i], "--rows=", 7) == 0) rows = std::atoll(argv[i] + 7);
-    else if (std::strncmp(argv[i], "--workers=", 10) == 0) workers = std::atoi(argv[i] + 10);
     else if (std::strncmp(argv[i], "--segments=", 11) == 0) segments = argv[i] + 11;
   }
 
@@ -136,7 +131,7 @@ int main(int argc, char** argv) {
     GOLA_CHECK_OK(engine.RegisterTable("conviva", GenerateConviva(gen)));
   }
 
-  if (serve) return RunServer(engine, port, workers);
+  if (serve) return RunServer(engine, port);
 
   struct Panel {
     std::string title;

@@ -283,25 +283,6 @@ Status OnlineBlockExec::ReEmit(double scale, OnlineEnv* env) {
   return Emit(scale, env);
 }
 
-Status OnlineBlockExec::MergeStateFrom(const OnlineBlockExec& other) {
-  if (!block_->uncertain_conjuncts.empty() ||
-      !block_->having_uncertain.empty()) {
-    return Status::NotImplemented(
-        "distributed merge requires an envelope-free block "
-        "(no uncertain WHERE/HAVING conjuncts)");
-  }
-  if (!other.initialized_ || other.rows_seen_ == 0) {
-    return Status::OK();  // the shard has folded nothing yet
-  }
-  if (other.uncertain_.num_rows() > 0) {
-    return Status::NotImplemented(
-        "distributed merge of a non-empty uncertain set");
-  }
-  GOLA_RETURN_NOT_OK(Init());
-  rows_seen_ += other.rows_seen_;
-  return agg_->MergeFrom(*other.agg_);
-}
-
 Status OnlineBlockExec::SaveState(BinaryWriter* w) const {
   w->U8(initialized_ ? 1 : 0);
   if (!initialized_) return Status::OK();

@@ -88,13 +88,6 @@ class OnlineBlockExec : public MembershipSource {
   /// any new rows.
   Status ReEmit(double scale, OnlineEnv* env);
 
-  /// Merges another block executor's online state (same block definition)
-  /// into this one — the distributed coordinator's shard-combine step.
-  /// Requires an envelope-free block (no uncertain WHERE/HAVING conjuncts,
-  /// the DistEligible gate) with an empty cached uncertain set; aggregates
-  /// merge via OnlineAggregate::MergeFrom. Caller re-emits afterwards.
-  Status MergeStateFrom(const OnlineBlockExec& other);
-
   // --- statistics -------------------------------------------------------
   int64_t uncertain_size() const { return static_cast<int64_t>(uncertain_.num_rows()); }
   size_t num_groups() const { return agg_ ? agg_->num_groups() : 0; }

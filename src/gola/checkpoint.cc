@@ -2,11 +2,6 @@
 // wire layout and version policy. These are member functions of
 // OnlineQueryExecutor kept in their own translation unit so the controller
 // stays focused on scheduling.
-//
-// The same byte format serves two transports: a crash-atomic file
-// (Checkpoint/ResumeFrom) and the distributed layer's wire payloads
-// (SerializeState/DeserializeState — a shard worker ships exactly a
-// checkpoint body per batch, see src/dist/framing.h).
 #include "gola/checkpoint.h"
 
 #include <fcntl.h>
@@ -113,7 +108,7 @@ Status OnlineQueryExecutor::SerializeState(std::ostream* out) const {
   return Status::OK();
 }
 
-Status OnlineQueryExecutor::DeserializeState(std::istream* in, bool reemit) {
+Status OnlineQueryExecutor::DeserializeState(std::istream* in) {
   BinaryReader r(in);
   char magic[sizeof(kCheckpointMagic)];
   GOLA_RETURN_NOT_OK(r.Raw(magic, sizeof(magic)));
@@ -143,9 +138,8 @@ Status OnlineQueryExecutor::DeserializeState(std::istream* in, bool reemit) {
   GOLA_ASSIGN_OR_RETURN(uint32_t recomputes, r.U32());
   GOLA_ASSIGN_OR_RETURN(double elapsed, r.F64());
   GOLA_ASSIGN_OR_RETURN(uint8_t degradation, r.U8());
-  // kStragglerSkip (and anything newer) is deliberately rejected: the
-  // straggler rung is a coordinator decision about a live worker fleet,
-  // never executor state, so a persisted copy is corruption by definition.
+  // The rung is file input: anything past the last rung this build knows
+  // is corruption, never a state to resume into.
   if (degradation > static_cast<uint8_t>(Degradation::kStoppedEarly)) {
     return Status::IoError("checkpoint has an unknown degradation rung");
   }
@@ -180,9 +174,8 @@ Status OnlineQueryExecutor::DeserializeState(std::istream* in, bool reemit) {
 
   // Broadcasts (scalar ranges, membership views, the root emission) are
   // derived state: re-emit every block in dependency order against the
-  // restored aggregates, exactly as the last completed batch did. Shard
-  // states decoded only to be merged skip this (the merge target re-emits).
-  if (reemit && next_batch_ > 0 && rows_through_ > 0) {
+  // restored aggregates, exactly as the last completed batch did.
+  if (next_batch_ > 0 && rows_through_ > 0) {
     double scale = static_cast<double>(partitioner_->total_rows()) /
                    static_cast<double>(rows_through_);
     for (auto& block : blocks_) {
@@ -243,7 +236,7 @@ Status OnlineQueryExecutor::ResumeFrom(const std::string& path) {
   if (!in) {
     return Status::IoError("cannot open checkpoint file: " + path);
   }
-  GOLA_RETURN_NOT_OK(DeserializeState(&in, /*reemit=*/true));
+  GOLA_RETURN_NOT_OK(DeserializeState(&in));
   obs::FlightRecorder::Global().Note("resume", path.c_str(), next_batch_);
   total_timer_.Restart();
   return Status::OK();

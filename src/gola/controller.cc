@@ -20,7 +20,6 @@ const char* DegradationName(Degradation d) {
     case Degradation::kSkipMaterialize: return "skip_materialize";
     case Degradation::kReducedReplicates: return "reduced_replicates";
     case Degradation::kStoppedEarly: return "stopped_early";
-    case Degradation::kStragglerSkip: return "straggler_skip";
   }
   return "unknown";
 }
@@ -134,14 +133,6 @@ Status OnlineQueryExecutor::Prepare(
                                                         weights_.get()));
   }
   if (!options_.trace_path.empty()) obs::Tracer::Global().Enable();
-
-  // Merge-skeleton executors (dist coordinator bookkeeping) skip the whole
-  // introspection layer: the coordinator publishes one aggregated entry.
-  if (options_.quiet_introspection) {
-    labels_ = options_.metrics_labels;
-    total_timer_.Restart();
-    return Status::OK();
-  }
 
   // --- live introspection wiring (observes only; never changes results) --
   // HTTP server: option wins, GOLA_HTTP_PORT env is the no-recompile path.

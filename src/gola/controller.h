@@ -35,11 +35,6 @@ enum class Degradation : uint8_t {
   kSkipMaterialize = 1,
   kReducedReplicates = 2,
   kStoppedEarly = 3,
-  /// Distributed-only rung (dist/coordinator.h): under deadline pressure the
-  /// coordinator merges and emits without the slowest shard's newest batch
-  /// instead of stalling the update stream. Never persisted — checkpoints
-  /// reject it (it describes a coordinator decision, not executor state).
-  kStragglerSkip = 4,
 };
 
 /// Stable label ("none", "skip_materialize", ...) for metrics and logs.
@@ -185,67 +180,19 @@ class OnlineQueryExecutor {
   /// uninterrupted run. Implemented in checkpoint.cc.
   Status ResumeFrom(const std::string& path);
 
-  /// Writes the full resumable state (the checkpoint body — magic, version,
-  /// fingerprint, cursor, per-block aggregates, trailing checksum) to a
-  /// stream. The distributed layer uses this as its wire encoding: a shard
-  /// worker ships exactly a checkpoint per batch. Implemented in
-  /// checkpoint.cc.
-  Status SerializeState(std::ostream* out) const;
-  /// Stream mirror of ResumeFrom: validates magic/version/fingerprint/
-  /// checksum and replaces this executor's state. `reemit` rebuilds the
-  /// broadcast/emission caches (needed before reading results; shard-state
-  /// decoding for merges skips it). Implemented in checkpoint.cc.
-  Status DeserializeState(std::istream* in, bool reemit);
-
-  // --- distributed execution hooks (src/dist/, DESIGN.md §15) ------------
-  // Implemented in dist_state.cc.
-
-  /// True when this query shape can be executed as sharded mini-batch folds
-  /// merged on a coordinator: a single lineage block (no subquery
-  /// broadcasts, whose envelopes would couple shards), no uncertain WHERE /
-  /// HAVING conjuncts, and no dimension joins (only the streamed table is
-  /// shipped to workers). Everything else falls back to solo execution.
-  static bool DistEligible(const CompiledQuery& query);
-
-  /// Folds global mini-batch `batch_index` into this executor's state
-  /// (shard-worker use: each worker folds only the batches its shard owns,
-  /// in global batch order). The Poisson replicate weights are a pure
-  /// function of (seed, row serial, replicate), so a shard folding a subset
-  /// of batches accumulates exactly the solo run's per-row contributions —
-  /// which is what makes coordinator merges bit-identical for exact
-  /// (integer-valued) aggregates. Fails on a range failure, which a
-  /// DistEligible query cannot produce.
-  Status FoldBatch(int batch_index);
-
-  /// Merges `other`'s per-block states (same query/options) into this one.
-  /// Merge order across shards is fixed by the caller; per-group merges are
-  /// one addition per replicate.
-  Status MergeStateFrom(const OnlineQueryExecutor& other);
-  /// Clears every block's state plus the progress cursor, so a coordinator
-  /// can re-merge the newest shard states from scratch each round.
-  void ResetMergedState();
-  /// Overrides the progress cursor after a merge (`next_batch` = merged
-  /// frontier, `rows_through` = rows behind the merged states).
-  void SetCursor(int next_batch, int64_t rows_through);
-  /// Re-runs every block's emission against current (merged) state at
-  /// `scale`, refreshing the root emission without folding rows.
-  Status EmitMerged(double scale);
-
-  int64_t rows_through() const { return rows_through_; }
-  const MiniBatchPartitioner& partitioner() const { return *partitioner_; }
-  /// Shareable handle on this executor's partitioner, so a coordinator's
-  /// merge skeletons attach to one scan instead of re-shuffling N+1 times.
-  std::shared_ptr<const MiniBatchPartitioner> shared_partitioner() const {
-    return partitioner_;
-  }
-  /// Root block output of the most recent emission.
-  const RootEmission& root_emission() const;
-
  private:
   OnlineQueryExecutor(const Catalog* catalog, CompiledQuery query,
                       const GolaOptions& options);
 
   Status Prepare(std::shared_ptr<const MiniBatchPartitioner> shared_scan);
+
+  /// Checkpoint body (magic, version, fingerprint, cursor, per-block
+  /// aggregates, trailing checksum) to and from a stream. DeserializeState
+  /// validates magic/version/fingerprint/checksum before replacing this
+  /// executor's state, then re-emits every block so results are readable.
+  /// Implemented in checkpoint.cc.
+  Status SerializeState(std::ostream* out) const;
+  Status DeserializeState(std::istream* in);
 
   /// Raises the degradation rung to match deadline progress (monotone; only
   /// called after ≥1 batch, so a well-formed query always yields an answer).

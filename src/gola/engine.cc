@@ -7,7 +7,6 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "dist/coordinator.h"
 #include "parser/parser.h"
 #include "storage/segment/segment.h"
 
@@ -140,12 +139,6 @@ Result<std::unique_ptr<OnlineQueryExecutor>> Engine::ResumeOnline(
                         ExecuteOnline(sql, options));
   GOLA_RETURN_NOT_OK(exec->ResumeFrom(checkpoint_path));
   return exec;
-}
-
-Result<std::unique_ptr<dist::Coordinator>> Engine::ExecuteDistributed(
-    const std::string& sql, const dist::DistOptions& options) const {
-  GOLA_ASSIGN_OR_RETURN(CompiledQuery query, Compile(sql));
-  return dist::Coordinator::Start(&catalog_, sql, std::move(query), options);
 }
 
 }  // namespace gola

@@ -25,10 +25,6 @@
 #include "server/dispatcher.h"
 
 namespace gola {
-namespace dist {
-class Coordinator;
-struct DistOptions;
-}  // namespace dist
 
 class Engine {
  public:
@@ -85,16 +81,6 @@ class Engine {
   Result<std::unique_ptr<OnlineQueryExecutor>> ResumeOnline(
       const std::string& sql, const std::string& checkpoint_path,
       const GolaOptions& options) const;
-
-  /// Distributed online execution (DESIGN.md §15): shards the mini-batch
-  /// stream across `options.num_workers` local worker processes and merges
-  /// their states into one OnlineUpdate stream. The final update on exact
-  /// aggregates is bit-identical per group to ExecuteOnline's — including
-  /// through worker crashes. Fails (rather than silently running solo) when
-  /// the query is not shardable or the gola_worker binary is missing; the
-  /// session layer (SessionOptions::dist_workers) adds the solo fallback.
-  Result<std::unique_ptr<dist::Coordinator>> ExecuteDistributed(
-      const std::string& sql, const dist::DistOptions& options) const;
 
   GolaOptions& default_options() { return default_options_; }
 

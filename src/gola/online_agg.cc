@@ -326,31 +326,6 @@ void OnlineAggregate::MergePartial(GroupMap&& partial) {
   }
 }
 
-Status OnlineAggregate::MergeFrom(const OnlineAggregate& other) {
-  for (const auto& kv : other.groups_) {
-    auto it = groups_.find(kv.first);
-    if (it == groups_.end()) {
-      GroupEntry copy;
-      copy.rows = kv.second.rows;
-      copy.aggs.reserve(kv.second.aggs.size());
-      for (const ReplicatedAgg& agg : kv.second.aggs) {
-        copy.aggs.push_back(agg.Clone());
-      }
-      groups_.emplace(kv.first, std::move(copy));
-      continue;
-    }
-    GroupEntry& dst = it->second;
-    if (dst.aggs.size() != kv.second.aggs.size()) {
-      return Status::Internal("shard merge: group aggregate arity mismatch");
-    }
-    dst.rows += kv.second.rows;
-    for (size_t a = 0; a < dst.aggs.size(); ++a) {
-      dst.aggs[a].Merge(kv.second.aggs[a]);
-    }
-  }
-  return Status::OK();
-}
-
 void OnlineAggregate::Reset() { groups_.clear(); }
 
 Status OnlineAggregate::SaveTo(BinaryWriter* w) const {

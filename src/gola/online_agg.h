@@ -83,14 +83,6 @@ class OnlineAggregate {
   Status SaveTo(BinaryWriter* w) const;
   Status LoadFrom(BinaryReader* r);
 
-  /// Merges another aggregate's states (same block definition) into this
-  /// one: per group, observation counts add and each ReplicatedAgg merges
-  /// replicate-by-replicate; groups absent here are cloned in. Used by the
-  /// distributed coordinator to combine shard states — per-group merges are
-  /// independent, so the (unordered) group visit order cannot affect any
-  /// group's resulting state.
-  Status MergeFrom(const OnlineAggregate& other);
-
  private:
   friend class AggOverlay;
   const BlockDef* block_;

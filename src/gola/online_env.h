@@ -117,12 +117,6 @@ struct GolaOptions {
   /// `gola_watchdog_alerts_total{kind=...}` counters, /statusz warnings and
   /// query-log lifecycle events. watchdog.enabled = false turns it off.
   obs::WatchdogOptions watchdog;
-  /// Internal: skip all introspection wiring (query registry, time series,
-  /// SLO export, group telemetry, convergence recorder, HTTP server). Set
-  /// by the distributed layer on its merge-skeleton executors — those are
-  /// bookkeeping vessels owned by a coordinator that publishes one
-  /// aggregated /statusz entry itself; per-skeleton entries would be noise.
-  bool quiet_introspection = false;
 };
 
 /// Per-batch broadcast of a scalar subquery: point estimate plus the core

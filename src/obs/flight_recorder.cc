@@ -76,9 +76,22 @@ void WriteAll(int fd, const char* buf, size_t len) {
 void FlightRecorder::Note(const char* name, const char* detail, int64_t arg) {
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & (kCapacity - 1)];
-  // Claim (odd) → fill → publish (even). A reader that observes an odd or
-  // changed sequence discards its copy of the slot.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
+  // Claim (odd) → fill → publish (even). The claim only replaces a complete
+  // record older than this ticket: a writer cannot stop another writer's
+  // in-flight stores, so when the slot is mid-write (odd) or already holds a
+  // newer ticket — writers kCapacity tickets apart racing for one slot —
+  // this note is the one dropped. A reader that observes an odd or changed
+  // sequence discards its copy of the slot.
+  const uint64_t claimed = 2 * ticket + 1;
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if ((seq & 1) != 0 || seq >= claimed) return;
+  } while (!slot.seq.compare_exchange_weak(seq, claimed,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed));
+  // Orders the claim before every payload store: a reader that sees any of
+  // this note's bytes also sees the odd sequence and discards its copy.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.t_us.store(WallMicros(), std::memory_order_relaxed);
   slot.tid.store(internal::ThisThreadId(), std::memory_order_relaxed);
   slot.arg.store(arg, std::memory_order_relaxed);

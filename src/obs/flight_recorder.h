@@ -4,11 +4,13 @@
 // from a fatal-signal handler, or on demand via GET /flightz — so a crash
 // or pathological recompute leaves a postmortem trail.
 //
-// Cost model: a Note is one relaxed fetch_add to claim a ticket, two
-// release stores on the slot's sequence word, and two bounded string
-// copies — no locks, no allocation, no clock syscall beyond the vDSO
-// gettimeofday. Concurrent writers never block each other; a reader
-// (Snapshot/Dump) detects slots torn by an in-flight writer via the
+// Cost model: a Note is one relaxed fetch_add to claim a ticket, one
+// compare_exchange plus a release fence to claim the slot, one release
+// store to publish it, and two bounded string copies — no locks, no
+// allocation, no clock syscall beyond the vDSO gettimeofday. Concurrent
+// writers never block each other: a writer that finds its slot mid-write
+// or already holding a newer ticket drops its note instead of waiting. A
+// reader (Snapshot/Dump) detects slots torn by an in-flight writer via the
 // seqlock-style sequence word and skips them.
 #ifndef GOLA_OBS_FLIGHT_RECORDER_H_
 #define GOLA_OBS_FLIGHT_RECORDER_H_
@@ -46,7 +48,9 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Appends an event. `name`/`detail` are truncated to the slot's fixed
-  /// width; `detail` may be null. Lock-free and safe from any thread.
+  /// width; `detail` may be null. Lock-free and safe from any thread; a
+  /// note whose slot is mid-write or already holds a newer ticket (writers
+  /// a full ring apart) is dropped, though total_notes() still counts it.
   void Note(const char* name, const char* detail = nullptr, int64_t arg = 0);
 
   /// Consistent copy of the ring, oldest → newest; slots being written
@@ -86,7 +90,8 @@ class FlightRecorder {
   /// (the ring must stay TSan-clean under concurrent writers).
   struct alignas(64) Slot {
     /// Seqlock word: 0 = never written; 2·ticket+1 while the writer is
-    /// filling the slot; 2·ticket+2 once the record is complete.
+    /// filling the slot; 2·ticket+2 once the record is complete. Only
+    /// ever increases, so an unchanged word proves no writer intervened.
     std::atomic<uint64_t> seq{0};
     std::atomic<int64_t> t_us{0};
     std::atomic<uint32_t> tid{0};

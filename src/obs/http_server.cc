@@ -452,7 +452,7 @@ void HttpServer::HandleConnection(int fd) {
   SendResponse(fd, {404, "text/plain; charset=utf-8", index});
 }
 
-// ------------------------------------------------------- /timez routes --
+// ---------------------------------------------- /metrics + /timez routes --
 
 namespace {
 
@@ -469,7 +469,13 @@ std::string ParamStr(const HttpServer::Request& req, const std::string& key) {
 
 }  // namespace
 
-void AttachTimezRoutes(HttpServer* server) {
+void AttachMetricsAndTimezRoutes(HttpServer* server) {
+  server->Route("/metrics", [] {
+    HttpServer::Response r;
+    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    r.body = MetricsRegistry::Global().RenderText();
+    return r;
+  });
   server->Route("/timez", [](const HttpServer::Request& req) {
     HttpServer::Response r;
     r.content_type = "application/json";
@@ -529,12 +535,6 @@ HttpServer* BuildIntrospectionServer() {
         "  /flightz        flight-recorder ring (text)\n";
     return r;
   });
-  server->Route("/metrics", [] {
-    HttpServer::Response r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = MetricsRegistry::Global().RenderText();
-    return r;
-  });
   server->Route("/statusz", [] {
     HttpServer::Response r;
     r.content_type = "application/json";
@@ -552,7 +552,7 @@ HttpServer* BuildIntrospectionServer() {
     r.body = FlightRecorder::Global().ToText();
     return r;
   });
-  AttachTimezRoutes(server);
+  AttachMetricsAndTimezRoutes(server);
   return server;
 }
 

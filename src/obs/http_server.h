@@ -156,6 +156,13 @@ class HttpServer {
   int live_connections_ = 0;
 };
 
+/// Registers GET /metrics (Prometheus text of MetricsRegistry::Global),
+/// GET /timez (JSON snapshot; ?name= &session= &since_ms= filters) and
+/// GET /timez/stream (SSE: one `sample` event per sampling period carrying
+/// the samples since the previous event) on `server`. Shared by the
+/// process-wide introspection server and the query-service front end.
+void AttachMetricsAndTimezRoutes(HttpServer* server);
+
 /// Starts the process-wide introspection server on `port` (0 → ephemeral)
 /// with the /metrics, /statusz, /tracez and /flightz routes. The first
 /// call wins; later calls return the running server regardless of `port`.

@@ -46,14 +46,6 @@ void AppendQueryJson(const QueryStatus& q, std::string* out) {
     *out += "\"" + JsonEscape(q.warnings[i]) + "\"";
   }
   *out += "]";
-  if (!q.shards.empty()) {
-    *out += ", \"shards\": [";
-    for (size_t i = 0; i < q.shards.size(); ++i) {
-      if (i) *out += ", ";
-      *out += "\"" + JsonEscape(q.shards[i]) + "\"";
-    }
-    *out += "]";
-  }
   const QueryStats& s = q.last_stats;
   *out += Format(
       ", \"last_batch\": {\"envelope_check_seconds\": %.6g, "

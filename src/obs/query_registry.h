@@ -43,10 +43,6 @@ struct QueryStatus {
   /// Cumulative convergence-watchdog warnings ("batch N: stall — ...");
   /// bounded by the controller.
   std::vector<std::string> warnings;
-  /// Distributed execution only: one line per shard ("shard 0: running
-  /// pid=... acked=12/25 respawns=0"), published by the coordinator. Empty
-  /// for solo queries.
-  std::vector<std::string> shards;
 };
 
 class QueryRegistry {

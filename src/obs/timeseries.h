@@ -162,14 +162,6 @@ class TimeSeriesStore {
   std::thread sampler_;
 };
 
-class HttpServer;
-/// Registers GET /timez (JSON snapshot; ?name= &session= &since_ms=
-/// filters) and GET /timez/stream (SSE: one `sample` event per sampling
-/// period carrying the samples since the previous event) on `server`.
-/// Shared by the process-wide introspection server and the query-service
-/// front end. Implemented in http_server.cc.
-void AttachTimezRoutes(HttpServer* server);
-
 }  // namespace obs
 }  // namespace gola
 

@@ -81,6 +81,11 @@ class Dispatcher {
   int active_sessions() const;
   int queued_sessions() const;
   ScanShareStats scan_stats() const;
+  /// The shared-scan cache sessions attach through. GetOrCreate on it
+  /// builds a table's scan ahead of a fleet and pins it while the returned
+  /// pointer lives, so sessions submitted one by one all attach to it even
+  /// when an early one drains before the next arrives.
+  ScanShare& scan_share() { return scan_share_; }
   const DispatcherOptions& options() const { return options_; }
 
   /// Cancels every queued and running session and joins the scheduler.

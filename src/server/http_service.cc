@@ -9,9 +9,7 @@
 
 #include "common/string_util.h"
 #include "gola/engine.h"
-#include "obs/metrics.h"
 #include "obs/query_registry.h"
-#include "obs/timeseries.h"
 
 namespace gola {
 namespace server {
@@ -165,9 +163,7 @@ std::string QueryService::SessionJson(const QuerySession& session,
       static_cast<long long>(session.updates_dropped()),
       session.seconds_to_first_update(), session.seconds_to_done(),
       DegradationName(session.degradation()));
-  out += Format(", \"distributed\": %s, \"pending_updates\": %d",
-                session.distributed() ? "true" : "false",
-                session.pending_updates());
+  out += Format(", \"pending_updates\": %d", session.pending_updates());
   // Accuracy-SLO crossings (wall time until the estimate first reached each
   // RSD target; -1 unmet) and lifecycle events — the live view of what the
   // wide-event query log records at the end.
@@ -208,14 +204,13 @@ std::string QueryService::SessionJson(const QuerySession& session,
 
 void QueryService::AttachTo(obs::HttpServer* server) {
   Engine* engine = engine_;
-  const int default_workers = default_workers_;
 
   // POST /query — submit and stream. One streaming route serves both modes:
   // SSE (default) and stream=none (immediate JSON receipt).
   server->RouteStream(
       "/query", "text/event-stream",
-      [engine, default_workers](const obs::HttpServer::Request& req,
-                                obs::HttpServer::ChunkWriter& writer) {
+      [engine](const obs::HttpServer::Request& req,
+               obs::HttpServer::ChunkWriter& writer) {
         if (req.method != "POST") {
           writer.set_status(405);
           writer.set_content_type("application/json");
@@ -233,7 +228,6 @@ void QueryService::AttachTo(obs::HttpServer* server) {
         SessionOptions options;
         options.gola = engine->default_options();
         options.label = Param(req, "label");
-        options.dist_workers = default_workers;
         struct Knob {
           const char* name;
           long long min, max;
@@ -252,8 +246,6 @@ void QueryService::AttachTo(obs::HttpServer* server) {
              [&](long long v) { options.gola.deadline_ms = static_cast<double>(v); }},
             {"share", 0, 1,
              [&](long long v) { options.share_scan = (v != 0); }},
-            {"workers", 0, 64,
-             [&](long long v) { options.dist_workers = static_cast<int>(v); }},
         };
         for (const auto& knob : knobs) {
           std::string raw = Param(req, knob.name);
@@ -382,14 +374,7 @@ void QueryService::AttachTo(obs::HttpServer* server) {
   // /metrics and /timez on the service port too, so a front end scraping
   // only this server still gets the labeled families and the convergence
   // time series without the introspection port.
-  server->Route("/metrics", obs::HttpServer::Handler([](
-                                const obs::HttpServer::Request&) {
-    obs::HttpServer::Response r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = obs::MetricsRegistry::Global().RenderText();
-    return r;
-  }));
-  obs::AttachTimezRoutes(server);
+  obs::AttachMetricsAndTimezRoutes(server);
 }
 
 }  // namespace server

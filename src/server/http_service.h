@@ -9,9 +9,6 @@
 //                          mini-batch, a final `done` event). Query-string
 //                          knobs: batches, replicates, seed, deadline_ms,
 //                          share=0|1 (scan sharing), label,
-//                          workers=N (N>0 → distributed execution across N
-//                          worker processes, solo fallback on ineligible
-//                          queries — DESIGN.md §15),
 //                          stream=sse|none (none → immediate JSON receipt
 //                          {id,...}; poll /sessions/<id>).
 //   GET  /sessions         JSON array: every queued/running/recent session.
@@ -48,10 +45,6 @@ class QueryService {
   /// server.Stop() first, engine last).
   explicit QueryService(Engine* engine);
 
-  /// Worker-process count applied to sessions whose request carries no
-  /// `workers=` knob (0 = solo). Set before AttachTo.
-  void set_default_workers(int n) { default_workers_ = n; }
-
   /// Registers the routes above on `server` (replacing its /statusz with
   /// the spliced variant). Call once per server, before or after Start.
   void AttachTo(obs::HttpServer* server);
@@ -70,7 +63,6 @@ class QueryService {
 
  private:
   Engine* engine_;
-  int default_workers_ = 0;
 };
 
 }  // namespace server

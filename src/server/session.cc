@@ -3,9 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/string_util.h"
-#include "dist/coordinator.h"
 #include "obs/metrics.h"
 
 namespace gola {
@@ -66,11 +64,6 @@ bool QuerySession::scan_shared() const {
   return scan_shared_;
 }
 
-bool QuerySession::distributed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return distributed_;
-}
-
 bool QuerySession::Next(OnlineUpdate* out, std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_for(lock, timeout, [&] {
@@ -108,13 +101,6 @@ void QuerySession::Cancel() {
 
 Status QuerySession::Checkpoint(const std::string& path) {
   std::lock_guard<std::mutex> step_lock(step_mu_);
-  if (dist_ != nullptr) {
-    // The resumable state of a distributed query is spread across N worker
-    // processes; the coordinator's acked shard states are its checkpoint
-    // (that is exactly what worker recovery replays from).
-    return Status::ExecutionError(
-        "checkpoint is not supported for distributed sessions");
-  }
   if (exec_ == nullptr) {
     return Status::ExecutionError(
         "session is not running (checkpoint needs a live executor)");
@@ -192,32 +178,6 @@ void QuerySession::Start(
     Finish(SessionState::kCancelled, Status::OK());
     return;
   }
-  if (options_.dist_workers > 0) {
-    // Distributed attempt first; any failure falls through to solo so a
-    // missing worker binary or an ineligible query never fails the session.
-    if (OnlineQueryExecutor::DistEligible(query_)) {
-      dist::DistOptions dopts;
-      dopts.num_workers = options_.dist_workers;
-      dopts.gola = options_.gola;
-      CompiledQuery query_copy = query_;  // keep query_ for the solo fallback
-      auto coord = dist::Coordinator::Start(catalog, sql_, std::move(query_copy),
-                                            dopts);
-      if (coord.ok()) {
-        dist_ = std::move(*coord);
-        std::lock_guard<std::mutex> lock(mu_);
-        state_ = SessionState::kRunning;
-        distributed_ = true;
-        total_batches_ = dist_->total_batches();
-        NoteEventLocked(Format("dist_start:workers=%d", dopts.num_workers));
-        cv_.notify_all();
-        return;
-      }
-      GOLA_LOG(Warn) << "session " << id_ << ": distributed start failed ("
-                     << coord.status().ToString() << "), running solo";
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    NoteEventLocked("dist_fallback");
-  }
   auto exec = OnlineQueryExecutor::Create(catalog, std::move(query_),
                                           options_.gola, std::move(shared_scan));
   if (!exec.ok()) {
@@ -235,7 +195,7 @@ void QuerySession::Start(
 
 bool QuerySession::StepOnce() {
   std::lock_guard<std::mutex> step_lock(step_mu_);
-  if (exec_ == nullptr && dist_ == nullptr) return false;
+  if (exec_ == nullptr) return false;
   bool cancelled;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -246,26 +206,7 @@ bool QuerySession::StepOnce() {
     HarvestExecutorTelemetry();
     Finish(SessionState::kCancelled, Status::OK());
     exec_.reset();  // releases the shared scan reference
-    dist_.reset();  // shuts the worker fleet down
     return false;
-  }
-
-  if (dist_ != nullptr) {
-    Result<OnlineUpdate> update = dist_->Step();
-    HarvestDistEvents();
-    if (!update.ok()) {
-      Finish(SessionState::kFailed, update.status());
-      dist_.reset();
-      return false;
-    }
-    const bool final = dist_->done();
-    Publish(std::move(*update), final);
-    if (final) {
-      Finish(SessionState::kDone, Status::OK());
-      dist_.reset();
-      return false;
-    }
-    return true;
   }
 
   Result<OnlineUpdate> update = exec_->Step();
@@ -384,18 +325,6 @@ void QuerySession::HarvestExecutorTelemetry() {
   const obs::AccuracySloTracker& slo = exec_->slo();
   std::lock_guard<std::mutex> lock(mu_);
   slo_crossings_ = slo.crossings();
-}
-
-void QuerySession::HarvestDistEvents() {
-  if (dist_ == nullptr) return;
-  std::vector<dist::DistEvent> events = dist_->TakeEvents();
-  if (events.empty()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (dist::DistEvent& ev : events) {
-    NoteEventLocked(ev.shard >= 0
-                        ? Format("dist_%s:shard=%d", ev.kind.c_str(), ev.shard)
-                        : "dist_" + ev.kind);
-  }
 }
 
 void QuerySession::EmitWideEvent() {

@@ -30,9 +30,6 @@
 #include "obs/query_log.h"
 
 namespace gola {
-namespace dist {
-class Coordinator;
-}  // namespace dist
 namespace server {
 
 enum class SessionState : uint8_t {
@@ -58,13 +55,6 @@ struct SessionOptions {
   int max_pending_updates = 16;
   /// Free-form label shown in /statusz ("" → the SQL text, truncated).
   std::string label;
-  /// Distributed execution (src/dist/): shard the mini-batch stream across
-  /// this many worker processes and stream the merged answer. 0 (default)
-  /// runs solo in-process. Queries the dist layer cannot shard (subqueries,
-  /// uncertain conjuncts, dimension joins) — and coordinator start failures
-  /// (worker binary missing, spill I/O) — fall back to solo execution with
-  /// a "dist_fallback" lifecycle event rather than failing the session.
-  int dist_workers = 0;
 };
 
 class QuerySession {
@@ -86,13 +76,6 @@ class QuerySession {
   /// or when the session opted out / was the one that built the scan — the
   /// builder also shares it with later arrivals).
   bool scan_shared() const;
-  /// True once this session started distributed execution (a coordinator
-  /// sharding across worker processes); stays true after completion so
-  /// clients and tests can tell which path produced the answer.
-  bool distributed() const;
-  /// The live coordinator (null for solo sessions / terminal sessions).
-  /// Engine state access — chaos tests use it to find worker pids.
-  dist::Coordinator* coordinator() { return dist_.get(); }
 
   // --- cursor -----------------------------------------------------------
   /// Pops the next update, waiting up to `timeout`. Returns false on
@@ -164,10 +147,6 @@ class QuerySession {
   /// session state. Caller must hold step_mu_; called before every
   /// exec_.reset() so the wide event survives executor teardown.
   void HarvestExecutorTelemetry();
-  /// Drains the coordinator's recovery events (worker_dead, respawns,
-  /// fallbacks) into this session's lifecycle log. Caller must hold
-  /// step_mu_.
-  void HarvestDistEvents();
   /// Builds and appends the wide-event record (no locks held on entry).
   void EmitWideEvent();
 
@@ -181,9 +160,6 @@ class QuerySession {
   /// Serializes engine access: the dispatcher's StepOnce vs. Checkpoint.
   std::mutex step_mu_;
   std::unique_ptr<OnlineQueryExecutor> exec_;
-  /// Non-null instead of exec_ when this session runs distributed
-  /// (SessionOptions::dist_workers > 0 and the query is eligible).
-  std::unique_ptr<dist::Coordinator> dist_;
 
   mutable std::mutex mu_;  // guards everything below
   std::condition_variable cv_;
@@ -194,7 +170,6 @@ class QuerySession {
   std::optional<OnlineUpdate> latest_;
   std::optional<OnlineUpdate> final_;
   bool scan_shared_ = false;
-  bool distributed_ = false;
   int batches_done_ = 0;
   int total_batches_ = 0;
   int64_t dropped_ = 0;

@@ -16,7 +16,7 @@
 //                  u64 payload FNV-1a
 //                u64 directory FNV-1a (of everything above in the directory)
 //
-// Integrity discipline matches the golat/GDF1/checkpoint formats: FNV-1a
+// Integrity discipline matches the golat and checkpoint formats: FNV-1a
 // everywhere, header and directory verified at open, per-column payload
 // checksums verified lazily on first access (so opening a huge file stays
 // O(directory), not O(data)).

@@ -197,31 +197,43 @@ TEST_F(CheckpointTest, TruncatedAndCorruptedFilesAreRejected) {
                  std::istreambuf_iterator<char>());
   }
   ASSERT_GT(bytes.size(), 64u);
+  auto resume_from = [&](const std::string& file_bytes) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(file_bytes.data(),
+                static_cast<std::streamsize>(file_bytes.size()));
+    }
+    return engine_.ResumeOnline(kQuery, path_, opts).status();
+  };
 
   // Truncation (lost tail) and a flipped byte mid-payload must both fail
   // loudly instead of resuming from silently wrong state.
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 9));
-  }
-  EXPECT_EQ(engine_.ResumeOnline(kQuery, path_, opts).status().code(),
+  EXPECT_EQ(resume_from(bytes.substr(0, bytes.size() - 9)).code(),
             StatusCode::kIoError);
 
   std::string corrupt = bytes;
   corrupt[corrupt.size() / 2] ^= 0x40;
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+  EXPECT_FALSE(resume_from(corrupt).ok());
+
+  // Decoder fuzz: truncations inside the header, mid-body and one byte
+  // short, then 64 seeded single-byte flips at random offsets.
+  for (size_t cut : {size_t{0}, size_t{7}, bytes.size() / 2,
+                     bytes.size() - 1}) {
+    EXPECT_FALSE(resume_from(bytes.substr(0, cut)).ok())
+        << "resumed from " << cut << " bytes";
   }
-  auto st = engine_.ResumeOnline(kQuery, path_, opts).status();
-  EXPECT_FALSE(st.ok());
+  Rng fuzz(314159);
+  for (int trial = 0; trial < 64; ++trial) {
+    std::string flipped = bytes;
+    size_t pos = static_cast<size_t>(
+        fuzz.UniformInt(0, static_cast<int64_t>(flipped.size()) - 1));
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x10);
+    EXPECT_FALSE(resume_from(flipped).ok())
+        << "bit flip at byte " << pos << " undetected";
+  }
 
   // Not a checkpoint at all.
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out << "definitely not a checkpoint";
-  }
-  st = engine_.ResumeOnline(kQuery, path_, opts).status();
+  auto st = resume_from("definitely not a checkpoint");
   EXPECT_EQ(st.code(), StatusCode::kIoError);
 
   std::remove(path_.c_str());

@@ -4,9 +4,11 @@
 // dump file on disk.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -64,53 +66,75 @@ TEST(FlightRecorderTest, WrapKeepsMostRecent) {
 }
 
 TEST(FlightRecorderTest, ConcurrentWritersStayConsistent) {
-  // Hammer the ring from several threads (each wrapping it repeatedly) while
-  // a reader snapshots concurrently. Every surviving record must be
+  // Hammer the ring from more writers than cores (so writers get preempted
+  // mid-note and tickets kCapacity apart race for one slot) while the main
+  // thread snapshots concurrently. Every surviving record must be
   // internally consistent: name identifies the writer, detail and arg must
   // match that writer's stamp — a torn slot that leaked through the seqlock
-  // would mix them.
-  FlightRecorder rec;
-  constexpr int kThreads = 4;
-  constexpr int kNotesPerThread = 50'000;
-  const char* names[kThreads] = {"writer_0", "writer_1", "writer_2", "writer_3"};
-  const char* details[kThreads] = {"d0", "d1", "d2", "d3"};
-
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&rec, &names, &details, t] {
-      for (int i = 0; i < kNotesPerThread; ++i) {
-        rec.Note(names[t], details[t], t * 10 + 5);
+  // would mix them. Torn records are counted, not asserted, so every
+  // thread is joined before the first check can fail.
+  constexpr int kWriters = 8;
+  constexpr int kNotesPerWriter = 50'000;
+  constexpr int kRounds = 20;
+  const char* names[kWriters] = {"writer_0", "writer_1", "writer_2",
+                                 "writer_3", "writer_4", "writer_5",
+                                 "writer_6", "writer_7"};
+  const char* details[kWriters] = {"d0", "d1", "d2", "d3",
+                                   "d4", "d5", "d6", "d7"};
+  auto consistent = [&](const FlightRecorder::Record& r) {
+    for (int t = 0; t < kWriters; ++t) {
+      if (std::strcmp(r.name, names[t]) == 0) {
+        return std::strcmp(r.detail, details[t]) == 0 && r.arg == t * 10 + 5;
       }
-    });
-  }
-  // Concurrent snapshots while the ring is being overwritten. On a single
-  // core the writers may not have been scheduled yet, so wait for records
-  // to exist and yield between rounds to interleave with the writers.
-  while (rec.total_notes() < 1000) std::this_thread::yield();
-  int consistent = 0;
-  for (int round = 0; round < 20; ++round) {
-    std::this_thread::yield();
-    for (const auto& r : rec.Snapshot()) {
-      int t = -1;
-      for (int k = 0; k < kThreads; ++k) {
-        if (std::strcmp(r.name, names[k]) == 0) t = k;
-      }
-      ASSERT_GE(t, 0) << "corrupt name: " << r.name;
-      ASSERT_STREQ(r.detail, details[t]);
-      ASSERT_EQ(r.arg, t * 10 + 5);
-      ++consistent;
     }
-  }
-  for (auto& w : writers) w.join();
-  EXPECT_GT(consistent, 0);
+    return false;
+  };
 
-  EXPECT_EQ(rec.total_notes(), kThreads * kNotesPerThread);
-  auto records = rec.Snapshot();
-  EXPECT_EQ(records.size(), FlightRecorder::kCapacity);
-  // Quiescent ring: tickets are distinct and strictly increasing.
-  for (size_t i = 1; i < records.size(); ++i) {
-    EXPECT_LT(records[i - 1].ticket, records[i].ticket);
+  int64_t checked = 0;
+  int64_t torn = 0;
+  int torn_rounds = 0;
+  int64_t bad_totals = 0;
+  int64_t bad_sizes = 0;
+  int64_t unordered = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    auto rec = std::make_unique<FlightRecorder>();
+    std::atomic<int> finished{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&rec, &names, &details, &finished, t] {
+        for (int i = 0; i < kNotesPerWriter; ++i) {
+          rec->Note(names[t], details[t], t * 10 + 5);
+        }
+        finished.fetch_add(1);
+      });
+    }
+    const int64_t torn_before = torn;
+    while (finished.load() < kWriters) {
+      for (const auto& r : rec->Snapshot()) {
+        ++checked;
+        if (!consistent(r)) ++torn;
+      }
+    }
+    for (auto& w : writers) w.join();
+
+    if (rec->total_notes() != int64_t{kWriters} * kNotesPerWriter) ++bad_totals;
+    auto records = rec->Snapshot();
+    if (records.size() != FlightRecorder::kCapacity) ++bad_sizes;
+    // Quiescent ring: tickets are distinct and strictly increasing.
+    for (size_t i = 1; i < records.size(); ++i) {
+      if (records[i - 1].ticket >= records[i].ticket) ++unordered;
+    }
+    for (const auto& r : records) {
+      if (!consistent(r)) ++torn;
+    }
+    if (torn > torn_before) ++torn_rounds;
   }
+  EXPECT_GT(checked, 0);
+  EXPECT_EQ(torn, 0) << "torn records in " << torn_rounds << " of " << kRounds
+                     << " rounds";
+  EXPECT_EQ(bad_totals, 0);
+  EXPECT_EQ(bad_sizes, 0);
+  EXPECT_EQ(unordered, 0);
 }
 
 TEST(FlightRecorderTest, DumpWritesParsableText) {
