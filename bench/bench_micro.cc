@@ -130,7 +130,10 @@ void BM_MiniBatchPartition(benchmark::State& state) {
     MiniBatchOptions opts;
     opts.num_batches = 100;
     MiniBatchPartitioner partitioner(t, opts);
-    benchmark::DoNotOptimize(partitioner.num_batches());
+    // Batches are gathered on demand: fetch them all to time the gather.
+    for (int b = 0; b < partitioner.num_batches(); ++b) {
+      benchmark::DoNotOptimize(partitioner.BatchShared(b));
+    }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

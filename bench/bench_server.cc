@@ -14,7 +14,7 @@
 //                    same number from the same instrumentation
 //
 // check_perf.py pairs vec:0/vec:1 and CI gates BM_ServerSharedScan/q:16 at
-// >= 1.5x: scan sharing must amortize the partitioner across the fleet.
+// >= 1.5x: scan sharing must amortize the batch gathers across the fleet.
 // Emits BENCH_server.json unless --benchmark_out is passed explicitly.
 #include <benchmark/benchmark.h>
 

@@ -64,8 +64,8 @@ Result<CdmUpdate> CdmExecutor::Step() {
   const int i = next_batch_;
   obs::TraceSpan batch_span("cdm_batch", "index", i);
 
-  // Pinned prefix [0, i]: CDM may rescan all seen batches below, and
-  // streamed partitioners retain only a small window otherwise.
+  // Pinned prefix [0, i]: CDM may rescan all seen batches below, and the
+  // partitioner retains only a small window otherwise.
   std::vector<std::shared_ptr<const Chunk>> seen_pins =
       partitioner_->BatchesSharedUpTo(i + 1);
   rows_through_ += static_cast<int64_t>(seen_pins.back()->num_rows());

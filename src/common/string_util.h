@@ -13,6 +13,16 @@ namespace gola {
 std::string ToLower(std::string_view s);
 std::string ToUpper(std::string_view s);
 
+/// Concatenates string-like parts by appending each to one string. Use it
+/// instead of chains of `"literal" + std::string`: GCC 12 at -O3 inlines
+/// those temporaries into a false -Wrestrict positive.
+template <typename... Parts>
+std::string StrCat(const Parts&... parts) {
+  std::string out;
+  (out.append(std::string_view(parts)), ...);
+  return out;
+}
+
 /// Joins the parts with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 

@@ -86,12 +86,13 @@ Result<Table> BatchExecutor::Execute(const CompiledQuery& query,
   return Run(query, {}, opts);
 }
 
-Result<Table> BatchExecutor::ExecuteOnChunks(const CompiledQuery& query,
-                                             const std::string& streamed_table,
-                                             const std::vector<const Chunk*>& chunks,
-                                             const BatchExecOptions& opts) {
+Result<Table> BatchExecutor::ExecuteOnChunks(
+    const CompiledQuery& query, const std::string& streamed_table,
+    const std::vector<std::shared_ptr<const Chunk>>& chunks,
+    const BatchExecOptions& opts) {
   std::unordered_map<std::string, std::vector<const Chunk*>> overrides;
-  overrides[ToLower(streamed_table)] = chunks;
+  auto& prefix = overrides[ToLower(streamed_table)];
+  for (const auto& c : chunks) prefix.push_back(c.get());
   return Run(query, overrides, opts);
 }
 

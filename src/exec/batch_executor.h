@@ -2,8 +2,8 @@
 // bottom-up, filling a BroadcastEnv with exact subquery values. It is
 //  (a) the baseline G-OLA is compared against in Figure 3(a),
 //  (b) the ground truth for the exactness tests, and
-//  (c) the building block reused by the CDM / naive-OLA baselines, which
-//      re-run it over growing chunk prefixes.
+//  (c) the building block reused by the CDM baseline, which re-runs it
+//      over growing chunk prefixes.
 //
 // Physical execution goes through the shared delta-pipeline layer
 // (exec/pipeline.h): per block, DimJoin → Filter → HashAggregate|Collect,
@@ -11,6 +11,7 @@
 #ifndef GOLA_EXEC_BATCH_EXECUTOR_H_
 #define GOLA_EXEC_BATCH_EXECUTOR_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,11 +45,12 @@ class BatchExecutor {
   Result<Table> Execute(const CompiledQuery& query, const BatchExecOptions& opts = {});
 
   /// Executes with the chunks of `streamed_table` replaced by `chunks` —
-  /// i.e. evaluates Q(D_i, scale) over an explicit data prefix. Dimension
-  /// tables still come from the catalog in full.
+  /// i.e. evaluates Q(D_i, scale) over an explicit data prefix, such as
+  /// MiniBatchPartitioner::BatchesSharedUpTo returns. Dimension tables
+  /// still come from the catalog in full.
   Result<Table> ExecuteOnChunks(const CompiledQuery& query,
                                 const std::string& streamed_table,
-                                const std::vector<const Chunk*>& chunks,
+                                const std::vector<std::shared_ptr<const Chunk>>& chunks,
                                 const BatchExecOptions& opts = {});
 
  private:

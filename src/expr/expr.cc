@@ -158,12 +158,12 @@ ExprPtr Expr::Clone() const {
 std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kLiteral:
-      return literal.type() == TypeId::kString ? "'" + literal.ToString() + "'"
+      return literal.type() == TypeId::kString ? StrCat("'", literal.ToString(), "'")
                                                : literal.ToString();
     case ExprKind::kColumnRef:
       return column_name.empty() ? Format("$%d", column_index) : column_name;
     case ExprKind::kArithmetic: {
-      if (arith_op == ArithOp::kNeg) return "(-" + children[0]->ToString() + ")";
+      if (arith_op == ArithOp::kNeg) return StrCat("(-", children[0]->ToString(), ")");
       const char* sym = "?";
       switch (arith_op) {
         case ArithOp::kAdd: sym = "+"; break;
@@ -173,20 +173,21 @@ std::string Expr::ToString() const {
         case ArithOp::kMod: sym = "%"; break;
         case ArithOp::kNeg: break;
       }
-      return "(" + children[0]->ToString() + " " + sym + " " + children[1]->ToString() + ")";
+      return StrCat("(", children[0]->ToString(), " ", sym, " ", children[1]->ToString(),
+                    ")");
     }
     case ExprKind::kComparison:
-      return "(" + children[0]->ToString() + " " + CmpOpSymbol(cmp_op) + " " +
-             children[1]->ToString() + ")";
+      return StrCat("(", children[0]->ToString(), " ", CmpOpSymbol(cmp_op), " ",
+                    children[1]->ToString(), ")");
     case ExprKind::kLogical: {
-      if (logical_op == LogicalOp::kNot) return "(NOT " + children[0]->ToString() + ")";
+      if (logical_op == LogicalOp::kNot) return StrCat("(NOT ", children[0]->ToString(), ")");
       const char* sym = logical_op == LogicalOp::kAnd ? " AND " : " OR ";
-      return "(" + children[0]->ToString() + sym + children[1]->ToString() + ")";
+      return StrCat("(", children[0]->ToString(), sym, children[1]->ToString(), ")");
     }
     case ExprKind::kFunctionCall: {
       std::vector<std::string> args;
       for (const auto& c : children) args.push_back(c->ToString());
-      return func_name + "(" + Join(args, ", ") + ")";
+      return StrCat(func_name, "(", Join(args, ", "), ")");
     }
     case ExprKind::kAggregateCall: {
       if (agg_kind == AggKind::kCountStar) return "COUNT(*)";
@@ -195,23 +196,26 @@ std::string Expr::ToString() const {
       if (agg_kind == AggKind::kQuantile) {
         return Format("QUANTILE(%s, %g)", arg.c_str(), agg_param);
       }
-      return name + "(" + arg + ")";
+      return StrCat(name, "(", arg, ")");
     }
     case ExprKind::kCase: {
       std::string out = "CASE";
       size_t i = 0;
       for (; i + 1 < children.size(); i += 2) {
-        out += " WHEN " + children[i]->ToString() + " THEN " + children[i + 1]->ToString();
+        out += StrCat(" WHEN ", children[i]->ToString(), " THEN ",
+                      children[i + 1]->ToString());
       }
-      if (i < children.size()) out += " ELSE " + children[i]->ToString();
+      if (i < children.size()) out += StrCat(" ELSE ", children[i]->ToString());
       return out + " END";
     }
     case ExprKind::kIsNull:
-      return "(" + children[0]->ToString() +
-             (literal.type() == TypeId::kBool && literal.AsBool() ? " IS NOT NULL)" : " IS NULL)");
+      return StrCat("(", children[0]->ToString(),
+                    literal.type() == TypeId::kBool && literal.AsBool() ? " IS NOT NULL)"
+                                                                        : " IS NULL)");
     case ExprKind::kSubqueryRef:
       return Format("$subquery%d%s", subquery_id,
-                    children.empty() ? "" : ("[" + children[0]->ToString() + "]").c_str());
+                    children.empty() ? ""
+                                     : StrCat("[", children[0]->ToString(), "]").c_str());
     case ExprKind::kInSubquery:
       return Format("(%s %sIN $subquery%d)", children[0]->ToString().c_str(),
                     negated ? "NOT " : "", subquery_id);

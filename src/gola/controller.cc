@@ -45,8 +45,10 @@ Status ValidateOptions(const GolaOptions& o) {
   if (o.num_batches < 1) {
     return Status::InvalidArgument("num_batches must be >= 1");
   }
-  if (o.bootstrap_replicates < 0) {
-    return Status::InvalidArgument("bootstrap_replicates must be >= 0");
+  // Below two replicates every variation range is a point, so nearly every
+  // batch fails its envelopes and recomputes.
+  if (o.bootstrap_replicates < 2) {
+    return Status::InvalidArgument("bootstrap_replicates must be >= 2");
   }
   if (o.epsilon_mult < 0 || !(o.epsilon_mult == o.epsilon_mult)) {
     return Status::InvalidArgument("epsilon_mult must be a non-negative number");
@@ -252,8 +254,8 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
   Stopwatch batch_timer;
 
   const int i = next_batch_;  // 0-based
-  // Pin the batch for the whole step: streamed partitioners retain only a
-  // small window of recent batches.
+  // Pin the batch for the whole step: the partitioner retains only a small
+  // window of recent batches.
   std::shared_ptr<const Chunk> batch_pin = partitioner_->BatchShared(i);
   const Chunk& batch = *batch_pin;
 

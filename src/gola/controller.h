@@ -214,8 +214,8 @@ class OnlineQueryExecutor {
   GolaOptions options_;
   std::unique_ptr<PoissonWeights> weights_;
   /// Shared with other executors when scan sharing attached this query to
-  /// an existing sweep; const either way — a partitioner is immutable after
-  /// construction, which is what makes sharing race-free.
+  /// an existing sweep. Its batches are deterministic and its gather cache
+  /// is locked, which is what makes sharing race-free.
   std::shared_ptr<const MiniBatchPartitioner> partitioner_;
   bool scan_shared_ = false;
   std::vector<std::unique_ptr<OnlineBlockExec>> blocks_;

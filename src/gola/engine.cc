@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "parser/parser.h"
 #include "storage/segment/segment.h"
 
@@ -23,8 +24,8 @@ std::string SegmentFileName(const std::string& table_name) {
   // pid + sequence keep concurrent test shards writing to one shared
   // GOLA_SEGMENT_DIR from colliding.
   static std::atomic<uint64_t> seq{0};
-  out += "." + std::to_string(getpid()) + "." +
-         std::to_string(seq.fetch_add(1)) + ".gseg";
+  out += StrCat(".", std::to_string(getpid()), ".",
+                std::to_string(seq.fetch_add(1)), ".gseg");
   return out;
 }
 

@@ -21,6 +21,7 @@ namespace gola {
 /// Engine-level knobs for online execution.
 struct GolaOptions {
   int num_batches = 100;
+  /// Bootstrap replicates B; at least 2, or every variation range is a point.
   int bootstrap_replicates = 100;
   /// ε multiplier in R(u) = [min(û) − ε, max(û) + ε], ε = mult · stddev(û).
   /// The paper recommends 1·σ (§3.2); this implementation defaults to 3·σ:

@@ -43,7 +43,7 @@ void AppendQueryJson(const QueryStatus& q, std::string* out) {
   *out += ", \"warnings\": [";
   for (size_t i = 0; i < q.warnings.size(); ++i) {
     if (i) *out += ", ";
-    *out += "\"" + JsonEscape(q.warnings[i]) + "\"";
+    *out += StrCat("\"", JsonEscape(q.warnings[i]), "\"");
   }
   *out += "]";
   const QueryStats& s = q.last_stats;

@@ -7,14 +7,14 @@ namespace gola {
 std::string AstExpr::ToString() const {
   switch (kind) {
     case AstExprKind::kLiteral:
-      return literal.type() == TypeId::kString ? "'" + literal.ToString() + "'"
+      return literal.type() == TypeId::kString ? StrCat("'", literal.ToString(), "'")
                                                : literal.ToString();
     case AstExprKind::kColumnRef:
       return name;
     case AstExprKind::kStar:
       return "*";
     case AstExprKind::kArithmetic: {
-      if (arith_op == ArithOp::kNeg) return "(-" + children[0]->ToString() + ")";
+      if (arith_op == ArithOp::kNeg) return StrCat("(-", children[0]->ToString(), ")");
       const char* sym = "?";
       switch (arith_op) {
         case ArithOp::kAdd: sym = "+"; break;
@@ -24,37 +24,39 @@ std::string AstExpr::ToString() const {
         case ArithOp::kMod: sym = "%"; break;
         case ArithOp::kNeg: break;
       }
-      return "(" + children[0]->ToString() + " " + sym + " " + children[1]->ToString() + ")";
+      return StrCat("(", children[0]->ToString(), " ", sym, " ", children[1]->ToString(),
+                    ")");
     }
     case AstExprKind::kComparison:
-      return "(" + children[0]->ToString() + " " + CmpOpSymbol(cmp_op) + " " +
-             children[1]->ToString() + ")";
+      return StrCat("(", children[0]->ToString(), " ", CmpOpSymbol(cmp_op), " ",
+                    children[1]->ToString(), ")");
     case AstExprKind::kLogical:
-      if (logical_op == LogicalOp::kNot) return "(NOT " + children[0]->ToString() + ")";
-      return "(" + children[0]->ToString() +
-             (logical_op == LogicalOp::kAnd ? " AND " : " OR ") +
-             children[1]->ToString() + ")";
+      if (logical_op == LogicalOp::kNot) return StrCat("(NOT ", children[0]->ToString(), ")");
+      return StrCat("(", children[0]->ToString(),
+                    logical_op == LogicalOp::kAnd ? " AND " : " OR ",
+                    children[1]->ToString(), ")");
     case AstExprKind::kFunctionCall: {
       std::vector<std::string> args;
       for (const auto& c : children) args.push_back(c->ToString());
-      return name + "(" + Join(args, ", ") + ")";
+      return StrCat(name, "(", Join(args, ", "), ")");
     }
     case AstExprKind::kCase: {
       std::string out = "CASE";
       size_t i = 0;
       for (; i + 1 < children.size(); i += 2) {
-        out += " WHEN " + children[i]->ToString() + " THEN " + children[i + 1]->ToString();
+        out += StrCat(" WHEN ", children[i]->ToString(), " THEN ",
+                      children[i + 1]->ToString());
       }
-      if (i < children.size()) out += " ELSE " + children[i]->ToString();
+      if (i < children.size()) out += StrCat(" ELSE ", children[i]->ToString());
       return out + " END";
     }
     case AstExprKind::kIsNull:
-      return "(" + children[0]->ToString() + (negated ? " IS NOT NULL)" : " IS NULL)");
+      return StrCat("(", children[0]->ToString(), negated ? " IS NOT NULL)" : " IS NULL)");
     case AstExprKind::kSubquery:
-      return "(" + subquery->ToString() + ")";
+      return StrCat("(", subquery->ToString(), ")");
     case AstExprKind::kInSubquery:
-      return "(" + children[0]->ToString() + (negated ? " NOT IN (" : " IN (") +
-             subquery->ToString() + "))";
+      return StrCat("(", children[0]->ToString(), negated ? " NOT IN (" : " IN (",
+                    subquery->ToString(), "))");
   }
   return "?";
 }

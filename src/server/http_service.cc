@@ -101,7 +101,7 @@ std::string QueryService::TableJson(const Table& table, int64_t limit) {
   if (table.schema() != nullptr) {
     for (size_t i = 0; i < table.schema()->num_fields(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + JsonEscape(table.schema()->field(i).name) + "\"";
+      out += StrCat("\"", JsonEscape(table.schema()->field(i).name), "\"");
     }
   }
   out += "], \"rows\": [";
@@ -236,7 +236,7 @@ void QueryService::AttachTo(obs::HttpServer* server) {
         const std::vector<Knob> knobs = {
             {"batches", 1, 1 << 20,
              [&](long long v) { options.gola.num_batches = static_cast<int>(v); }},
-            {"replicates", 1, 1 << 16,
+            {"replicates", 2, 1 << 16,
              [&](long long v) {
                options.gola.bootstrap_replicates = static_cast<int>(v);
              }},

@@ -15,10 +15,11 @@
 // weak_ptr, so the batches are freed the moment the last attached query
 // finishes — the cache itself never pins table-sized memory.
 //
-// Sharing is bit-transparent: a partitioner is immutable after
-// construction and deterministic in its inputs, so a query run against a
-// shared scan produces results bit-identical to a solo run with the same
-// options (server_session_test asserts this under TSan).
+// Sharing is bit-transparent: every batch a partitioner hands out is
+// deterministic in its inputs (its cache only decides whether a batch is
+// gathered again), so a query run against a shared scan produces results
+// bit-identical to a solo run with the same options (server_session_test
+// asserts this under TSan).
 #ifndef GOLA_SERVER_SCAN_SHARE_H_
 #define GOLA_SERVER_SCAN_SHARE_H_
 

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "obs/metrics.h"
-#include "storage/column_source.h"
 
 namespace gola {
 
@@ -23,8 +22,7 @@ std::vector<int64_t> FisherYatesPermutation(int64_t n, uint64_t seed) {
   return perm;
 }
 
-/// Same shuffle as ShuffleChunks, as an index order (streamed tables
-/// reorder chunk indices instead of copying chunks).
+/// Partition-wise randomness: a random order of whole chunks.
 std::vector<size_t> ShuffledChunkOrder(size_t num_chunks, uint64_t seed) {
   std::vector<size_t> order(num_chunks);
   std::iota(order.begin(), order.end(), 0);
@@ -54,194 +52,79 @@ StreamObs& Obs() {
   return o;
 }
 
+// How many batches behind the most recent fetch stay cached, so that
+// sessions sharing one partitioner a few batches apart reuse one gather.
+constexpr int kRetainBatches = 3;
+
 }  // namespace
 
-Table RandomShuffle(const Table& table, uint64_t seed) {
-  // Two data copies total (combine + gather): page-touching copies dominate
-  // this operation's cost on large tables, so avoid intermediates.
-  Chunk all = table.Combined();
-  std::vector<int64_t> perm =
-      FisherYatesPermutation(static_cast<int64_t>(all.num_rows()), seed);
-  Table out(table.schema());
-  out.AppendChunk(all.Take(perm));
-  return out;
-}
-
-Table ShuffleChunks(const Table& table, uint64_t seed) {
-  std::vector<size_t> order = ShuffledChunkOrder(table.num_chunks(), seed);
-  Table out(table.schema());
-  for (size_t idx : order) out.AppendChunk(table.chunk(idx));
-  return out;
-}
-
-// How many recently served batches stay resident so `batch(int)` references
-// remain valid across a few subsequent accesses.
-static constexpr int kRetainBatches = 3;
-
-struct MiniBatchPartitioner::Stream {
-  std::shared_ptr<const ColumnSource> source;
-  std::vector<int64_t> perm;          // empty => identity (no row shuffle)
-  std::vector<size_t> chunk_order;    // reordered position -> source chunk
-  std::vector<int64_t> chunk_starts;  // rows before each reordered chunk
-  std::vector<int64_t> batch_starts;  // serial bounds, num_batches + 1
-
-  struct Entry {
-    std::shared_ptr<const Chunk> chunk;
-    bool from_prefetch = false;
-    bool consumed = false;
-  };
-  mutable std::mutex mu;
-  mutable std::condition_variable cv;
-  mutable std::map<int, Entry> cache;
-  mutable std::vector<std::shared_ptr<const Chunk>> legacy_pins;
-  mutable int want = -1;
-  bool stop = false;
-  std::thread worker;
-};
-
 MiniBatchPartitioner::MiniBatchPartitioner(const Table& table,
-                                           const MiniBatchOptions& options) {
+                                           const MiniBatchOptions& options)
+    : table_(table) {
   GOLA_CHECK(options.num_batches > 0);
-  if (table.streamed()) {
-    InitStreaming(table, options);
-    return;
-  }
-  // Gather each batch chunk-wise, never materializing a combined copy of
-  // the whole table: full-table copies are page-fault-bound on large
-  // inputs, while per-batch gathers stay in allocator-recycled memory.
-  const Table* source = &table;
-  Table reordered;
-  if (!options.row_shuffle) {
-    reordered = ShuffleChunks(table, options.seed);
-    source = &reordered;
-  }
-  total_rows_ = source->num_rows();
-
-  std::vector<int64_t> perm;
+  const int64_t total_rows = table_.num_rows();
+  size_t nchunks = table_.num_chunks();
   if (options.row_shuffle) {
-    perm = FisherYatesPermutation(total_rows_, options.seed);
+    chunk_order_.resize(nchunks);
+    std::iota(chunk_order_.begin(), chunk_order_.end(), 0);
+    perm_ = FisherYatesPermutation(total_rows, options.seed);
   } else {
-    perm.resize(static_cast<size_t>(total_rows_));
-    std::iota(perm.begin(), perm.end(), 0);
+    chunk_order_ = ShuffledChunkOrder(nchunks, options.seed);
   }
-
-  // Global row index → (chunk, local offset) translation table.
-  std::vector<int64_t> chunk_starts;
-  chunk_starts.reserve(source->num_chunks() + 1);
-  int64_t acc = 0;
-  for (size_t c = 0; c < source->num_chunks(); ++c) {
-    chunk_starts.push_back(acc);
-    acc += static_cast<int64_t>(source->chunk(c).num_rows());
-  }
-  chunk_starts.push_back(acc);
-
-  int64_t k = options.num_batches;
-  int64_t per_batch = total_rows_ / k;
-  if (per_batch == 0) per_batch = 1;
-
-  int64_t serial = 0;
-  batches_.reserve(static_cast<size_t>(k));
-  // Scratch: per source chunk, the local rows this batch draws from it.
-  std::vector<std::vector<int64_t>> local_rows(source->num_chunks());
-  for (int64_t b = 0; b < k && serial < total_rows_; ++b) {
-    int64_t len = (b == k - 1) ? (total_rows_ - serial)
-                               : std::min(per_batch, total_rows_ - serial);
-    for (auto& rows : local_rows) rows.clear();
-    for (int64_t p = serial; p < serial + len; ++p) {
-      int64_t global = perm[static_cast<size_t>(p)];
-      // Chunks are near-uniform; binary search keeps this O(log c).
-      size_t c = static_cast<size_t>(
-          std::upper_bound(chunk_starts.begin(), chunk_starts.end(), global) -
-          chunk_starts.begin() - 1);
-      local_rows[c].push_back(global - chunk_starts[c]);
-    }
-    // Rows within a batch may appear in any order: serials are assigned by
-    // batch position, and any fixed assignment preserves uniformity.
-    Chunk batch;
-    for (size_t c = 0; c < local_rows.size(); ++c) {
-      if (local_rows[c].empty()) continue;
-      GOLA_CHECK_OK(batch.Append(source->chunk(c).Take(local_rows[c])));
-    }
-    std::vector<int64_t> serials(static_cast<size_t>(len));
-    std::iota(serials.begin(), serials.end(), serial);
-    batch.set_serials(std::move(serials));
-    batches_.push_back(std::move(batch));
-    serial += len;
-  }
-  num_batches_ = static_cast<int>(batches_.size());
-}
-
-void MiniBatchPartitioner::InitStreaming(const Table& table,
-                                         const MiniBatchOptions& options) {
-  stream_ = std::make_unique<Stream>();
-  Stream& s = *stream_;
-  s.source = table.source();
-  total_rows_ = s.source->num_rows();
-
-  size_t nchunks = s.source->num_chunks();
-  if (options.row_shuffle) {
-    s.chunk_order.resize(nchunks);
-    std::iota(s.chunk_order.begin(), s.chunk_order.end(), 0);
-    s.perm = FisherYatesPermutation(total_rows_, options.seed);
-  } else {
-    // Partition-wise randomness: same chunk order ShuffleChunks would
-    // produce, identity row permutation within that order.
-    s.chunk_order = ShuffledChunkOrder(nchunks, options.seed);
-  }
-  s.chunk_starts.reserve(nchunks + 1);
+  chunk_starts_.reserve(nchunks + 1);
   int64_t acc = 0;
   for (size_t c = 0; c < nchunks; ++c) {
-    s.chunk_starts.push_back(acc);
-    acc += s.source->chunk_rows(s.chunk_order[c]);
+    chunk_starts_.push_back(acc);
+    acc += table_.chunk_rows(chunk_order_[c]);
   }
-  s.chunk_starts.push_back(acc);
+  chunk_starts_.push_back(acc);
 
-  // Identical batch-bound arithmetic to the eager constructor.
   int64_t k = options.num_batches;
-  int64_t per_batch = total_rows_ / k;
+  int64_t per_batch = total_rows / k;
   if (per_batch == 0) per_batch = 1;
-  s.batch_starts.push_back(0);
+  batch_starts_.push_back(0);
   int64_t serial = 0;
-  for (int64_t b = 0; b < k && serial < total_rows_; ++b) {
-    int64_t len = (b == k - 1) ? (total_rows_ - serial)
-                               : std::min(per_batch, total_rows_ - serial);
+  for (int64_t b = 0; b < k && serial < total_rows; ++b) {
+    int64_t len = (b == k - 1) ? (total_rows - serial)
+                               : std::min(per_batch, total_rows - serial);
     serial += len;
-    s.batch_starts.push_back(serial);
+    batch_starts_.push_back(serial);
   }
-  num_batches_ = static_cast<int>(s.batch_starts.size()) - 1;
 
-  s.worker = std::thread([this] { PrefetchLoop(); });
+  // Gather the first batch while the caller prepares its query.
+  if (num_batches() > 0) want_ = 0;
+  worker_ = std::thread([this] { PrefetchLoop(); });
 }
 
 MiniBatchPartitioner::~MiniBatchPartitioner() {
-  if (stream_ == nullptr) return;
   {
-    std::lock_guard<std::mutex> lock(stream_->mu);
-    stream_->stop = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  stream_->cv.notify_all();
-  if (stream_->worker.joinable()) stream_->worker.join();
+  cv_.notify_all();
+  worker_.join();
 }
 
-std::shared_ptr<const Chunk> MiniBatchPartitioner::MaterializeBatch(int i) const {
-  const Stream& s = *stream_;
-  int64_t begin = s.batch_starts[static_cast<size_t>(i)];
-  int64_t end = s.batch_starts[static_cast<size_t>(i) + 1];
-  size_t nchunks = s.chunk_order.size();
-  std::vector<std::vector<int64_t>> local(nchunks);
+std::shared_ptr<const Chunk> MiniBatchPartitioner::Gather(int i) const {
+  int64_t begin = batch_starts_[static_cast<size_t>(i)];
+  int64_t end = batch_starts_[static_cast<size_t>(i) + 1];
+  // Per reordered chunk, the local rows this batch draws from it. Rows
+  // within a batch may appear in any order: serials are assigned by batch
+  // position, and any fixed assignment preserves uniformity.
+  std::vector<std::vector<int64_t>> local(chunk_order_.size());
   for (int64_t p = begin; p < end; ++p) {
-    int64_t global = s.perm.empty() ? p : s.perm[static_cast<size_t>(p)];
+    int64_t global = perm_.empty() ? p : perm_[static_cast<size_t>(p)];
+    // Chunks are near-uniform; binary search keeps this O(log c).
     size_t c = static_cast<size_t>(
-        std::upper_bound(s.chunk_starts.begin(), s.chunk_starts.end(), global) -
-        s.chunk_starts.begin() - 1);
-    local[c].push_back(global - s.chunk_starts[c]);
+        std::upper_bound(chunk_starts_.begin(), chunk_starts_.end(), global) -
+        chunk_starts_.begin() - 1);
+    local[c].push_back(global - chunk_starts_[c]);
   }
   auto batch = std::make_shared<Chunk>();
-  for (size_t c = 0; c < nchunks; ++c) {
+  for (size_t c = 0; c < local.size(); ++c) {
     if (local[c].empty()) continue;
-    auto piece = s.source->GatherRows(s.chunk_order[c], local[c]);
-    GOLA_CHECK(piece.ok()) << "gathering streamed mini-batch: "
-                           << piece.status().ToString();
+    auto piece = table_.GatherRows(chunk_order_[c], local[c]);
+    GOLA_CHECK(piece.ok()) << "gathering mini-batch: " << piece.status().ToString();
     GOLA_CHECK_OK(batch->Append(std::move(*piece)));
   }
   std::vector<int64_t> serials(static_cast<size_t>(end - begin));
@@ -250,45 +133,40 @@ std::shared_ptr<const Chunk> MiniBatchPartitioner::MaterializeBatch(int i) const
   return batch;
 }
 
-std::shared_ptr<const Chunk> MiniBatchPartitioner::FetchBatch(
-    int i, bool record_hit_miss) const {
-  Stream& s = *stream_;
-  GOLA_CHECK(i >= 0 && i < num_batches_);
+std::shared_ptr<const Chunk> MiniBatchPartitioner::FetchBatch(int i,
+                                                              bool cursor) const {
+  GOLA_CHECK(i >= 0 && i < num_batches());
   std::shared_ptr<const Chunk> chunk;
   bool was_prefetched = false;
   {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.cache.find(i);
-    if (it != s.cache.end()) {
+    std::unique_lock<std::mutex> lock(mu_);
+    // Rather than gather a duplicate, wait for a prefetch of this batch.
+    cv_.wait(lock, [&] { return prefetching_ != i; });
+    auto it = cache_.find(i);
+    if (it != cache_.end()) {
       chunk = it->second.chunk;
       was_prefetched = it->second.from_prefetch && !it->second.consumed;
       it->second.consumed = true;
     }
   }
-  if (chunk == nullptr) {
-    chunk = MaterializeBatch(i);
-  }
+  if (chunk == nullptr) chunk = Gather(i);
   {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto& e = s.cache[i];
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& e = cache_[i];
+    // The prefetch thread may have cached this batch meanwhile: hand out
+    // that object, so every caller of batch i shares one chunk.
     if (e.chunk == nullptr) e.chunk = chunk;
+    chunk = e.chunk;
     e.consumed = true;
-    // Retention window: drop batches well behind the cursor; pins held by
-    // callers keep their chunks alive regardless.
-    for (auto it = s.cache.begin(); it != s.cache.end();) {
-      if (it->first < i - kRetainBatches) {
-        it = s.cache.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // Overlap the next batch's gather/decode with the caller's estimation.
-    if (i + 1 < num_batches_ && s.cache.find(i + 1) == s.cache.end()) {
-      s.want = i + 1;
-      s.cv.notify_one();
+    // Drop batches well behind this fetch; callers' pins keep theirs alive.
+    cache_.erase(cache_.begin(), cache_.lower_bound(i - kRetainBatches));
+    // Overlap the next batch's gather with the caller's estimation.
+    if (cursor && i + 1 < num_batches() && cache_.find(i + 1) == cache_.end()) {
+      want_ = i + 1;
+      cv_.notify_all();
     }
   }
-  if (record_hit_miss && obs::MetricsEnabled()) {
+  if (cursor && obs::MetricsEnabled()) {
     Obs().batches->Increment();
     (was_prefetched ? Obs().prefetch_hits : Obs().prefetch_misses)->Increment();
   }
@@ -296,77 +174,42 @@ std::shared_ptr<const Chunk> MiniBatchPartitioner::FetchBatch(
 }
 
 void MiniBatchPartitioner::PrefetchLoop() {
-  Stream& s = *stream_;
   for (;;) {
     int target = -1;
     {
-      std::unique_lock<std::mutex> lock(s.mu);
-      s.cv.wait(lock, [&] { return s.stop || s.want >= 0; });
-      if (s.stop) return;
-      target = s.want;
-      s.want = -1;
-      if (s.cache.find(target) != s.cache.end()) continue;
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return stop_ || want_ >= 0; });
+      if (stop_) return;
+      target = want_;
+      want_ = -1;
+      if (cache_.find(target) != cache_.end()) continue;
+      prefetching_ = target;
     }
-    std::shared_ptr<const Chunk> chunk = MaterializeBatch(target);
+    std::shared_ptr<const Chunk> chunk = Gather(target);
     {
-      std::lock_guard<std::mutex> lock(s.mu);
-      auto& e = s.cache[target];
+      std::lock_guard<std::mutex> lock(mu_);
+      auto& e = cache_[target];
       if (e.chunk == nullptr) {
         e.chunk = std::move(chunk);
         e.from_prefetch = true;
       }
+      prefetching_ = -1;
     }
+    cv_.notify_all();
   }
-}
-
-const Chunk& MiniBatchPartitioner::batch(int i) const {
-  if (stream_ == nullptr) return batches_[static_cast<size_t>(i)];
-  // The cache retains the last kRetainBatches batches, so this reference
-  // stays valid across the sequential access patterns the engine uses.
-  std::shared_ptr<const Chunk> chunk = FetchBatch(i, /*record_hit_miss=*/true);
-  return *chunk;
 }
 
 std::shared_ptr<const Chunk> MiniBatchPartitioner::BatchShared(int i) const {
-  if (stream_ == nullptr) {
-    // Alias into the eagerly materialized vector; the partitioner outlives
-    // all engine uses of its batches.
-    return {std::shared_ptr<const Chunk>{},
-            &batches_[static_cast<size_t>(i)]};
-  }
-  return FetchBatch(i, /*record_hit_miss=*/true);
+  return FetchBatch(i, /*cursor=*/true);
 }
 
 std::vector<std::shared_ptr<const Chunk>> MiniBatchPartitioner::BatchesSharedUpTo(
     int upto) const {
   std::vector<std::shared_ptr<const Chunk>> out;
   out.reserve(static_cast<size_t>(upto));
-  for (int i = 0; i < upto && i < num_batches_; ++i) {
-    if (stream_ == nullptr) {
-      out.push_back({std::shared_ptr<const Chunk>{},
-                     &batches_[static_cast<size_t>(i)]});
-    } else {
-      out.push_back(FetchBatch(i, /*record_hit_miss=*/false));
-    }
+  for (int i = 0; i < upto && i < num_batches(); ++i) {
+    out.push_back(FetchBatch(i, /*cursor=*/false));
   }
-  return out;
-}
-
-std::vector<const Chunk*> MiniBatchPartitioner::BatchesUpTo(int upto) const {
-  std::vector<const Chunk*> out;
-  out.reserve(static_cast<size_t>(upto));
-  if (stream_ == nullptr) {
-    for (int i = 0; i < upto && i < num_batches_; ++i) {
-      out.push_back(&batches_[static_cast<size_t>(i)]);
-    }
-    return out;
-  }
-  std::vector<std::shared_ptr<const Chunk>> pins = BatchesSharedUpTo(upto);
-  {
-    std::lock_guard<std::mutex> lock(stream_->mu);
-    stream_->legacy_pins = pins;
-  }
-  for (const auto& p : pins) out.push_back(p.get());
   return out;
 }
 

@@ -1,25 +1,21 @@
-// Random shuffling and mini-batch partitioning (paper §2, §2.1).
+// Mini-batch partitioning (paper §2, §2.1).
 //
 // G-OLA requires that any prefix of the processed stream be a uniform random
-// sample of the full input. RandomShuffle implements the paper's
-// pre-processing tool (a full Fisher-Yates row shuffle); the
-// MiniBatchPartitioner then cuts the shuffled stream into k equal batches
-// and assigns each row its global serial number (stream position), which
-// keys the deterministic bootstrap weights.
+// sample of the full input. The MiniBatchPartitioner permutes the rows with
+// a Fisher-Yates shuffle, cuts the permuted stream into k equal batches and
+// assigns each row its global serial number (stream position), which keys
+// the deterministic bootstrap weights. Partition-wise randomness (picking
+// whole existing chunks in random order, the paper's default for data
+// already stored in randomly-ordered partitions) is also provided.
 //
-// Partition-wise randomness (picking whole existing chunks in random order,
-// the paper's default) is also provided for data already stored in
-// randomly-ordered partitions.
-//
-// For in-memory tables all batches are materialized eagerly, exactly as
-// before. For *streamed* tables (Table::FromSource over a compressed
-// segment file) the partitioner computes only the permutation and batch
-// bounds up front and gathers each batch from the ColumnSource on demand —
-// bit-identical to the eager construction — so resident memory is the
-// current batch plus estimator state, not the table (ROADMAP item 3). A
-// background prefetch thread overlaps the gather/decode of batch i+1 with
-// the caller's estimation of batch i (PF-OLA's I/O–estimation overlap),
-// with hit/miss counters exported through obs.
+// Construction computes only the permutation, the chunk order and the batch
+// bounds. Each batch is gathered on demand through Table::GatherRows, from
+// resident chunks and from a segment's ColumnSource alike, and only the
+// last few gathered batches stay cached, so memory is the current batch
+// plus estimator state, not a second copy of the table. A background
+// prefetch thread gathers batch i+1 while the caller estimates batch i
+// (PF-OLA's I/O–estimation overlap), with hit/miss counters exported
+// through obs.
 #ifndef GOLA_STORAGE_PARTITIONER_H_
 #define GOLA_STORAGE_PARTITIONER_H_
 
@@ -31,17 +27,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/status.h"
 #include "storage/table.h"
 
 namespace gola {
-
-/// Fisher-Yates shuffles all rows of the table (stable chunk size preserved).
-Table RandomShuffle(const Table& table, uint64_t seed);
-
-/// Returns a table with the same rows but chunks reordered randomly
-/// (partition-wise randomness, §2: "randomly picking data partitions").
-Table ShuffleChunks(const Table& table, uint64_t seed);
 
 struct MiniBatchOptions {
   int num_batches = 10;
@@ -56,7 +44,10 @@ struct MiniBatchOptions {
 ///
 /// Every produced chunk carries row serials 0..N-1 in stream order; batch i
 /// holds serials [i*n, (i+1)*n). The last batch absorbs the remainder so
-/// batch sizes differ by at most num_batches-1 rows.
+/// batch sizes differ by at most num_batches-1 rows. The partitioner holds
+/// its own copy of the table (O(1): copies share chunks or the source), so
+/// the table version it was built from stays readable after the caller's
+/// copy is replaced or destroyed.
 class MiniBatchPartitioner {
  public:
   MiniBatchPartitioner(const Table& table, const MiniBatchOptions& options);
@@ -65,45 +56,44 @@ class MiniBatchPartitioner {
   MiniBatchPartitioner(const MiniBatchPartitioner&) = delete;
   MiniBatchPartitioner& operator=(const MiniBatchPartitioner&) = delete;
 
-  int num_batches() const { return num_batches_; }
-  int64_t total_rows() const { return total_rows_; }
+  int num_batches() const { return static_cast<int>(batch_starts_.size()) - 1; }
+  int64_t total_rows() const { return batch_starts_.back(); }
 
-  /// True when batches are gathered on demand from a ColumnSource instead
-  /// of being held resident.
-  bool streaming() const { return stream_ != nullptr; }
-
-  /// The i-th mini-batch (serials attached). For streamed tables the
-  /// reference stays valid until a handful of later batches have been
-  /// fetched (a small retention ring); use BatchShared when the batch must
-  /// outlive subsequent accesses.
-  const Chunk& batch(int i) const;
-
-  /// Shared-ownership access to batch i: the chunk stays alive as long as
-  /// the returned pointer does, independent of the retention ring. This is
-  /// the preferred accessor for engine code.
+  /// The i-th mini-batch (serials attached). The chunk stays alive as long
+  /// as the returned pointer does, whatever the cache retains.
   std::shared_ptr<const Chunk> BatchShared(int i) const;
 
-  /// All batches in [0, upto) — used by recompute paths and baselines.
-  /// The pins keep every returned chunk alive.
+  /// All batches in [0, upto), each pinned as by BatchShared — used by
+  /// recompute paths and baselines.
   std::vector<std::shared_ptr<const Chunk>> BatchesSharedUpTo(int upto) const;
 
-  /// Legacy raw-pointer variant; for streamed tables the pointers stay
-  /// valid until the next BatchesUpTo/BatchesSharedUpTo call on this
-  /// partitioner.
-  std::vector<const Chunk*> BatchesUpTo(int upto) const;
-
  private:
-  struct Stream;
+  struct Entry {
+    std::shared_ptr<const Chunk> chunk;
+    bool from_prefetch = false;
+    bool consumed = false;
+  };
 
-  void InitStreaming(const Table& table, const MiniBatchOptions& options);
-  std::shared_ptr<const Chunk> MaterializeBatch(int i) const;
-  std::shared_ptr<const Chunk> FetchBatch(int i, bool record_hit_miss) const;
+  std::shared_ptr<const Chunk> Gather(int i) const;
+  /// Batch i from the cache, else gathered here. A `cursor` fetch (the
+  /// sweep's next batch) counts a prefetch hit or miss and prefetches i+1;
+  /// a rescan of seen batches does neither.
+  std::shared_ptr<const Chunk> FetchBatch(int i, bool cursor) const;
   void PrefetchLoop();
 
-  std::vector<Chunk> batches_;  // eager mode only
-  std::unique_ptr<Stream> stream_;
-  int64_t total_rows_ = 0;
-  int num_batches_ = 0;
+  const Table table_;
+  std::vector<int64_t> perm_;          // empty => identity (no row shuffle)
+  std::vector<size_t> chunk_order_;    // stream position -> table chunk
+  std::vector<int64_t> chunk_starts_;  // rows before each reordered chunk
+  std::vector<int64_t> batch_starts_;  // serial bounds, num_batches + 1
+
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::map<int, Entry> cache_;
+  mutable int want_ = -1;        // next batch for the prefetch thread
+  mutable int prefetching_ = -1;  // batch the prefetch thread is gathering
+  bool stop_ = false;
+  std::thread worker_;
 };
 
 }  // namespace gola

@@ -8,7 +8,8 @@
 namespace gola {
 
 Table::Table(SchemaPtr schema, std::vector<Chunk> chunks)
-    : schema_(std::move(schema)), chunks_(std::move(chunks)) {}
+    : schema_(std::move(schema)),
+      chunks_(std::make_shared<std::vector<Chunk>>(std::move(chunks))) {}
 
 Table Table::FromSource(std::shared_ptr<const ColumnSource> source) {
   GOLA_CHECK(source != nullptr);
@@ -34,30 +35,43 @@ const std::vector<Chunk>& Table::MaterializedChunks() const {
 
 size_t Table::num_chunks() const {
   if (source_ != nullptr) return source_->num_chunks();
-  return chunks_.size();
+  return chunks().size();
 }
 
-const Chunk& Table::chunk(size_t i) const {
-  if (source_ != nullptr) return MaterializedChunks()[i];
-  return chunks_[i];
-}
+const Chunk& Table::chunk(size_t i) const { return chunks()[i]; }
 
 const std::vector<Chunk>& Table::chunks() const {
+  static const std::vector<Chunk> kNone;
   if (source_ != nullptr) return MaterializedChunks();
-  return chunks_;
+  return chunks_ != nullptr ? *chunks_ : kNone;
 }
 
 int64_t Table::num_rows() const {
   if (source_ != nullptr) return source_->num_rows();
   int64_t n = 0;
-  for (const auto& c : chunks_) n += static_cast<int64_t>(c.num_rows());
+  for (const auto& c : chunks()) n += static_cast<int64_t>(c.num_rows());
   return n;
+}
+
+int64_t Table::chunk_rows(size_t c) const {
+  if (source_ != nullptr) return source_->chunk_rows(c);
+  return static_cast<int64_t>(chunk(c).num_rows());
+}
+
+Result<Chunk> Table::GatherRows(size_t c, const std::vector<int64_t>& rows) const {
+  if (source_ != nullptr) return source_->GatherRows(c, rows);
+  return chunk(c).Take(rows);
 }
 
 void Table::AppendChunk(Chunk chunk) {
   GOLA_CHECK(source_ == nullptr) << "cannot append to a streamed table";
   if (schema_ == nullptr) schema_ = chunk.schema();
-  chunks_.push_back(std::move(chunk));
+  if (chunks_ == nullptr) {
+    chunks_ = std::make_shared<std::vector<Chunk>>();
+  } else if (chunks_.use_count() > 1) {
+    chunks_ = std::make_shared<std::vector<Chunk>>(*chunks_);
+  }
+  chunks_->push_back(std::move(chunk));
 }
 
 Chunk Table::Combined() const {

@@ -24,10 +24,10 @@ class Table {
 
   /// A *streamed* table: rows live in a ColumnSource (e.g. an mmap'ed
   /// segment file), not in resident chunks. Streaming-aware consumers (the
-  /// mini-batch partitioner, the batch executor's segment scan) read through
-  /// source() and never materialize the whole table; the legacy chunk
-  /// accessors below still work by decoding everything once, lazily, so
-  /// every existing caller stays correct.
+  /// mini-batch partitioner through chunk_rows/GatherRows, the batch
+  /// executor's segment scan through source()) never materialize the whole
+  /// table; the chunk accessors below still work by decoding everything
+  /// once, lazily, so every existing caller stays correct.
   static Table FromSource(std::shared_ptr<const ColumnSource> source);
 
   bool streamed() const { return source_ != nullptr; }
@@ -39,6 +39,13 @@ class Table {
   const std::vector<Chunk>& chunks() const;
   int64_t num_rows() const;
 
+  /// Rows in chunk `c`, without decoding a streamed chunk.
+  int64_t chunk_rows(size_t c) const;
+  /// Rows `rows` (chunk-local, any order) of chunk `c`: a Take of the
+  /// resident chunk, or a selective decode from the ColumnSource.
+  Result<Chunk> GatherRows(size_t c, const std::vector<int64_t>& rows) const;
+
+  /// Copy-on-write: copies of a table share their chunks until one appends.
   void AppendChunk(Chunk chunk);
 
   /// All chunks concatenated into one (copies).
@@ -64,7 +71,9 @@ class Table {
   const std::vector<Chunk>& MaterializedChunks() const;
 
   SchemaPtr schema_;
-  std::vector<Chunk> chunks_;
+  // Resident chunks, shared by copies so that copying a Table is O(1); null
+  // means none. Only AppendChunk writes, after unsharing.
+  std::shared_ptr<std::vector<Chunk>> chunks_;
   std::shared_ptr<const ColumnSource> source_;
   std::shared_ptr<LazyChunks> lazy_;
 };

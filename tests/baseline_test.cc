@@ -1,11 +1,10 @@
-// The baselines must be semantically identical to the batch engine on
-// every prefix — they differ from G-OLA only in cost. Also checks the §3.1
+// The CDM baseline must be semantically identical to the batch engine on
+// every prefix — it differs from G-OLA only in cost. Also checks the §3.1
 // cost asymmetry: CDM's per-batch scan cost grows linearly while G-OLA's
 // stays near-constant.
 #include <gtest/gtest.h>
 
 #include "baseline/cdm.h"
-#include "baseline/naive_ola.h"
 #include "common/random.h"
 #include "gola/gola.h"
 
@@ -70,42 +69,12 @@ TEST_F(BaselineTest, CdmMatchesBatchOnEveryPrefix) {
     auto update = (*cdm)->Step();
     ASSERT_TRUE(update.ok()) << update.status().ToString();
     int64_t rows = 0;
-    auto prefix = partitioner.BatchesUpTo(update->batch_index);
-    for (auto* c : prefix) rows += static_cast<int64_t>(c->num_rows());
+    auto prefix = partitioner.BatchesSharedUpTo(update->batch_index);
+    for (const auto& c : prefix) rows += static_cast<int64_t>(c->num_rows());
     BatchExecOptions bopts;
     bopts.scale = static_cast<double>(table->num_rows()) / static_cast<double>(rows);
     auto expected = batch.ExecuteOnChunks(*query, "data", prefix, bopts);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    ExpectMatch(update->result, *expected);
-  }
-}
-
-TEST_F(BaselineTest, NaiveOlaMatchesBatchOnEveryPrefix) {
-  auto query = engine_.Compile(kNested);
-  ASSERT_TRUE(query.ok());
-  NaiveOlaOptions opts;
-  opts.num_batches = 6;
-  opts.seed = 5;
-  auto naive = NaiveOlaExecutor::Create(&engine_.catalog(), *query, opts);
-  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
-
-  TablePtr table = *engine_.GetTable("data");
-  MiniBatchOptions part_opts;
-  part_opts.num_batches = opts.num_batches;
-  part_opts.seed = opts.seed;
-  MiniBatchPartitioner partitioner(*table, part_opts);
-  BatchExecutor batch(&engine_.catalog());
-
-  while (!(*naive)->done()) {
-    auto update = (*naive)->Step();
-    ASSERT_TRUE(update.ok()) << update.status().ToString();
-    auto prefix = partitioner.BatchesUpTo(update->batch_index);
-    int64_t rows = 0;
-    for (auto* c : prefix) rows += static_cast<int64_t>(c->num_rows());
-    BatchExecOptions bopts;
-    bopts.scale = static_cast<double>(table->num_rows()) / static_cast<double>(rows);
-    auto expected = batch.ExecuteOnChunks(*query, "data", prefix, bopts);
-    ASSERT_TRUE(expected.ok());
     ExpectMatch(update->result, *expected);
   }
 }

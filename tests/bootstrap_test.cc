@@ -198,7 +198,9 @@ TEST(ReplicatedAggTest, GenericPathForMinMax) {
   EXPECT_DOUBLE_EQ(*agg.Finalize(1.0).ToDouble(), 51.0);
   std::vector<double> reps = agg.FinalizeReplicates(1.0);
   for (double r : reps) {
-    if (!std::isnan(r)) EXPECT_GE(r, 51.0);  // replicates subsample → min ≥ true min
+    if (!std::isnan(r)) {
+      EXPECT_GE(r, 51.0);  // replicates subsample → min ≥ true min
+    }
   }
 }
 

@@ -125,7 +125,7 @@ TEST_F(OnlineEngineTest, SbiPerBatchEquivalence) {
     BatchExecOptions bopts;
     bopts.scale = update->scale;
     auto reference = batch_exec.ExecuteOnChunks(
-        *compiled, "sessions", partitioner.BatchesUpTo(update->batch_index), bopts);
+        *compiled, "sessions", partitioner.BatchesSharedUpTo(update->batch_index), bopts);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     ExpectResultsMatch(update->result, *reference, 1e-9);
   }

@@ -1,39 +1,60 @@
 // Mini-batch partitioning invariants: every row appears exactly once,
 // serials are the stream positions, batches are near-uniform, the stream is
-// deterministic given a seed, and any prefix is an unbiased sample.
+// deterministic given a seed, and any prefix is an unbiased sample. Every
+// case runs twice: on a resident table and on the same rows packed into a
+// segment file, since both kinds of table take the partitioner's one path.
 #include "storage/partitioner.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numeric>
+#include <cstdio>
 #include <set>
+#include <string>
 
-#include "common/random.h"
+#include "common/logging.h"
+#include "storage/segment/segment.h"
 
 namespace gola {
 namespace {
 
-Table MakeSequential(int64_t n, int64_t chunk_size = 64) {
-  auto schema = std::make_shared<Schema>(
-      std::vector<Field>{{"id", TypeId::kInt64}, {"v", TypeId::kFloat64}});
-  TableBuilder builder(schema, chunk_size);
-  for (int64_t i = 0; i < n; ++i) {
-    builder.AppendRow({Value::Int(i), Value::Float(static_cast<double>(i))});
-  }
-  return builder.Finish();
-}
+enum class Backing { kResident, kSegment };
 
-TEST(PartitionerTest, EveryRowExactlyOnce) {
+class PartitionerTest : public ::testing::TestWithParam<Backing> {
+ protected:
+  /// Rows (id = i, v = i) for i in [0, n), resident or segment-backed.
+  Table MakeSequential(int64_t n, int64_t chunk_size = 64) {
+    auto schema = std::make_shared<Schema>(
+        std::vector<Field>{{"id", TypeId::kInt64}, {"v", TypeId::kFloat64}});
+    TableBuilder builder(schema, chunk_size);
+    for (int64_t i = 0; i < n; ++i) {
+      builder.AppendRow({Value::Int(i), Value::Float(static_cast<double>(i))});
+    }
+    Table resident = builder.Finish();
+    if (GetParam() == Backing::kResident) return resident;
+    const std::string path = ::testing::TempDir() + "/partitioner_test_" +
+                             std::to_string(files_++) + ".gseg";
+    GOLA_CHECK_OK(WriteSegmentFile(resident, path));
+    auto opened = OpenSegmentTable(path);
+    GOLA_CHECK_OK(opened.status());
+    // The mapping outlives the directory entry.
+    std::remove(path.c_str());
+    return **opened;
+  }
+
+ private:
+  int files_ = 0;
+};
+
+TEST_P(PartitionerTest, EveryRowExactlyOnce) {
   Table t = MakeSequential(1000);
   MiniBatchOptions opts;
   opts.num_batches = 7;
   MiniBatchPartitioner p(t, opts);
   std::multiset<int64_t> ids;
   for (int b = 0; b < p.num_batches(); ++b) {
-    const Chunk& batch = p.batch(b);
-    for (size_t i = 0; i < batch.num_rows(); ++i) {
-      ids.insert(batch.column(0).GetValue(i).AsInt());
+    auto batch = p.BatchShared(b);
+    for (size_t i = 0; i < batch->num_rows(); ++i) {
+      ids.insert(batch->column(0).GetValue(i).AsInt());
     }
   }
   ASSERT_EQ(ids.size(), 1000u);
@@ -41,52 +62,54 @@ TEST(PartitionerTest, EveryRowExactlyOnce) {
   for (int64_t id : ids) EXPECT_EQ(id, expect++);
 }
 
-TEST(PartitionerTest, SerialsAreStreamPositions) {
+TEST_P(PartitionerTest, SerialsAreStreamPositions) {
   Table t = MakeSequential(100);
   MiniBatchOptions opts;
   opts.num_batches = 4;
   MiniBatchPartitioner p(t, opts);
   int64_t expected = 0;
   for (int b = 0; b < p.num_batches(); ++b) {
-    for (int64_t s : p.batch(b).serials()) EXPECT_EQ(s, expected++);
+    for (int64_t s : p.BatchShared(b)->serials()) EXPECT_EQ(s, expected++);
   }
   EXPECT_EQ(expected, 100);
 }
 
-TEST(PartitionerTest, BatchesNearUniform) {
+TEST_P(PartitionerTest, BatchesNearUniform) {
   Table t = MakeSequential(103);
   MiniBatchOptions opts;
   opts.num_batches = 10;
   MiniBatchPartitioner p(t, opts);
   ASSERT_EQ(p.num_batches(), 10);
-  for (int b = 0; b < 9; ++b) EXPECT_EQ(p.batch(b).num_rows(), 10u);
-  EXPECT_EQ(p.batch(9).num_rows(), 13u);  // remainder absorbed by the last
+  for (int b = 0; b < 9; ++b) EXPECT_EQ(p.BatchShared(b)->num_rows(), 10u);
+  EXPECT_EQ(p.BatchShared(9)->num_rows(), 13u);  // remainder absorbed by the last
 }
 
-TEST(PartitionerTest, DeterministicGivenSeed) {
+TEST_P(PartitionerTest, DeterministicGivenSeed) {
   Table t = MakeSequential(500);
   MiniBatchOptions opts;
   opts.num_batches = 5;
   opts.seed = 77;
   MiniBatchPartitioner a(t, opts), b(t, opts);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(a.batch(i).num_rows(), b.batch(i).num_rows());
-    for (size_t r = 0; r < a.batch(i).num_rows(); ++r) {
-      EXPECT_EQ(a.batch(i).column(0).GetValue(r), b.batch(i).column(0).GetValue(r));
+    auto ba = a.BatchShared(i);
+    auto bb = b.BatchShared(i);
+    ASSERT_EQ(ba->num_rows(), bb->num_rows());
+    for (size_t r = 0; r < ba->num_rows(); ++r) {
+      EXPECT_EQ(ba->column(0).GetValue(r), bb->column(0).GetValue(r));
     }
   }
   opts.seed = 78;
   MiniBatchPartitioner c(t, opts);
+  auto a0 = a.BatchShared(0);
+  auto c0 = c.BatchShared(0);
   bool any_diff = false;
-  for (size_t r = 0; r < a.batch(0).num_rows(); ++r) {
-    if (!(a.batch(0).column(0).GetValue(r) == c.batch(0).column(0).GetValue(r))) {
-      any_diff = true;
-    }
+  for (size_t r = 0; r < a0->num_rows(); ++r) {
+    if (!(a0->column(0).GetValue(r) == c0->column(0).GetValue(r))) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
 }
 
-TEST(PartitionerTest, PrefixIsUnbiasedSample) {
+TEST_P(PartitionerTest, PrefixIsUnbiasedSample) {
   // The mean of the first batch must estimate the full-table mean: true
   // mean of 0..9999 is 4999.5; a uniform 1000-row sample has stderr ≈ 91.
   Table t = MakeSequential(10000);
@@ -94,14 +117,14 @@ TEST(PartitionerTest, PrefixIsUnbiasedSample) {
   opts.num_batches = 10;
   opts.seed = 5;
   MiniBatchPartitioner p(t, opts);
-  const Chunk& first = p.batch(0);
+  auto first = p.BatchShared(0);
   double sum = 0;
-  for (size_t i = 0; i < first.num_rows(); ++i) sum += first.column(1).NumericAt(i);
-  double mean = sum / static_cast<double>(first.num_rows());
+  for (size_t i = 0; i < first->num_rows(); ++i) sum += first->column(1).NumericAt(i);
+  double mean = sum / static_cast<double>(first->num_rows());
   EXPECT_NEAR(mean, 4999.5, 4 * 91.0);
 }
 
-TEST(PartitionerTest, PartitionWiseModeKeepsChunksIntact) {
+TEST_P(PartitionerTest, PartitionWiseModeKeepsChunksIntact) {
   Table t = MakeSequential(100, /*chunk_size=*/10);
   MiniBatchOptions opts;
   opts.num_batches = 10;
@@ -110,29 +133,83 @@ TEST(PartitionerTest, PartitionWiseModeKeepsChunksIntact) {
   // Without row shuffling, each batch is one original chunk: its ids are 10
   // consecutive integers (in some chunk order).
   for (int b = 0; b < p.num_batches(); ++b) {
-    const Chunk& batch = p.batch(b);
-    ASSERT_EQ(batch.num_rows(), 10u);
-    int64_t base = batch.column(0).GetValue(0).AsInt();
+    auto batch = p.BatchShared(b);
+    ASSERT_EQ(batch->num_rows(), 10u);
+    int64_t base = batch->column(0).GetValue(0).AsInt();
     for (size_t i = 0; i < 10; ++i) {
-      EXPECT_EQ(batch.column(0).GetValue(i).AsInt(), base + static_cast<int64_t>(i));
+      EXPECT_EQ(batch->column(0).GetValue(i).AsInt(), base + static_cast<int64_t>(i));
     }
   }
 }
 
-TEST(RandomShuffleTest, PermutesAllRows) {
-  Table t = MakeSequential(200);
-  Table s = RandomShuffle(t, 3);
-  EXPECT_EQ(s.num_rows(), 200);
-  std::set<int64_t> ids;
-  bool moved = false;
-  for (int64_t i = 0; i < 200; ++i) {
-    int64_t id = s.At(i, 0).AsInt();
-    ids.insert(id);
-    if (id != i) moved = true;
+TEST_P(PartitionerTest, FetchedBatchesStayValidWhilePrefetchRaces) {
+  // The prefetch thread gathers batch i+1 while the caller reads batch i,
+  // so the two often gather the same batch at once. Whoever wins, the chunk
+  // handed out must be owned by the returned pointer and be the right
+  // batch: 20 rows with serials 20·i .. 20·i+19.
+  Table t = MakeSequential(1000);
+  int bad_reads = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    MiniBatchOptions opts;
+    opts.num_batches = 50;
+    opts.seed = seed;
+    MiniBatchPartitioner p(t, opts);
+    for (int i = 0; i < p.num_batches(); ++i) {
+      auto batch = p.BatchShared(i);
+      bool ok = batch->num_rows() == 20 && batch->serials().size() == 20;
+      for (size_t r = 0; ok && r < 20; ++r) {
+        ok = batch->serials()[r] == 20 * i + static_cast<int64_t>(r);
+      }
+      if (!ok) ++bad_reads;
+    }
   }
-  EXPECT_EQ(ids.size(), 200u);
-  EXPECT_TRUE(moved);
+  EXPECT_EQ(bad_reads, 0);
 }
+
+TEST_P(PartitionerTest, PinnedBatchesOutliveTheRetentionRing) {
+  // A prefix pinned for a rebuild stays intact while later batches cycle
+  // through the small cache, and re-fetching a batch gathers the same rows.
+  Table t = MakeSequential(400);
+  MiniBatchOptions opts;
+  opts.num_batches = 20;
+  MiniBatchPartitioner p(t, opts);
+  std::vector<std::shared_ptr<const Chunk>> prefix = p.BatchesSharedUpTo(20);
+  ASSERT_EQ(prefix.size(), 20u);
+  for (int i = 0; i < p.num_batches(); ++i) p.BatchShared(i);
+  for (int i = 0; i < p.num_batches(); ++i) {
+    auto again = p.BatchShared(i);
+    const Chunk& pinned = *prefix[static_cast<size_t>(i)];
+    ASSERT_EQ(pinned.num_rows(), again->num_rows());
+    EXPECT_EQ(pinned.serials(), again->serials());
+    for (size_t r = 0; r < pinned.num_rows(); ++r) {
+      EXPECT_EQ(pinned.column(0).GetValue(r), again->column(0).GetValue(r));
+    }
+  }
+}
+
+TEST_P(PartitionerTest, BatchesStayReadableAfterTheSourceTableIsGone) {
+  // The partitioner pins the table version it was built from: the caller's
+  // copy may be destroyed (a catalog swap) before any batch is gathered.
+  auto t = std::make_unique<Table>(MakeSequential(300));
+  MiniBatchOptions opts;
+  opts.num_batches = 3;
+  MiniBatchPartitioner p(*t, opts);
+  t.reset();
+  std::set<int64_t> ids;
+  for (const auto& batch : p.BatchesSharedUpTo(p.num_batches())) {
+    for (size_t i = 0; i < batch->num_rows(); ++i) {
+      ids.insert(batch->column(0).GetValue(i).AsInt());
+    }
+  }
+  EXPECT_EQ(ids.size(), 300u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backings, PartitionerTest,
+                         ::testing::Values(Backing::kResident, Backing::kSegment),
+                         [](const ::testing::TestParamInfo<Backing>& info) {
+                           return info.param == Backing::kResident ? "Resident"
+                                                                   : "Segment";
+                         });
 
 }  // namespace
 }  // namespace gola

@@ -114,7 +114,7 @@ TEST_P(GolaPropertyTest, PerBatchEquivalenceWithBatchEngine) {
     BatchExecOptions bopts;
     bopts.scale = update->scale;
     auto expected = batch.ExecuteOnChunks(
-        *compiled, "d", partitioner.BatchesUpTo(update->batch_index), bopts);
+        *compiled, "d", partitioner.BatchesSharedUpTo(update->batch_index), bopts);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
     ASSERT_EQ(update->result.num_rows(), expected->num_rows())
         << "batch " << update->batch_index;

@@ -302,6 +302,14 @@ TEST_F(ResilienceTest, InvalidResilienceOptionsAreRejected) {
   opts.active_replicates = opts.bootstrap_replicates + 1;
   EXPECT_EQ(engine_.ExecuteOnline(kQuery, opts).status().code(),
             StatusCode::kInvalidArgument);
+  // B < 2 makes every variation range a point.
+  for (int b : {0, 1}) {
+    opts = BaseOptions();
+    opts.bootstrap_replicates = b;
+    EXPECT_EQ(engine_.ExecuteOnline(kQuery, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << "bootstrap_replicates = " << b;
+  }
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ Value MakeCell(const MatrixCase& m, Rng* rng, int64_t i) {
       break;
     case NullPattern::kNone: break;
   }
-  int64_t v;
+  int64_t v = 0;
   switch (m.dist) {
     case Distribution::kConstant: v = 7; break;
     case Distribution::kSmallRange: v = static_cast<int64_t>(rng->NextBelow(20)); break;
@@ -112,6 +112,8 @@ Value MakeCell(const MatrixCase& m, Rng* rng, int64_t i) {
     case TypeId::kFloat64: return Value::Float(static_cast<double>(v) * 1.25);
     case TypeId::kString:
       return Value::String(Format("s%lld", static_cast<long long>(v % 64)));
+    default:
+      break;
   }
   (void)i;
   return Value::Null();

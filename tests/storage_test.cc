@@ -176,5 +176,20 @@ TEST(TableTest, CombinedAndRechunk) {
   EXPECT_EQ(re.At(5, 0), Value::Int(5));
 }
 
+TEST(TableTest, CopiesShareChunksUntilAppend) {
+  auto schema = std::make_shared<Schema>(std::vector<Field>{{"id", TypeId::kInt64}});
+  TableBuilder builder(schema, 4);
+  for (int64_t i = 0; i < 10; ++i) builder.AppendRow({Value::Int(i)});
+  Table a = builder.Finish();
+  Table b = a;
+  EXPECT_EQ(&a.chunk(0), &b.chunk(0));  // O(1) copy: same chunk storage
+  b.AppendChunk(Chunk(schema, {Column::MakeInt({10, 11})}));
+  EXPECT_EQ(a.num_rows(), 10);
+  EXPECT_EQ(b.num_rows(), 12);
+  EXPECT_EQ(a.num_chunks(), 3u);
+  EXPECT_EQ(b.num_chunks(), 4u);
+  EXPECT_EQ(b.At(11, 0).AsInt(), 11);
+}
+
 }  // namespace
 }  // namespace gola

@@ -65,7 +65,9 @@ TEST(TpchGenTest, PartAttributesConsistent) {
     int64_t part = all.column(2).ints()[i];
     const std::string& brand = all.column(11).strings()[i];
     auto [it, inserted] = brand_of.emplace(part, brand);
-    if (!inserted) EXPECT_EQ(it->second, brand) << "part " << part;
+    if (!inserted) {
+      EXPECT_EQ(it->second, brand) << "part " << part;
+    }
     EXPECT_GE(all.column(2).ints()[i], 1);
     EXPECT_LE(all.column(2).ints()[i], 50);
   }
