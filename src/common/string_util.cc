@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 
 namespace gola {
@@ -60,6 +61,31 @@ std::string Format(const char* fmt, ...) {
   }
   va_end(args2);
   return out;
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += Format("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string JsonNumber(double v, int precision) {
+  return std::isfinite(v) ? Format("%.*g", precision, v) : "null";
 }
 
 bool EqualsIgnoreCase(std::string_view s, std::string_view keyword) {

@@ -1,4 +1,5 @@
-// Small string helpers shared across the parser, planner and CSV codecs.
+// Small string helpers shared across the parser, planner, CSV codecs and
+// the JSON surfaces.
 #ifndef GOLA_COMMON_STRING_UTIL_H_
 #define GOLA_COMMON_STRING_UTIL_H_
 
@@ -34,6 +35,14 @@ std::string_view Trim(std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// Escapes `s` for the inside of a JSON string literal: `"`, `\` and every
+/// byte below 0x20 (`\n`, `\r` and `\t` by name, the rest as `\u00XX`).
+std::string JsonEscape(std::string_view s);
+
+/// `v` as a JSON number (`%.*g`), or `null` when it is not finite: JSON has
+/// no inf or nan.
+std::string JsonNumber(double v, int precision = 6);
 
 /// True if `s` equals `keyword` ignoring ASCII case.
 bool EqualsIgnoreCase(std::string_view s, std::string_view keyword);

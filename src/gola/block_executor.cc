@@ -601,10 +601,31 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
 
   std::vector<Field> all_fields = block_->output_schema->fields();
   std::vector<Column> all_cols = std::move(out_cols);
-  double max_rsd = 0;
+  // Error bars exist once there are selected rows and replicates. Each
+  // aggregate-bearing output column then gets its companions and each
+  // (row, column) a typed cell; the other output columns form the key.
+  std::vector<size_t> agg_outs, key_outs;
   for (size_t o = 0; o < block_->output_exprs.size(); ++o) {
+    (block_->output_exprs[o]->ContainsAggregate() ? agg_outs : key_outs).push_back(o);
+  }
+  if (rep_cols.empty()) agg_outs.clear();
+  const size_t row_cells = agg_outs.size();
+  std::vector<obs::GroupCell> cells(selected * row_cells);
+  for (size_t i = 0; i < selected && row_cells > 0; ++i) {
+    std::string key = key_outs.empty() ? "*" : "";
+    for (size_t k = 0; k < key_outs.size(); ++k) {
+      if (k) key += '|';
+      key += all_cols[key_outs[k]].GetValue(i).ToString();
+    }
+    for (size_t c = 0; c < row_cells; ++c) {
+      cells[i * row_cells + c].group_key = key;
+      cells[i * row_cells + c].column = block_->output_names[agg_outs[c]];
+    }
+  }
+  double max_rsd = 0;
+  for (size_t agg = 0; agg < row_cells; ++agg) {
+    const size_t o = agg_outs[agg];
     const ExprPtr& e = block_->output_exprs[o];
-    if (!e->ContainsAggregate() || rep_cols.empty()) continue;
     std::vector<Column> rep_out;
     rep_out.reserve(num_reps);
     for (size_t j = 0; j < num_reps; ++j) {
@@ -627,18 +648,32 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
     }
     Column lo(TypeId::kFloat64), hi(TypeId::kFloat64), rsd(TypeId::kFloat64);
     for (size_t i = 0; i < selected; ++i) {
+      const double est = all_cols[o].IsNull(i) ? kNaN : all_cols[o].NumericAt(i);
+      if (std::isnan(est)) {
+        // No estimate, no error bars: NULL companions and an absent RSD,
+        // which ranks worst — the answer must not read as converged.
+        lo.AppendNull();
+        hi.AppendNull();
+        rsd.AppendNull();
+        max_rsd = std::numeric_limits<double>::infinity();
+        continue;
+      }
       std::vector<double> reps(num_reps, kNaN);
       for (size_t j = 0; j < num_reps; ++j) {
         if (!rep_out[j].IsNull(i)) reps[j] = rep_out[j].NumericAt(i);
       }
-      double est = all_cols[o].IsNull(i) ? kNaN : all_cols[o].NumericAt(i);
-      ConfidenceInterval ci =
-          PercentileCI(reps, std::isnan(est) ? 0 : est, options_->ci_level);
-      double r = std::isnan(est) ? 0 : RelativeStdDev(reps, est);
+      const ConfidenceInterval ci = PercentileCI(reps, est, options_->ci_level);
+      const double r = RelativeStdDev(reps, est);
       lo.AppendFloat(ci.lo);
       hi.AppendFloat(ci.hi);
       rsd.AppendFloat(r);
       max_rsd = std::max(max_rsd, r);
+      obs::GroupCell& cell = cells[i * row_cells + agg];
+      cell.has_estimate = cell.has_rsd = true;
+      cell.estimate = est;
+      cell.ci_lo = ci.lo;
+      cell.ci_hi = ci.hi;
+      cell.rsd = r;
     }
     const std::string& name = block_->output_names[o];
     all_fields.push_back({name + "_lo", TypeId::kFloat64});
@@ -652,6 +687,7 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
   Chunk combined(std::make_shared<Schema>(all_fields), std::move(all_cols));
   root_emission_.result = Table(combined.schema());
   root_emission_.result.AppendChunk(std::move(combined));
+  root_emission_.cells = std::move(cells);
   root_emission_.max_rsd = max_rsd;
   root_emission_.uncertain_groups = uncertain_groups;
   return Status::OK();

@@ -26,6 +26,7 @@
 #include "gola/online_env.h"
 #include "gola/online_stages.h"
 #include "gola/uncertain.h"
+#include "obs/group_telemetry.h"
 #include "obs/query_stats.h"
 #include "plan/binder.h"
 #include "plan/logical_plan.h"
@@ -33,20 +34,19 @@
 
 namespace gola {
 
-/// One row of root output statistics (per aggregate-bearing output column).
-struct CellStat {
-  double estimate = 0;
-  ConfidenceInterval ci;
-  double rsd = 0;
-};
-
 /// Root block output for one mini-batch.
 struct RootEmission {
   /// Point results plus `<col>_lo`, `<col>_hi`, `<col>_rsd` columns for
-  /// every aggregate-bearing output column.
+  /// every aggregate-bearing output column (NULL where the estimate is).
   Table result;
-  /// Worst relative standard deviation across all aggregate cells — the
-  /// headline accuracy number (y-axis of the paper's Figure 3(a)).
+  /// The same error bars typed, one cell per (row, aggregate-bearing
+  /// column) in row-major order, so cells[0] is the headline. A cell's key
+  /// is its row's non-aggregate output values rendered with
+  /// Value::ToString and joined with '|' ("*" when there are none).
+  std::vector<obs::GroupCell> cells;
+  /// Worst relative standard deviation across all cells — the headline
+  /// accuracy number (y-axis of the paper's Figure 3(a)); +inf while a
+  /// cell has no RSD.
   double max_rsd = 0;
   /// Groups whose HAVING outcome is still uncertain (reported, not hidden).
   int64_t uncertain_groups = 0;

@@ -91,7 +91,7 @@ Status OnlineQueryExecutor::SerializeState(std::ostream* out) const {
   w.U32(static_cast<uint32_t>(next_batch_));
   w.I64(rows_through_);
   w.U32(static_cast<uint32_t>(recomputes_));
-  w.F64(elapsed_);
+  w.F64(ElapsedSeconds());
   w.U8(static_cast<uint8_t>(degradation_));
   w.U8(stopped_early_ ? 1 : 0);
 
@@ -163,13 +163,12 @@ Status OnlineQueryExecutor::DeserializeState(std::istream* in) {
   next_batch_ = static_cast<int>(next_batch);
   rows_through_ = rows_through;
   recomputes_ = static_cast<int>(recomputes);
-  elapsed_ = elapsed;
-  resumed_elapsed_ = elapsed;  // deadline budget already consumed
+  resumed_elapsed_ = elapsed;  // time and deadline budget already consumed
   degradation_ = static_cast<Degradation>(degradation);
   stopped_early_ = stopped_early != 0;
   // Re-apply the restored rung's side effects (materialization, replicate
   // budget) so a resumed query degrades exactly like the original; the
-  // deadline clock keeps the already-spent elapsed_ seconds.
+  // query clock keeps the seconds already spent.
   if (degradation_ != Degradation::kNone) ApplyDegradationEffects();
 
   // Broadcasts (scalar ranges, membership views, the root emission) are
@@ -238,7 +237,7 @@ Status OnlineQueryExecutor::ResumeFrom(const std::string& path) {
   }
   GOLA_RETURN_NOT_OK(DeserializeState(&in));
   obs::FlightRecorder::Global().Note("resume", path.c_str(), next_batch_);
-  total_timer_.Restart();
+  clock_.Restart();
   return Status::OK();
 }
 

@@ -1,7 +1,9 @@
 // The G-OLA query controller (paper §4): partitions the input into uniform
 // random mini-batches, schedules the per-batch delta queries across the
 // lineage blocks in dependency order, monitors variation-range failures,
-// and schedules query-wide recompute jobs when one is detected.
+// and schedules query-wide recompute jobs when one is detected. Each Step
+// returns an OnlineUpdate and hands it once to the query's telemetry
+// (gola/query_telemetry.h), which feeds every observability surface.
 #ifndef GOLA_GOLA_CONTROLLER_H_
 #define GOLA_GOLA_CONTROLLER_H_
 
@@ -12,16 +14,15 @@
 
 #include "common/stopwatch.h"
 #include "gola/block_executor.h"
-#include "obs/convergence.h"
-#include "obs/group_telemetry.h"
-#include "obs/query_stats.h"
-#include "obs/slo.h"
-#include "obs/timeseries.h"
-#include "obs/watchdog.h"
+#include "obs/update_record.h"
 #include "plan/binder.h"
 #include "storage/partitioner.h"
 
 namespace gola {
+
+namespace obs {
+class AccuracySloTracker;
+}  // namespace obs
 
 /// Deadline-pressure degradation rung (GolaOptions::deadline_ms). The ladder
 /// is monotone within a query and each rung includes the ones below it:
@@ -40,80 +41,29 @@ enum class Degradation : uint8_t {
 /// Stable label ("none", "skip_materialize", ...) for metrics and logs.
 const char* DegradationName(Degradation d);
 
-/// The headline aggregate cell of a running answer: the first
-/// CI-carrying column's row-0 estimate with its bootstrap CI bounds and
-/// RSD — the single number a convergence plot, the accuracy-SLO tracker
-/// and the wide-event query log all watch.
-struct HeadlineCell {
-  bool has_estimate = false;
-  double estimate = 0;
-  double ci_lo = 0;
-  double ci_hi = 0;
-  /// Relative standard deviation; -1 means *absent* (no `_rsd` companion,
-  /// or the companion did not parse as a number). Absent must never be
-  /// conflated with 0 — 0 claims full convergence.
-  double rsd = -1;
-  bool has_rsd() const { return rsd >= 0; }
-  /// CI half-width (hi − lo)/2; 0 without an estimate.
-  double half_width() const {
-    return has_estimate ? (ci_hi - ci_lo) / 2 : 0;
-  }
-};
-
-/// Locates the headline cell in a result table via its `<col>_lo`
-/// companion column (first aggregate-bearing column, first row). Returns
-/// has_estimate=false for empty results, plain tables, or when the cell's
-/// estimate/CI values fail to parse as numbers (null aggregates) — an
-/// unparseable cell is "no estimate yet", never a fake converged 0.
-HeadlineCell ExtractHeadline(const Table& result);
-
-/// Walks every (row, aggregate-column) cell of a result table into
-/// per-group telemetry cells: group key = the non-aggregate, non-companion
-/// columns' values joined with "|" ("*" for scalar queries), one GroupCell
-/// per `<col>_lo`-bearing output column per row. Unparseable estimates /
-/// RSDs propagate as absent, mirroring ExtractHeadline.
-std::vector<obs::GroupCell> ExtractGroupCells(const Table& result);
-
 /// The running answer after one mini-batch — what a dashboard would render.
-struct OnlineUpdate {
-  int batch_index = 0;  // 1-based
-  int total_batches = 0;
-  double fraction_processed = 0;
+/// The progress, accuracy and cost fields, the typed headline cell and the
+/// bounded `groups` summary come from obs::UpdateRecord, the one record
+/// every telemetry consumer reads. Every typed cell of the answer stays in
+/// the executor (OnlineQueryExecutor::cells()).
+struct OnlineUpdate : obs::UpdateRecord {
   /// Multiplicity scale k/i applied to extensive aggregates (§2.2).
   double scale = 1;
 
   /// Approximate result rows; aggregate-bearing columns carry companion
-  /// `<col>_lo`, `<col>_hi` (bootstrap CI) and `<col>_rsd` columns.
+  /// `<col>_lo`, `<col>_hi` (bootstrap CI) and `<col>_rsd` columns, NULL
+  /// where the estimate is NULL.
   Table result;
-  /// Worst relative standard deviation across aggregate cells.
-  double max_rsd = 0;
-
-  // Progress / cost introspection (drives the §5 experiments).
-  int64_t uncertain_tuples = 0;  // Σ |U_i| over all blocks
-  int64_t uncertain_groups = 0;  // HAVING outcomes still undecided
-  int recomputes_so_far = 0;     // range failures repaired so far
-  /// Wall time of this whole Step, result materialization included.
-  double batch_seconds = 0;
-  /// Portion of batch_seconds spent building this update (result-table
-  /// copy) — subtract it to measure delta maintenance alone, so §5-style
-  /// overhead experiments don't misattribute reporting cost.
-  double materialize_seconds = 0;
-  double elapsed_seconds = 0;  // wall time since query start
 
   /// Highest deadline-degradation rung in effect when this update was
   /// produced (kNone unless deadline_ms pressure kicked in).
   Degradation degradation = Degradation::kNone;
 
-  /// Per-phase cost breakdown and pipeline volume of this batch.
-  obs::QueryStats stats;
-
-  /// Bounded per-group convergence summary of this update (top-K worst
-  /// cells by RSD, churn counts); empty when group_top_k is 0, telemetry
-  /// is disabled, or the result carries no aggregate cells.
-  obs::GroupConvergenceSummary groups;
   /// Watchdog alerts that fired on this update (almost always empty).
   std::vector<obs::WatchdogAlert> alerts;
 };
+
+class QueryTelemetry;
 
 class OnlineQueryExecutor {
  public:
@@ -132,8 +82,6 @@ class OnlineQueryExecutor {
       const Catalog* catalog, CompiledQuery query, const GolaOptions& options,
       std::shared_ptr<const MiniBatchPartitioner> shared_scan = nullptr);
 
-  /// Deregisters the query from the live /statusz registry (its final
-  /// status stays visible in the recently-finished history).
   ~OnlineQueryExecutor();
 
   bool done() const {
@@ -153,7 +101,12 @@ class OnlineQueryExecutor {
   /// Accuracy-SLO crossings recorded so far (wall time to RSD ≤ 5/2/1%).
   /// The session layer harvests these for /sessions JSON and the
   /// wide-event query log before the executor is torn down.
-  const obs::AccuracySloTracker& slo() const { return slo_; }
+  const obs::AccuracySloTracker& slo() const;
+  /// Every typed cell of the latest answer, row-major (cells()[0] is the
+  /// headline): the typed twin of the result's `_lo`/`_hi`/`_rsd` columns.
+  const std::vector<obs::GroupCell>& cells() const {
+    return blocks_.back()->root_emission().cells;
+  }
 
   /// Processes the next mini-batch and returns the refined answer.
   Result<OnlineUpdate> Step();
@@ -201,13 +154,11 @@ class OnlineQueryExecutor {
   /// ResumeFrom so a restored query degrades exactly like the original.
   void ApplyDegradationEffects();
 
-  /// Publishes `update` into the process-wide query registry (/statusz).
-  void PublishStatus(const OnlineUpdate& update);
-  /// Appends `update` to the convergence JSONL recorder. `headline` is the
-  /// cell extracted from the root emission (so recording works even when
-  /// materialize_results is off).
-  void RecordConvergence(const OnlineUpdate& update,
-                         const HeadlineCell& headline);
+  /// The one query clock: wall seconds since Create, plus any spent before
+  /// a ResumeFrom. Feeds OnlineUpdate::elapsed_seconds and the deadline.
+  double ElapsedSeconds() const {
+    return resumed_elapsed_ + clock_.ElapsedSeconds();
+  }
 
   const Catalog* catalog_;
   CompiledQuery query_;
@@ -225,11 +176,10 @@ class OnlineQueryExecutor {
   int recomputes_ = 0;
   Degradation degradation_ = Degradation::kNone;
   bool stopped_early_ = false;
-  Stopwatch total_timer_;
-  double elapsed_ = 0;
-  /// Wall seconds already spent before a ResumeFrom (0 in a fresh run); the
-  /// deadline clock is resumed_elapsed_ + total_timer_, so a restored query
-  /// keeps the budget it already consumed.
+  /// Started when Create constructs the executor; restarted by ResumeFrom.
+  Stopwatch clock_;
+  /// Wall seconds already spent before a ResumeFrom (0 in a fresh run), so
+  /// a restored query keeps the time and deadline budget it consumed.
   double resumed_elapsed_ = 0;
   /// Cumulative pipeline volume already attributed to earlier updates
   /// (QueryStats reports per-batch deltas of the blocks' counters).
@@ -237,44 +187,7 @@ class OnlineQueryExecutor {
   int64_t prev_rows_in_ = 0;
   int64_t prev_rows_folded_ = 0;
   int64_t prev_rows_uncertain_ = 0;
-  bool trace_written_ = false;
-
-  // Live introspection (PR 3): /statusz registration, convergence JSONL,
-  // and the flight-recorder dump destination for range-failure rebuilds.
-  uint64_t registry_id_ = 0;
-  std::unique_ptr<obs::ConvergenceRecorder> convergence_;
-  std::string flight_path_;
-
-  // Per-session telemetry (DESIGN.md §13). Labeled handles exist only when
-  // the session layer set metrics_labels.session_id (bounded cardinality);
-  // time-series and SLO tracking run for every query.
-  obs::MetricLabels labels_;  // table defaulted to the streamed table
-  obs::Counter* batches_labeled_ = nullptr;
-  obs::Histogram* batch_us_labeled_ = nullptr;
-  obs::Histogram* phase_us_labeled_[5] = {};  // envelope..materialize
-  obs::AccuracySloTracker slo_;
-  obs::TimeSeriesStore::SeriesId ts_max_rsd_ =
-      obs::TimeSeriesStore::kInvalidSeries;
-  obs::TimeSeriesStore::SeriesId ts_half_width_ =
-      obs::TimeSeriesStore::kInvalidSeries;
-  obs::TimeSeriesStore::SeriesId ts_fraction_ =
-      obs::TimeSeriesStore::kInvalidSeries;
-  obs::TimeSeriesStore::SeriesId ts_uncertain_ =
-      obs::TimeSeriesStore::kInvalidSeries;
-
-  // Estimator-quality observability (DESIGN.md §14): per-group convergence
-  // tracker + watchdog, their /timez series (worst-cell CI half-width and
-  // the top-`kGroupRsdRanks` worst per-group RSDs), and the bounded warning
-  // list /statusz renders. Null when disabled.
-  static constexpr int kGroupRsdRanks = 4;
-  std::unique_ptr<obs::GroupTelemetryTracker> group_tracker_;
-  std::unique_ptr<obs::ConvergenceWatchdog> watchdog_;
-  obs::TimeSeriesStore::SeriesId ts_half_width_worst_ =
-      obs::TimeSeriesStore::kInvalidSeries;
-  obs::TimeSeriesStore::SeriesId ts_group_rsd_[kGroupRsdRanks] = {
-      obs::TimeSeriesStore::kInvalidSeries, obs::TimeSeriesStore::kInvalidSeries,
-      obs::TimeSeriesStore::kInvalidSeries, obs::TimeSeriesStore::kInvalidSeries};
-  std::vector<std::string> warnings_;
+  std::unique_ptr<QueryTelemetry> telemetry_;
 };
 
 }  // namespace gola

@@ -87,8 +87,9 @@ struct GolaOptions {
   int max_morsel_retries = 2;
   /// Base of the exponential retry backoff (doubles per attempt).
   int retry_backoff_ms = 1;
-  /// Soft wall-clock deadline for the whole online run, measured from
-  /// Prepare(). 0 (default) disables it. A query that overruns never errors:
+  /// Soft wall-clock deadline for the whole online run, on the clock of
+  /// OnlineUpdate::elapsed_seconds (wall time since the executor was
+  /// created). 0 (default) disables it. A query that overruns never errors:
   /// the controller finishes the in-flight batch and then degrades in
   /// documented order — at 50% of the deadline it stops materializing
   /// intermediate results, at 75% it halves the replicates used for CI
@@ -107,7 +108,7 @@ struct GolaOptions {
   /// of the global unlabeled ones. Leave empty for zero extra cost.
   obs::MetricLabels metrics_labels;
   /// Per-group convergence telemetry (DESIGN.md §14): every update, the
-  /// per-cell `_rsd`/`_lo`/`_hi` companions are folded into a bounded
+  /// root emission's typed cells are folded into a bounded
   /// top-K-worst-cells summary plus group-churn counts, exported through
   /// /timez (`gola_group_rsd{rank=...}`), /statusz, the convergence JSONL
   /// and the wide-event query log. K bounds the export, not the scan.

@@ -12,22 +12,6 @@ namespace obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 void AppendBucket(std::string& out, const CoverageBucket& b) {
   out += Format(
       "{\"key\": \"%s\", \"covered\": %lld, \"total\": %lld, \"rate\": %.6g}",
@@ -35,21 +19,11 @@ void AppendBucket(std::string& out, const CoverageBucket& b) {
       static_cast<long long>(b.total), b.rate());
 }
 
-/// A (group key, column) truth cell. Keys are rendered exactly like
-/// ExtractGroupCells renders them — Value::ToString joined with '|' — so
-/// the online cells and batch truth meet on the same string.
-struct TruthCell {
-  double value = 0;
-  int64_t group_size = -1;  // rows behind the group (from count_sql); -1 unknown
-  int decile = -1;          // 1..10 by group size; -1 unknown
-};
-
-/// Flattens a batch result into (key, column) → value using the same
-/// column-role detection as ExtractGroupCells. The batch engine emits no
-/// `_lo` companions, so aggregate columns are instead the Float64/Int64
-/// columns that are not group keys; to stay engine-agnostic we key on the
-/// *online* schema: `agg_columns` and `key_columns` are the names the
-/// online result established.
+/// Flattens a batch result into (key, column) → value. Keys are rendered
+/// exactly like the online cells' keys — Value::ToString joined with '|',
+/// "*" without key columns — so online cells and batch truth meet on the
+/// same string. `key_columns` and `agg_columns` are the query's output
+/// names split by whether the output expression aggregates.
 Status FlattenTruth(const Table& truth, const std::vector<std::string>& key_columns,
                     const std::vector<std::string>& agg_columns,
                     std::unordered_map<std::string, std::unordered_map<std::string, double>>* out) {
@@ -180,9 +154,9 @@ Result<CalibrationReport> RunCalibration(Engine* engine,
   }
 
   // --- online replays ----------------------------------------------------
-  // Truth keyed the same way ExtractGroupCells keys cells; columns are
-  // taken from the first replay's first update so truth lookup never
-  // depends on the batch engine's column order.
+  // Truth keyed the same way the online cells are; the key and aggregate
+  // columns are the query's own output split, so truth lookup never depends
+  // on the batch engine's column order.
   std::unordered_map<std::string, std::unordered_map<std::string, double>> truth_map;
   bool truth_ready = false;
 
@@ -192,45 +166,24 @@ Result<CalibrationReport> RunCalibration(Engine* engine,
     opts.bootstrap_replicates = spec.bootstrap_replicates;
     opts.ci_level = spec.ci_level;
     opts.seed = spec.base_seed + static_cast<uint64_t>(s);
-    opts.materialize_results = true;
     GOLA_ASSIGN_OR_RETURN(auto exec, engine->ExecuteOnline(spec.sql, opts));
+    if (!truth_ready) {
+      std::vector<std::string> agg_columns, key_columns;
+      const BlockDef& root = exec->query().root();
+      for (size_t o = 0; o < root.output_exprs.size(); ++o) {
+        (root.output_exprs[o]->ContainsAggregate() ? agg_columns : key_columns)
+            .push_back(root.output_names[o]);
+      }
+      if (agg_columns.empty()) {
+        return Status::ExecutionError("calibration: the query has no aggregate column");
+      }
+      GOLA_RETURN_NOT_OK(FlattenTruth(truth, key_columns, agg_columns, &truth_map));
+      truth_ready = true;
+    }
     int update_index = 0;
     while (!exec->done()) {
-      GOLA_ASSIGN_OR_RETURN(OnlineUpdate update, exec->Step());
-      std::vector<GroupCell> cells = ExtractGroupCells(update.result);
-      if (!truth_ready) {
-        // Establish key/aggregate column names from the online schema, then
-        // flatten the truth once with the same names.
-        std::vector<std::string> agg_columns, key_columns;
-        {
-          const Schema& schema = *update.result.schema();
-          std::vector<bool> is_key(schema.num_fields(), true);
-          for (size_t c = 0; c < schema.num_fields(); ++c) {
-            const std::string& nm = schema.field(c).name;
-            if (nm.size() <= 3 || nm.substr(nm.size() - 3) != "_lo") continue;
-            const std::string base = nm.substr(0, nm.size() - 3);
-            auto value_col = schema.FieldIndex(base);
-            if (!value_col.ok()) continue;
-            agg_columns.push_back(base);
-            is_key[*value_col] = false;
-            is_key[c] = false;
-            auto hi = schema.FieldIndex(base + "_hi");
-            if (hi.ok()) is_key[*hi] = false;
-            auto rsd = schema.FieldIndex(base + "_rsd");
-            if (rsd.ok()) is_key[*rsd] = false;
-          }
-          for (size_t c = 0; c < schema.num_fields(); ++c) {
-            if (is_key[c]) key_columns.push_back(schema.field(c).name);
-          }
-        }
-        if (agg_columns.empty()) {
-          return Status::ExecutionError(
-              "calibration: online result carries no CI companion columns");
-        }
-        GOLA_RETURN_NOT_OK(
-            FlattenTruth(truth, key_columns, agg_columns, &truth_map));
-        truth_ready = true;
-      }
+      GOLA_RETURN_NOT_OK(exec->Step().status());
+      const std::vector<GroupCell>& cells = exec->cells();
 
       const int u = std::min(update_index, spec.num_batches - 1);
       for (const GroupCell& cell : cells) {

@@ -16,34 +16,36 @@ ConvergenceRecorder::~ConvergenceRecorder() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void ConvergenceRecorder::Append(const ConvergenceRecord& r) {
+void ConvergenceRecorder::Append(const UpdateRecord& r, int64_t result_rows) {
   if (file_ == nullptr) return;
   std::string line = Format(
       "{\"batch_index\": %d, \"total_batches\": %d, "
       "\"fraction_processed\": %.8g, ",
       r.batch_index, r.total_batches, r.fraction_processed);
-  if (r.has_estimate) {
+  const GroupCell& cell = r.headline;
+  if (cell.has_estimate) {
     line += Format("\"estimate\": %.10g, \"ci_lo\": %.10g, \"ci_hi\": %.10g, ",
-                   r.estimate, r.ci_lo, r.ci_hi);
+                   cell.estimate, cell.ci_lo, cell.ci_hi);
   } else {
     line += "\"estimate\": null, \"ci_lo\": null, \"ci_hi\": null, ";
   }
-  // An absent RSD (no companion column, or one that failed to parse) is
-  // null — serializing it as 0 would claim full convergence.
-  if (r.has_rsd) {
-    line += Format("\"rsd\": %.6g, ", r.rsd);
+  // An absent RSD is null — serializing it as 0 would claim full
+  // convergence.
+  if (cell.has_rsd) {
+    line += Format("\"rsd\": %.6g, ", cell.rsd);
   } else {
     line += "\"rsd\": null, ";
   }
+  line += "\"max_rsd\": " + JsonNumber(r.max_rsd);
   line += Format(
-      "\"max_rsd\": %.6g, \"uncertain_tuples\": %lld, "
+      ", \"uncertain_tuples\": %lld, "
       "\"uncertain_groups\": %lld, \"recomputes\": %d, \"result_rows\": %lld, "
       "\"batch_seconds\": %.6g, \"elapsed_seconds\": %.6g, "
       "\"phases\": {\"envelope_check\": %.6g, \"delta_exec\": %.6g, "
       "\"emit\": %.6g, \"rebuild\": %.6g, \"materialize\": %.6g}, ",
-      r.max_rsd, static_cast<long long>(r.uncertain_tuples),
-      static_cast<long long>(r.uncertain_groups), r.recomputes,
-      static_cast<long long>(r.result_rows), r.batch_seconds, r.elapsed_seconds,
+      static_cast<long long>(r.uncertain_tuples),
+      static_cast<long long>(r.uncertain_groups), r.recomputes_so_far,
+      static_cast<long long>(result_rows), r.batch_seconds, r.elapsed_seconds,
       r.stats.envelope_check_seconds, r.stats.delta_exec_seconds,
       r.stats.emit_seconds, r.stats.rebuild_seconds,
       r.stats.materialize_seconds);

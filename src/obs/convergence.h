@@ -12,46 +12,10 @@
 #include <string>
 
 #include "common/status.h"
-#include "obs/group_telemetry.h"
-#include "obs/query_stats.h"
+#include "obs/update_record.h"
 
 namespace gola {
 namespace obs {
-
-/// One refinement step of one online query — plain data so the recorder
-/// has no dependency on the engine layer that fills it.
-struct ConvergenceRecord {
-  int batch_index = 0;
-  int total_batches = 0;
-  double fraction_processed = 0;
-
-  /// Headline aggregate cell (first aggregate-bearing output column,
-  /// first result row) — the single trajectory a Fig-3-style plot tracks.
-  /// has_estimate is false when the result has no rows yet. has_rsd is
-  /// tracked separately: a cell can have an estimate whose RSD companion
-  /// is absent or unparseable, and that must serialize as null, not 0.
-  bool has_estimate = false;
-  double estimate = 0;
-  double ci_lo = 0;
-  double ci_hi = 0;
-  bool has_rsd = false;
-  double rsd = 0;
-
-  double max_rsd = 0;  // worst rsd across all aggregate cells
-  int64_t uncertain_tuples = 0;
-  int64_t uncertain_groups = 0;
-  int recomputes = 0;
-  int64_t result_rows = 0;
-  double batch_seconds = 0;
-  double elapsed_seconds = 0;
-  /// Per-phase seconds of this batch (envelope / delta / emit / rebuild /
-  /// materialize).
-  QueryStats stats;
-  /// Bounded per-group convergence summary of this update (DESIGN.md §14):
-  /// top-K worst cells by RSD plus group-churn counts. Empty (cells_total
-  /// 0) when per-group telemetry is disabled.
-  GroupConvergenceSummary groups;
-};
 
 /// Appends records to a JSONL file, one single-fwrite line per record (so
 /// concurrent recorders writing distinct files never interleave through a
@@ -67,7 +31,11 @@ class ConvergenceRecorder {
   /// Open failure, or OK. A failed recorder swallows Append calls.
   const Status& status() const { return status_; }
 
-  void Append(const ConvergenceRecord& record);
+  /// Writes one update: its scalars, the headline cell's estimate, CI and
+  /// RSD (null when absent), per-phase seconds and the `groups` block.
+  /// `result_rows` counts the root emission's rows, which exist even when
+  /// the update skipped materializing its result table.
+  void Append(const UpdateRecord& update, int64_t result_rows);
 
   const std::string& path() const { return path_; }
 

@@ -8,26 +8,6 @@
 namespace gola {
 namespace obs {
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 bool WorseCell(const GroupCell& a, const GroupCell& b) {
   // Absent RSD is "worse than anything measurable".
   if (a.has_rsd != b.has_rsd) return !a.has_rsd;
@@ -73,7 +53,7 @@ GroupTelemetryTracker::GroupTelemetryTracker(int top_k)
     : top_k_(std::max(top_k, 1)) {}
 
 const GroupConvergenceSummary& GroupTelemetryTracker::Observe(
-    std::vector<GroupCell> cells) {
+    const std::vector<GroupCell>& cells) {
   GroupConvergenceSummary next;
   next.cells_total = static_cast<int64_t>(cells.size());
 
@@ -100,10 +80,16 @@ const GroupConvergenceSummary& GroupTelemetryTracker::Observe(
 
   // Keep only the K worst cells: partial_sort beats a full sort when the
   // group count is large (the whole point of the bounded summary).
+  std::vector<const GroupCell*> order;
+  order.reserve(cells.size());
+  for (const GroupCell& c : cells) order.push_back(&c);
   const size_t k = std::min(cells.size(), static_cast<size_t>(top_k_));
-  std::partial_sort(cells.begin(), cells.begin() + k, cells.end(), WorseCell);
-  cells.resize(k);
-  next.top = std::move(cells);
+  std::partial_sort(order.begin(), order.begin() + k, order.end(),
+                    [](const GroupCell* a, const GroupCell* b) {
+                      return WorseCell(*a, *b);
+                    });
+  next.top.reserve(k);
+  for (size_t i = 0; i < k; ++i) next.top.push_back(*order[i]);
 
   prev_keys_ = std::move(keys);
   summary_ = std::move(next);

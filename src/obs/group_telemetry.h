@@ -1,17 +1,16 @@
 // Per-group convergence telemetry: the estimator-quality signal /statusz
-// and /timez were missing. The engine already computes a full `<col>_lo` /
-// `<col>_hi` / `<col>_rsd` companion set per aggregate cell every batch,
-// but exported only the scalar max_rsd — so a skewed group-by whose rare
-// groups never converge (the classic BlinkDB failure mode) looked exactly
-// like a healthy query. This module keeps the export *bounded* regardless
-// of group count: a top-K-worst-cells-by-RSD summary plus group-churn
-// counts (keys appearing/disappearing between updates), computed once per
-// OnlineUpdate by the controller and fanned out to /timez, /statusz,
-// /sessions/<id>, the convergence JSONL and the wide-event query log.
+// and /timez were missing. The root emission records a typed cell —
+// estimate, bootstrap CI bounds, RSD — for every aggregate cell every
+// batch, but the scalar max_rsd alone cannot tell a skewed group-by whose
+// rare groups never converge (the classic BlinkDB failure mode) from a
+// healthy query. This module keeps the export *bounded* regardless of
+// group count: a top-K-worst-cells-by-RSD summary plus group-churn counts
+// (keys appearing/disappearing between updates), computed once per
+// OnlineUpdate and fanned out to /timez, /statusz, /sessions/<id>, the
+// convergence JSONL and the wide-event query log.
 //
-// Plain data only — the tracker consumes pre-extracted cells (the
-// Table→cell walk lives next to ExtractHeadline in gola/controller.cc), so
-// this layer has no dependency on the engine or storage.
+// Plain data only: the tracker consumes the emission's cells, so this
+// layer has no dependency on the engine or storage.
 #ifndef GOLA_OBS_GROUP_TELEMETRY_H_
 #define GOLA_OBS_GROUP_TELEMETRY_H_
 
@@ -23,11 +22,12 @@
 namespace gola {
 namespace obs {
 
-/// One aggregate cell of a running grouped answer: (group key, output
-/// column) with its estimate, bootstrap CI bounds and RSD. Absence is
+/// One aggregate cell of a running answer: (group key, output column) with
+/// its estimate, bootstrap CI bounds and RSD — the typed twin of a result
+/// row's `<col>`, `<col>_lo`, `<col>_hi` and `<col>_rsd` values. Absence is
 /// first-class: a cell whose error bars could not be computed (null
-/// estimate, unparseable companion) reports has_rsd=false rather than a
-/// fake rsd of 0 — "unknown error" must never read as "converged".
+/// estimate) reports has_rsd=false rather than a fake rsd of 0 — "unknown
+/// error" must never read as "converged".
 struct GroupCell {
   std::string group_key;  // group-by values joined with '|' ("*" for scalar)
   std::string column;     // aggregate output column name
@@ -71,10 +71,11 @@ class GroupTelemetryTracker {
  public:
   explicit GroupTelemetryTracker(int top_k = 8);
 
-  /// Consumes one update's cells: ranks the top-K worst, computes churn
-  /// against the previous Observe, and retains the key set for the next
-  /// one. Returns the refreshed summary (also available via summary()).
-  const GroupConvergenceSummary& Observe(std::vector<GroupCell> cells);
+  /// Consumes one update's cells: ranks the top-K worst (copying only
+  /// those), computes churn against the previous Observe, and retains the
+  /// key set for the next one. Returns the refreshed summary (also
+  /// available via summary()).
+  const GroupConvergenceSummary& Observe(const std::vector<GroupCell>& cells);
 
   const GroupConvergenceSummary& summary() const { return summary_; }
   int top_k() const { return top_k_; }

@@ -9,27 +9,11 @@ namespace obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 void AppendField(std::string& out, const char* key, const std::string& value) {
   out += Format("\"%s\": \"%s\", ", key, JsonEscape(value).c_str());
 }
 void AppendField(std::string& out, const char* key, double value) {
-  out += Format("\"%s\": %.6g, ", key, value);
+  out += Format("\"%s\": %s, ", key, JsonNumber(value).c_str());
 }
 void AppendField(std::string& out, const char* key, int64_t value) {
   out += Format("\"%s\": %lld, ", key, static_cast<long long>(value));
@@ -106,10 +90,10 @@ std::string QueryLogRecord::ToJson() const {
 
   out += "\"groups\": " + groups.ToJson() + ", ";
 
-  AppendField(out, "has_estimate", has_estimate);
-  AppendField(out, "estimate", estimate);
-  AppendField(out, "ci_lo", ci_lo);
-  AppendField(out, "ci_hi", ci_hi);
+  AppendField(out, "has_estimate", headline.has_estimate);
+  AppendField(out, "estimate", headline.estimate);
+  AppendField(out, "ci_lo", headline.ci_lo);
+  AppendField(out, "ci_hi", headline.ci_hi);
   AppendField(out, "max_rsd", max_rsd);
 
   out.resize(out.size() - 2);

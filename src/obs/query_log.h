@@ -82,11 +82,9 @@ struct QueryLogRecord {
   // cells by RSD plus churn counts (DESIGN.md §14).
   GroupConvergenceSummary groups;
 
-  // Final headline estimate (first CI-carrying cell of the result).
-  bool has_estimate = false;
-  double estimate = 0;
-  double ci_lo = 0;
-  double ci_hi = 0;
+  // Headline cell of the latest update that had an estimate, and the
+  // latest update's max_rsd (-1 before any update).
+  GroupCell headline;
   double max_rsd = -1;
 
   /// The record as one JSON object (no trailing newline).

@@ -7,38 +7,18 @@ namespace obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += Format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendQueryJson(const QueryStatus& q, std::string* out) {
   *out += Format(
       "{\"query_id\": %llu, \"label\": \"%s\", \"batch_index\": %d, "
       "\"total_batches\": %d, \"fraction_processed\": %.6g, "
-      "\"max_rsd\": %.6g, \"uncertain_tuples\": %lld, "
+      "\"max_rsd\": %s, \"uncertain_tuples\": %lld, "
       "\"uncertain_groups\": %lld, \"recomputes\": %d, "
       "\"batch_seconds\": %.6g, \"elapsed_seconds\": %.6g, \"done\": %s",
       static_cast<unsigned long long>(q.query_id), JsonEscape(q.label).c_str(),
-      q.batch_index, q.total_batches, q.fraction_processed, q.max_rsd,
-      static_cast<long long>(q.uncertain_tuples),
-      static_cast<long long>(q.uncertain_groups), q.recomputes, q.batch_seconds,
-      q.elapsed_seconds, q.done ? "true" : "false");
+      q.batch_index, q.total_batches, q.fraction_processed,
+      JsonNumber(q.max_rsd).c_str(), static_cast<long long>(q.uncertain_tuples),
+      static_cast<long long>(q.uncertain_groups), q.recomputes_so_far,
+      q.batch_seconds, q.elapsed_seconds, q.done ? "true" : "false");
   *out += ", \"groups\": " + q.groups.ToJson();
   *out += ", \"warnings\": [";
   for (size_t i = 0; i < q.warnings.size(); ++i) {
@@ -46,7 +26,7 @@ void AppendQueryJson(const QueryStatus& q, std::string* out) {
     *out += StrCat("\"", JsonEscape(q.warnings[i]), "\"");
   }
   *out += "]";
-  const QueryStats& s = q.last_stats;
+  const QueryStats& s = q.stats;
   *out += Format(
       ", \"last_batch\": {\"envelope_check_seconds\": %.6g, "
       "\"delta_exec_seconds\": %.6g, \"emit_seconds\": %.6g, "
@@ -75,14 +55,14 @@ uint64_t QueryRegistry::Register(std::string label) {
   return id;
 }
 
-void QueryRegistry::Update(uint64_t id, const QueryStatus& status) {
+void QueryRegistry::Update(uint64_t id, const UpdateRecord& update, bool done,
+                           const std::vector<std::string>& warnings) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(id);
   if (it == active_.end()) return;
-  std::string label = std::move(it->second.label);
-  it->second = status;
-  it->second.query_id = id;
-  it->second.label = std::move(label);
+  static_cast<UpdateRecord&>(it->second) = update;
+  it->second.done = done;
+  it->second.warnings = warnings;
 }
 
 void QueryRegistry::Deregister(uint64_t id) {

@@ -1,6 +1,6 @@
 // Process-wide registry of active (and recently finished) online queries —
-// the data behind GET /statusz. The controller registers each executor at
-// Prepare, pushes a status snapshot after every Step, and deregisters on
+// the data behind GET /statusz. Each query's telemetry registers it at
+// Prepare, pushes its update record after every Step, and deregisters on
 // destruction; the HTTP server only ever reads complete snapshots, so a
 // live query is never observed mid-batch.
 #ifndef GOLA_OBS_QUERY_REGISTRY_H_
@@ -13,35 +13,20 @@
 #include <string>
 #include <vector>
 
-#include "obs/group_telemetry.h"
-#include "obs/query_stats.h"
+#include "obs/update_record.h"
 
 namespace gola {
 namespace obs {
 
-/// Point-in-time status of one online query, as published by its
-/// controller after each Step. Plain data — safe to copy out under the
+/// Point-in-time status of one online query: its last update record plus
+/// what only the registry knows. Plain data — safe to copy out under the
 /// registry lock and render without touching the executor.
-struct QueryStatus {
+struct QueryStatus : UpdateRecord {
   uint64_t query_id = 0;
   std::string label;  // streamed table + block count (no SQL retained)
-  int batch_index = 0;
-  int total_batches = 0;
-  double fraction_processed = 0;
-  double max_rsd = 0;
-  int64_t uncertain_tuples = 0;
-  int64_t uncertain_groups = 0;
-  int recomputes = 0;
-  double batch_seconds = 0;
-  double elapsed_seconds = 0;
   bool done = false;
-  /// Per-phase cost breakdown and pipeline volume of the last batch.
-  QueryStats last_stats;
-  /// Bounded per-group convergence summary of the last update (top-K worst
-  /// cells by RSD, churn counts); empty when telemetry is disabled.
-  GroupConvergenceSummary groups;
   /// Cumulative convergence-watchdog warnings ("batch N: stall — ...");
-  /// bounded by the controller.
+  /// bounded by the publisher.
   std::vector<std::string> warnings;
 };
 
@@ -54,9 +39,9 @@ class QueryRegistry {
   /// Registers a new query; the returned id keys every later call.
   uint64_t Register(std::string label);
 
-  /// Publishes a status snapshot (query_id/label are taken from the
-  /// registration, not from `status`). Unknown ids are ignored.
-  void Update(uint64_t id, const QueryStatus& status);
+  /// Publishes the query's latest update. Unknown ids are ignored.
+  void Update(uint64_t id, const UpdateRecord& update, bool done,
+              const std::vector<std::string>& warnings);
 
   /// Removes the query from the active set; its last snapshot is retained
   /// in a short recently-finished history.

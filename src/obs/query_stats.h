@@ -35,6 +35,21 @@ struct QueryStats {
   /// Cause of the range failure that forced this batch's recompute
   /// (string literal; nullptr when no failure fired).
   const char* failure_cause = nullptr;
+
+  /// Sums another batch's seconds and volumes into this one (a running
+  /// total over updates); failure_cause is left as it is.
+  QueryStats& operator+=(const QueryStats& o) {
+    envelope_check_seconds += o.envelope_check_seconds;
+    delta_exec_seconds += o.delta_exec_seconds;
+    emit_seconds += o.emit_seconds;
+    rebuild_seconds += o.rebuild_seconds;
+    materialize_seconds += o.materialize_seconds;
+    morsels += o.morsels;
+    rows_in += o.rows_in;
+    rows_folded += o.rows_folded;
+    rows_uncertain += o.rows_uncertain;
+    return *this;
+  }
 };
 
 }  // namespace obs

@@ -52,23 +52,6 @@ std::string Tracer::RecentJson(size_t max_per_thread) const {
     std::lock_guard<std::mutex> lock(mu_);
     buffers = buffers_;
   }
-  // Names are expected to be plain literals, but escape on export anyway —
-  // a stray quote must not produce an unloadable file.
-  auto escape = [](const char* s) {
-    std::string out;
-    for (const char* p = s; *p != '\0'; ++p) {
-      char c = *p;
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += Format("\\u%04x", c);
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  };
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const auto& buf : buffers) {
@@ -81,14 +64,15 @@ std::string Tracer::RecentJson(size_t max_per_thread) const {
       if (!first) out += ",";
       first = false;
       // Chrome trace ts/dur are microseconds; keep ns resolution via the
-      // fractional part.
+      // fractional part. Names are plain literals, but escaped anyway: a
+      // stray quote must not produce an unloadable file.
       out += Format(
           "\n{\"name\":\"%s\",\"cat\":\"gola\",\"ph\":\"X\","
           "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u",
-          escape(e.name).c_str(), static_cast<double>(e.start_ns) / 1e3,
+          JsonEscape(e.name).c_str(), static_cast<double>(e.start_ns) / 1e3,
           static_cast<double>(e.dur_ns) / 1e3, buf->tid);
       if (e.arg_name != nullptr) {
-        out += Format(",\"args\":{\"%s\":%lld}", escape(e.arg_name).c_str(),
+        out += Format(",\"args\":{\"%s\":%lld}", JsonEscape(e.arg_name).c_str(),
                       static_cast<long long>(e.arg));
       }
       out += "}";

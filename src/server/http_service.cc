@@ -16,27 +16,6 @@ namespace server {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += Format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string ValueJson(const Value& v) {
   if (v.is_null()) return "null";
   switch (v.type()) {
@@ -47,12 +26,12 @@ std::string ValueJson(const Value& v) {
       // %.17g round-trips doubles; JSON has no inf/nan, so stringify those.
       double d = v.AsFloat();
       if (d != d || d == 1.0 / 0.0 || d == -1.0 / 0.0) {
-        return "\"" + v.ToString() + "\"";
+        return StrCat("\"", v.ToString(), "\"");
       }
       return Format("%.17g", d);
     }
-    case TypeId::kString: return "\"" + JsonEscape(v.AsString()) + "\"";
-    default: return "\"" + JsonEscape(v.ToString()) + "\"";
+    case TypeId::kString: return StrCat("\"", JsonEscape(v.AsString()), "\"");
+    default: return StrCat("\"", JsonEscape(v.ToString()), "\"");
   }
 }
 
@@ -130,12 +109,13 @@ std::string QueryService::UpdateJson(const QuerySession& session,
                                      const OnlineUpdate& update) {
   std::string out = Format(
       "{\"id\": %llu, \"batch_index\": %d, \"total_batches\": %d, "
-      "\"fraction_processed\": %.6f, \"max_rsd\": %.8g, \"scale\": %.8g, "
+      "\"fraction_processed\": %.6f, \"max_rsd\": %s, \"scale\": %.8g, "
       "\"uncertain_tuples\": %lld, \"uncertain_groups\": %lld, "
       "\"recomputes\": %d, \"elapsed_seconds\": %.6f, "
       "\"degradation\": \"%s\", \"scan_shared\": %s, ",
       static_cast<unsigned long long>(session.id()), update.batch_index,
-      update.total_batches, update.fraction_processed, update.max_rsd,
+      update.total_batches, update.fraction_processed,
+      JsonNumber(update.max_rsd, 8).c_str(),
       update.scale, static_cast<long long>(update.uncertain_tuples),
       static_cast<long long>(update.uncertain_groups),
       update.recomputes_so_far, update.elapsed_seconds,
@@ -192,8 +172,8 @@ std::string QueryService::SessionJson(const QuerySession& session,
   }
   std::optional<OnlineUpdate> latest = session.Latest();
   if (latest.has_value()) {
-    out += Format(", \"batch_index\": %d, \"max_rsd\": %.8g",
-                  latest->batch_index, latest->max_rsd);
+    out += Format(", \"batch_index\": %d, \"max_rsd\": %s", latest->batch_index,
+                  JsonNumber(latest->max_rsd, 8).c_str());
     if (include_result) {
       out += ", \"result\": " + TableJson(latest->result, 64);
     }

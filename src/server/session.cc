@@ -253,20 +253,8 @@ void QuerySession::Publish(OnlineUpdate update, bool final) {
           ->Record(static_cast<int64_t>(first_update_seconds_ * 1e6));
     }
   }
-  // Cumulative QueryStats for the wide event (per-batch deltas summed).
-  stats_total_.envelope_check_seconds += update.stats.envelope_check_seconds;
-  stats_total_.delta_exec_seconds += update.stats.delta_exec_seconds;
-  stats_total_.emit_seconds += update.stats.emit_seconds;
-  stats_total_.rebuild_seconds += update.stats.rebuild_seconds;
-  stats_total_.materialize_seconds += update.stats.materialize_seconds;
-  stats_total_.morsels += update.stats.morsels;
-  stats_total_.rows_in += update.stats.rows_in;
-  stats_total_.rows_folded += update.stats.rows_folded;
-  stats_total_.rows_uncertain += update.stats.rows_uncertain;
-  // Track the freshest extractable headline (intermediate updates may skip
-  // materialization; the final one never does).
-  HeadlineCell cell = ExtractHeadline(update.result);
-  if (cell.has_estimate) headline_ = cell;
+  stats_total_ += update.stats;  // per-batch deltas, summed for the wide event
+  if (update.headline.has_estimate) headline_ = update.headline;
   latest_ = update;
   if (final) final_ = update;
   // Slow consumer: shed the oldest pending update rather than stalling the
@@ -356,10 +344,7 @@ void QuerySession::EmitWideEvent() {
     rec.stats = stats_total_;
     rec.events = events_;
     rec.groups = group_summary_;
-    rec.has_estimate = headline_.has_estimate;
-    rec.estimate = headline_.estimate;
-    rec.ci_lo = headline_.ci_lo;
-    rec.ci_hi = headline_.ci_hi;
+    rec.headline = headline_;
     if (latest_.has_value()) rec.max_rsd = latest_->max_rsd;
   }
   log.Append(rec);

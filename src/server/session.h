@@ -179,11 +179,11 @@ class QuerySession {
   double done_seconds_ = -1;
 
   // Wide-event accumulation (guarded by mu_): cumulative QueryStats over
-  // every published batch, the latest extractable headline cell, SLO
+  // every published batch, the latest headline cell with an estimate, SLO
   // crossings harvested from the executor, and timestamped lifecycle
   // events.
   obs::QueryStats stats_total_;
-  HeadlineCell headline_;
+  obs::GroupCell headline_;
   int recomputes_ = 0;
   std::vector<obs::SloCrossing> slo_crossings_;
   std::vector<obs::QueryLogEvent> events_;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -40,6 +42,25 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
   EXPECT_TRUE(EqualsIgnoreCase("SELECT", "select"));
   EXPECT_FALSE(EqualsIgnoreCase("SELECT", "selec"));
   EXPECT_FALSE(EqualsIgnoreCase("a", "b"));
+}
+
+TEST(StringUtilTest, JsonEscapeCoversEveryControlByte) {
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(JsonEscape("us\x01"), "us\\u0001");
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string escaped = JsonEscape(std::string(1, static_cast<char>(c)));
+    EXPECT_EQ(escaped[0], '\\') << "byte " << c;
+    for (char e : escaped) EXPECT_GE(static_cast<unsigned char>(e), 0x20) << c;
+  }
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 passes through
+}
+
+TEST(StringUtilTest, JsonNumberHasNoInfOrNan) {
+  EXPECT_EQ(JsonNumber(0.25), "0.25");
+  EXPECT_EQ(JsonNumber(1.0 / 3, 3), "0.333");
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::quiet_NaN()), "null");
 }
 
 TEST(ThreadPoolTest, ParallelForRunsEveryIteration) {

@@ -1,7 +1,6 @@
-// Per-group convergence telemetry: cell extraction from result tables
-// (including the absent-RSD regression — a failed parse must never read as
-// "fully converged"), top-K ranking, churn counting, and the JSON block
-// every surface renders.
+// Per-group convergence telemetry: top-K ranking (an absent RSD must never
+// read as "fully converged"), churn counting, and the JSON block every
+// surface renders.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,109 +13,16 @@
 namespace gola {
 namespace {
 
-/// A grouped result table in the engine's emission shape: key column `g`,
-/// aggregate `m` with `m_lo`/`m_hi`/`m_rsd` companions.
-Table MakeGroupedResult(
-    const std::vector<std::tuple<std::string, Value, Value, Value, Value>>& rows) {
-  auto schema = std::make_shared<Schema>(std::vector<Field>{
-      {"g", TypeId::kString},
-      {"m", TypeId::kFloat64},
-      {"m_lo", TypeId::kFloat64},
-      {"m_hi", TypeId::kFloat64},
-      {"m_rsd", TypeId::kFloat64}});
-  TableBuilder builder(schema, 64);
-  for (const auto& [g, m, lo, hi, rsd] : rows) {
-    builder.AppendRow({Value::String(g), m, lo, hi, rsd});
-  }
-  return builder.Finish();
-}
-
-TEST(ExtractGroupCellsTest, GroupedTableYieldsOneCellPerRow) {
-  Table t = MakeGroupedResult({
-      {"us", Value::Float(10), Value::Float(9), Value::Float(11), Value::Float(0.05)},
-      {"de", Value::Float(20), Value::Float(15), Value::Float(25), Value::Float(0.20)},
-  });
-  std::vector<obs::GroupCell> cells = ExtractGroupCells(t);
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].group_key, "us");
-  EXPECT_EQ(cells[0].column, "m");
-  EXPECT_TRUE(cells[0].has_estimate);
-  EXPECT_TRUE(cells[0].has_rsd);
-  EXPECT_DOUBLE_EQ(cells[0].estimate, 10);
-  EXPECT_DOUBLE_EQ(cells[0].half_width(), 1);
-  EXPECT_EQ(cells[1].group_key, "de");
-  EXPECT_DOUBLE_EQ(cells[1].rsd, 0.20);
-}
-
-TEST(ExtractGroupCellsTest, ScalarTableUsesStarKey) {
-  auto schema = std::make_shared<Schema>(std::vector<Field>{
-      {"m", TypeId::kFloat64},
-      {"m_lo", TypeId::kFloat64},
-      {"m_hi", TypeId::kFloat64},
-      {"m_rsd", TypeId::kFloat64}});
-  TableBuilder builder(schema, 8);
-  builder.AppendRow({Value::Float(5), Value::Float(4), Value::Float(6),
-                     Value::Float(0.1)});
-  std::vector<obs::GroupCell> cells = ExtractGroupCells(builder.Finish());
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].group_key, "*");
-}
-
-TEST(ExtractGroupCellsTest, UnparseableRsdIsAbsentNotZero) {
-  // Regression (satellite of ISSUE 8): a null RSD companion once read as
-  // rsd = 0 via ValueOr(0) — i.e. "fully converged" for a cell whose error
-  // is actually unknown.
-  Table t = MakeGroupedResult({
-      {"us", Value::Float(10), Value::Float(9), Value::Float(11), Value::Null()},
-  });
-  std::vector<obs::GroupCell> cells = ExtractGroupCells(t);
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_TRUE(cells[0].has_estimate);
-  EXPECT_FALSE(cells[0].has_rsd);
-}
-
-TEST(ExtractGroupCellsTest, NullEstimateIsAbsent) {
-  Table t = MakeGroupedResult({
-      {"us", Value::Null(), Value::Null(), Value::Null(), Value::Null()},
-      {"de", Value::Float(3), Value::Float(2), Value::Float(4), Value::Float(0.2)},
-  });
-  std::vector<obs::GroupCell> cells = ExtractGroupCells(t);
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_FALSE(cells[0].has_estimate);
-  EXPECT_DOUBLE_EQ(cells[0].half_width(), 0);
-  EXPECT_TRUE(cells[1].has_estimate);
-}
-
-TEST(ExtractHeadlineTest, UnparseableRsdStaysAbsent) {
-  Table t = MakeGroupedResult({
-      {"us", Value::Float(10), Value::Float(9), Value::Float(11), Value::Null()},
-  });
-  const HeadlineCell cell = ExtractHeadline(t);
-  EXPECT_TRUE(cell.has_estimate);
-  EXPECT_FALSE(cell.has_rsd());
-  EXPECT_LT(cell.rsd, 0);  // -1 sentinel, never a fake converged 0
-}
-
-TEST(ExtractHeadlineTest, UnparseableEstimateMeansNoEstimate) {
-  Table t = MakeGroupedResult({
-      {"us", Value::Null(), Value::Float(9), Value::Float(11), Value::Float(0.1)},
-  });
-  const HeadlineCell cell = ExtractHeadline(t);
-  EXPECT_FALSE(cell.has_estimate);
-  EXPECT_DOUBLE_EQ(cell.half_width(), 0);
-}
-
-obs::GroupCell Cell(const std::string& key, double rsd, double half = 1) {
-  obs::GroupCell c;
-  c.group_key = key;
-  c.column = "m";
-  c.has_estimate = true;
-  c.estimate = 10;
-  c.ci_lo = 10 - half;
-  c.ci_hi = 10 + half;
-  c.has_rsd = true;
-  c.rsd = rsd;
-  return c;
+obs::GroupCell Cell(const std::string& key, double rsd, double half = 1,
+                    const char* column = "m") {
+  return {.group_key = key,
+          .column = column,
+          .has_estimate = true,
+          .estimate = 10,
+          .ci_lo = 10 - half,
+          .ci_hi = 10 + half,
+          .has_rsd = true,
+          .rsd = rsd};
 }
 
 TEST(GroupTelemetryTrackerTest, TopKRanksWorstFirst) {
@@ -160,11 +66,8 @@ TEST(GroupTelemetryTrackerTest, ChurnCountsAppearedAndDisappeared) {
 
 TEST(GroupTelemetryTrackerTest, MultiAggregateCellsShareGroupCount) {
   // Two aggregates per group: 4 cells, 2 groups.
-  std::vector<obs::GroupCell> cells = {Cell("a", 0.1), Cell("b", 0.2)};
-  for (auto c : {Cell("a", 0.3), Cell("b", 0.4)}) {
-    c.column = "n";
-    cells.push_back(c);
-  }
+  std::vector<obs::GroupCell> cells = {Cell("a", 0.1), Cell("b", 0.2),
+                                       Cell("a", 0.3, 1, "n"), Cell("b", 0.4, 1, "n")};
   obs::GroupTelemetryTracker tracker(8);
   const obs::GroupConvergenceSummary& s = tracker.Observe(cells);
   EXPECT_EQ(s.cells_total, 4);

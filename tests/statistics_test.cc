@@ -124,7 +124,7 @@ double CoverageOnDistribution(Gen gen, int trials, uint64_t seed_base) {
     auto u2 = (*online)->Step();
     EXPECT_TRUE(u2.ok());
     if (!u2.ok()) return 0;
-    const HeadlineCell cell = ExtractHeadline(u2->result);
+    const obs::GroupCell& cell = u2->headline;
     EXPECT_TRUE(cell.has_estimate);
     if (true_mean >= cell.ci_lo && true_mean <= cell.ci_hi) ++covered;
   }
@@ -190,7 +190,7 @@ TEST(StatisticsTest, CiCoversRareGroupUnderSkew) {
       ASSERT_TRUE(u.ok());
       update = std::move(*u);
     }
-    for (const obs::GroupCell& cell : ExtractGroupCells(update.result)) {
+    for (const obs::GroupCell& cell : (*online)->cells()) {
       if (cell.group_key != "rare" || !cell.has_estimate) continue;
       ++observed;
       if (rare_mean >= cell.ci_lo && rare_mean <= cell.ci_hi) ++covered;

@@ -120,7 +120,8 @@ def write_svg(records, path):
     est = [r.get("estimate") for r in records]
     lo = [r.get("ci_lo") for r in records]
     hi = [r.get("ci_hi") for r in records]
-    rsd = [100 * r["max_rsd"] for r in records]
+    # max_rsd is null while some cell has no RSD yet (a NULL estimate).
+    rsd = [None if r["max_rsd"] is None else 100 * r["max_rsd"] for r in records]
     recomputes = [r.get("recomputes", 0) for r in records]
 
     W, H = 760, 620
