@@ -144,38 +144,42 @@ ReplicatedAgg ReplicatedAgg::Clone() const {
 Value ReplicatedAgg::Finalize(double scale) const { return main_->Finalize(scale); }
 
 std::vector<double> ReplicatedAgg::FinalizeReplicates(double scale) const {
+  std::vector<double> out(num_replicates());
+  FinalizeReplicatesInto(scale, out.data());
+  return out;
+}
+
+void ReplicatedAgg::FinalizeReplicatesInto(double scale, double* out) const {
   if (simple_ != SimpleAggKind::kNone) {
-    size_t b = flat_sum_.size();
-    std::vector<double> out(b, kNaN);
+    const size_t b = flat_sum_.size();
     for (size_t j = 0; j < b; ++j) {
+      double v = kNaN;
       switch (simple_) {
         case SimpleAggKind::kCount:
-          out[j] = flat_count_[j] * scale;
+          v = flat_count_[j] * scale;
           break;
         case SimpleAggKind::kSum:
-          if (flat_count_[j] > 0) out[j] = flat_sum_[j] * scale;
+          if (flat_count_[j] > 0) v = flat_sum_[j] * scale;
           break;
         case SimpleAggKind::kAvg:
-          if (flat_count_[j] > 0) out[j] = flat_sum_[j] / flat_count_[j];
+          if (flat_count_[j] > 0) v = flat_sum_[j] / flat_count_[j];
           break;
         case SimpleAggKind::kNone:
           break;
       }
+      out[j] = v;
     }
-    return out;
+    return;
   }
-  std::vector<double> out;
-  out.reserve(replicates_.size());
-  for (const auto& rep : replicates_) {
-    Value v = rep->Finalize(scale);
+  for (size_t j = 0; j < replicates_.size(); ++j) {
+    Value v = replicates_[j]->Finalize(scale);
     double d = kNaN;
     if (!v.is_null()) {
       auto converted = v.ToDouble();
       if (converted.ok()) d = *converted;
     }
-    out.push_back(d);
+    out[j] = d;
   }
-  return out;
 }
 
 Status ReplicatedAgg::SaveTo(BinaryWriter* w) const {

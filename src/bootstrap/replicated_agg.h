@@ -63,6 +63,11 @@ class ReplicatedAgg {
   /// results (e.g. SUM over an empty replicate) are NaN. Scale applied the
   /// same way as Finalize.
   std::vector<double> FinalizeReplicates(double scale) const;
+  /// The same written into `out`, which holds num_replicates() doubles.
+  void FinalizeReplicatesInto(double scale, double* out) const;
+  size_t num_replicates() const {
+    return has_flat_replicates() ? flat_sum_.size() : replicates_.size();
+  }
 
   /// Convenience wrappers over the finalize outputs.
   ConfidenceInterval CI(double scale, double level = 0.95) const;

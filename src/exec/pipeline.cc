@@ -231,11 +231,167 @@ std::vector<MorselPlan> PlanMorsels(const std::vector<MorselSource>& sources,
   return plan;
 }
 
+// ------------------------------------------------------------ PlanPieces --
+
+std::vector<PieceRange> PlanPieces(size_t num_items,
+                                   const std::function<size_t(size_t)>& rows_of,
+                                   const ExecContext& ctx) {
+  std::vector<PieceRange> pieces;
+  if (num_items == 0) return pieces;
+  const size_t min_rows = std::max<size_t>(ctx.min_morsel_rows, 1);
+  const size_t max_pieces = std::max<size_t>(ctx.max_morsels, 1);
+  size_t total = 0;
+  for (size_t i = 0; i < num_items; ++i) total += rows_of(i);
+  // The same target PlanMorsels derives from the total row count.
+  const size_t target = std::max((total + max_pieces - 1) / max_pieces, min_rows);
+  PieceRange current;
+  size_t rows = 0;
+  for (size_t i = 0; i < num_items; ++i) {
+    rows += rows_of(i);
+    if (rows >= target && pieces.size() + 1 < max_pieces) {
+      current.end = i + 1;
+      pieces.push_back(current);
+      current.begin = i + 1;
+      rows = 0;
+    }
+  }
+  if (current.begin < num_items) {
+    current.end = num_items;
+    pieces.push_back(current);
+  }
+  return pieces;
+}
+
+Status RunPieces(const ExecContext& ctx, size_t num_pieces,
+                 const std::function<Status(size_t)>& fn) {
+  std::vector<Status> statuses(num_pieces, Status::OK());
+  // started[p] is set by whichever thread claims piece p; a piece the pool
+  // dropped before starting it is left unclaimed and runs here instead.
+  std::unique_ptr<std::atomic<bool>[]> started(new std::atomic<bool>[num_pieces]);
+  for (size_t p = 0; p < num_pieces; ++p) started[p].store(false);
+  auto run = [&](size_t p) {
+    if (started[p].exchange(true)) return;
+    try {
+      statuses[p] = fn(p);
+    } catch (const std::exception& e) {
+      statuses[p] = Status::ExecutionError(Format("piece %zu raised: %s", p, e.what()));
+    } catch (...) {
+      statuses[p] = Status::ExecutionError(
+          Format("piece %zu raised a non-standard exception", p));
+    }
+  };
+  if (ctx.pool != nullptr && num_pieces > 1) {
+    try {
+      ctx.pool->ParallelFor(num_pieces, run);
+    } catch (...) {
+      // Only dispatch faults get here: run() contains its body's throws.
+    }
+  }
+  for (size_t p = 0; p < num_pieces; ++p) run(p);
+  for (const Status& st : statuses) GOLA_RETURN_NOT_OK(st);
+  return Status::OK();
+}
+
+namespace {
+
+/// Copies `slots` (rows of one schema, in slot order) after the rows already
+/// in `out`, with their serials, spreading the copy over the pool by slot.
+/// Bit-for-bit the chunk a sequence of Chunk::Append calls would build.
+Status ConcatSlots(const ExecContext& ctx, const std::vector<Chunk>& slots, Chunk* out) {
+  std::vector<size_t> offsets(slots.size() + 1, 0);
+  offsets[0] = out->num_rows();
+  const Chunk* shape = out->num_columns() > 0 ? out : nullptr;
+  bool serials = out->has_serials();
+  for (size_t i = 0; i < slots.size(); ++i) {
+    offsets[i + 1] = offsets[i] + slots[i].num_rows();
+    if (slots[i].num_rows() == 0) continue;
+    if (shape == nullptr) shape = &slots[i];
+    if (slots[i].num_columns() != shape->num_columns()) {
+      return Status::Internal("chunk append: column count mismatch");
+    }
+    serials = serials || slots[i].has_serials();
+  }
+  const size_t total = offsets.back();
+  if (shape == nullptr || total == out->num_rows()) return Status::OK();
+  const size_t ncols = shape->num_columns();
+
+  // Output columns sized once; a null mask only where some input has one.
+  std::vector<Column> cols;
+  std::vector<std::vector<uint8_t>> nulls(ncols);
+  cols.reserve(ncols);
+  for (size_t c = 0; c < ncols; ++c) {
+    const TypeId type = shape->column(c).type();
+    bool need_nulls = out->num_columns() > 0 && out->column(c).has_nulls();
+    for (const Chunk& slot : slots) {
+      if (slot.num_rows() == 0) continue;
+      if (slot.column(c).type() != type) {
+        return Status::TypeError(Format("append %s column to %s column",
+                                        TypeIdToString(slot.column(c).type()),
+                                        TypeIdToString(type)));
+      }
+      need_nulls = need_nulls || slot.column(c).has_nulls();
+    }
+    Column col = out->num_columns() > 0 ? out->column(c) : Column(type);
+    switch (type) {
+      case TypeId::kBool: col.mutable_bools().resize(total); break;
+      case TypeId::kInt64: col.mutable_ints().resize(total); break;
+      case TypeId::kFloat64: col.mutable_floats().resize(total); break;
+      case TypeId::kString: col.mutable_strings().resize(total); break;
+      case TypeId::kNull: break;
+    }
+    if (need_nulls) {
+      nulls[c] = col.nulls();
+      nulls[c].resize(total, 0);
+    }
+    cols.push_back(std::move(col));
+  }
+  std::vector<int64_t> all_serials;
+  if (serials) {
+    all_serials = out->serials();
+    all_serials.resize(total, 0);
+  }
+
+  auto copy = [](const auto& src, auto& dst, size_t at) {
+    std::copy(src.begin(), src.end(), dst.begin() + static_cast<std::ptrdiff_t>(at));
+  };
+  std::vector<PieceRange> pieces = PlanPieces(
+      slots.size(), [&](size_t i) { return slots[i].num_rows(); }, ctx);
+  GOLA_RETURN_NOT_OK(RunPieces(ctx, pieces.size(), [&](size_t p) -> Status {
+    for (size_t i = pieces[p].begin; i < pieces[p].end; ++i) {
+      const Chunk& slot = slots[i];
+      if (slot.num_rows() == 0) continue;
+      const size_t at = offsets[i];
+      for (size_t c = 0; c < ncols; ++c) {
+        const Column& src = slot.column(c);
+        switch (src.type()) {
+          case TypeId::kBool: copy(src.bools(), cols[c].mutable_bools(), at); break;
+          case TypeId::kInt64: copy(src.ints(), cols[c].mutable_ints(), at); break;
+          case TypeId::kFloat64: copy(src.floats(), cols[c].mutable_floats(), at); break;
+          case TypeId::kString: copy(src.strings(), cols[c].mutable_strings(), at); break;
+          case TypeId::kNull: break;
+        }
+        if (!nulls[c].empty() && src.has_nulls()) copy(src.nulls(), nulls[c], at);
+      }
+      if (slot.has_serials()) copy(slot.serials(), all_serials, at);
+    }
+    return Status::OK();
+  }));
+  for (size_t c = 0; c < ncols; ++c) {
+    if (nulls[c].empty()) continue;
+    cols[c] = Column::WithNulls(std::move(cols[c]), std::move(nulls[c]));
+  }
+  *out = Chunk(shape->schema(), std::move(cols));
+  if (serials) out->set_serials(std::move(all_serials));
+  return Status::OK();
+}
+
+}  // namespace
+
 // --------------------------------------------------------- DeltaPipeline --
 
 Status DeltaPipeline::Run(const ExecContext& ctx,
                           const std::vector<MorselSource>& sources,
-                          Chunk* uncertain_out) {
+                          Chunk* uncertain_out, std::vector<uint8_t>* pass_out) {
   if (classify_ != nullptr && uncertain_out == nullptr) {
     return Status::Internal("classify stage requires an uncertain sink");
   }
@@ -246,6 +402,7 @@ Status DeltaPipeline::Run(const ExecContext& ctx,
   if (sink_) sink_->BeginBatch(m);
   if (classify_) classify_->BeginBatch(m);
   std::vector<Chunk> uncertain_slots(classify_ ? m : 0);
+  std::vector<std::vector<uint8_t>> pass_slots(classify_ ? m : 0);
   std::vector<Status> statuses(m, Status::OK());
   if (ctx.metrics) {
     ctx.metrics->batches += 1;
@@ -295,6 +452,7 @@ Status DeltaPipeline::Run(const ExecContext& ctx,
         // Unconditional: a retried morsel must overwrite whatever a failed
         // earlier attempt left in its slot, including clearing it.
         uncertain_slots[i] = std::move(split.uncertain);
+        pass_slots[i] = std::move(split.pass);
         chunk = std::move(split.fold);
       } else {
         if (ctx.metrics) {
@@ -396,10 +554,14 @@ Status DeltaPipeline::Run(const ExecContext& ctx,
     GOLA_RETURN_NOT_OK(barrier_guard(sink_->Finish()));
   }
   if (uncertain_out != nullptr) {
-    for (auto& slot : uncertain_slots) {
-      if (slot.num_rows() > 0) {
-        GOLA_RETURN_NOT_OK(barrier_guard(uncertain_out->Append(slot)));
+    GOLA_RETURN_NOT_OK(barrier_guard(ConcatSlots(ctx, uncertain_slots, uncertain_out)));
+  }
+  if (pass_out != nullptr) {
+    for (size_t i = 0; i < pass_slots.size(); ++i) {
+      if (pass_slots[i].size() != uncertain_slots[i].num_rows()) {
+        return Status::Internal("classify stage returned no pass flag per uncertain row");
       }
+      pass_out->insert(pass_out->end(), pass_slots[i].begin(), pass_slots[i].end());
     }
   }
   return Status::OK();

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -155,6 +156,10 @@ class ClassifyStage {
   struct Split {
     Chunk fold;       // deterministic-true rows
     Chunk uncertain;  // rows to cache and revisit next batch
+    /// One flag per uncertain row: does its point-form predicate hold under
+    /// the batch's (frozen) point environment? Those rows are the passing
+    /// set the online engine folds into its per-batch overlay.
+    std::vector<uint8_t> pass;
   };
 
   virtual ~ClassifyStage() = default;
@@ -238,6 +243,30 @@ struct MorselPlan {
 std::vector<MorselPlan> PlanMorsels(const std::vector<MorselSource>& sources,
                                     size_t min_morsel_rows, size_t max_morsels);
 
+/// A contiguous range [begin, end) of work items (groups, keys, slots).
+struct PieceRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Splits `num_items` items, item i weighing rows_of(i) rows, into
+/// contiguous pieces of about equal rows under the morsel policy: at most
+/// max_morsels pieces, none lighter than min_morsel_rows (except the last),
+/// so small inputs stay one piece. Like PlanMorsels, the split depends only
+/// on the weights, never on the pool.
+std::vector<PieceRange> PlanPieces(size_t num_items,
+                                   const std::function<size_t(size_t)>& rows_of,
+                                   const ExecContext& ctx);
+
+/// Runs fn(p) once for every piece p, on ctx.pool when there are two or
+/// more, and returns the first non-OK status in piece order. A pool fault
+/// that drops pieces before they start (the threadpool.task failpoint) is
+/// absorbed by running exactly those pieces on the calling thread, so every
+/// piece runs once and non-idempotent bodies (folds into shared state) stay
+/// correct.
+Status RunPieces(const ExecContext& ctx, size_t num_pieces,
+                 const std::function<Status(size_t)>& fn);
+
 /// The morsel-parallel driver. Borrows stages (callers own them; transform
 /// stages are typically long-lived, sinks per-run or per-block).
 class DeltaPipeline {
@@ -253,9 +282,11 @@ class DeltaPipeline {
 
   /// Runs every source through the stage chain. When a classify stage is
   /// set, `uncertain_out` (required non-null) receives the uncertain rows of
-  /// all morsels, appended in morsel order.
+  /// all morsels, appended in morsel order, and `pass_out` (when non-null)
+  /// their pass flags beside them. The barrier copies the per-morsel slots
+  /// into the output on the pool.
   Status Run(const ExecContext& ctx, const std::vector<MorselSource>& sources,
-             Chunk* uncertain_out = nullptr);
+             Chunk* uncertain_out = nullptr, std::vector<uint8_t>* pass_out = nullptr);
 
   /// Convenience: all chunks from stage 0.
   Status Run(const ExecContext& ctx, const std::vector<const Chunk*>& chunks);

@@ -56,6 +56,36 @@ Result<Column> EvalArithmetic(const Expr& expr, const Chunk& chunk,
     return Column::MakeInt(std::move(out));
   }
 
+  // Fast path: float result over null-free numeric columns, the shape of
+  // replicate-space arithmetic (float64 aggregate slots, numeric literals).
+  // Same per-row doubles and ops as the loop below; division falls back to
+  // it when a divisor is 0 (a NULL result).
+  auto numeric = [](const Column& c) {
+    return (c.type() == TypeId::kFloat64 || c.type() == TypeId::kInt64) && !c.has_nulls();
+  };
+  if (!int_result && numeric(lhs) && numeric(rhs) && expr.arith_op != ArithOp::kMod) {
+    bool zero_divisor = false;
+    if (expr.arith_op == ArithOp::kDiv) {
+      for (size_t i = 0; i < n && !zero_divisor; ++i) {
+        zero_divisor = rhs.NumericAt(i) == 0;
+      }
+    }
+    if (!zero_divisor) {
+      std::vector<double> a = lhs.type() == TypeId::kFloat64 ? lhs.floats()
+                                                            : *lhs.ToFloat64();
+      std::vector<double> b = rhs.type() == TypeId::kFloat64 ? rhs.floats()
+                                                            : *rhs.ToFloat64();
+      switch (expr.arith_op) {
+        case ArithOp::kAdd: for (size_t i = 0; i < n; ++i) a[i] = a[i] + b[i]; break;
+        case ArithOp::kSub: for (size_t i = 0; i < n; ++i) a[i] = a[i] - b[i]; break;
+        case ArithOp::kMul: for (size_t i = 0; i < n; ++i) a[i] = a[i] * b[i]; break;
+        case ArithOp::kDiv: for (size_t i = 0; i < n; ++i) a[i] = a[i] / b[i]; break;
+        default: break;
+      }
+      return Column::MakeFloat(std::move(a));
+    }
+  }
+
   Column out(int_result ? TypeId::kInt64 : TypeId::kFloat64);
   out.Reserve(n);
   for (size_t i = 0; i < n; ++i) {

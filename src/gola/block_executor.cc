@@ -86,14 +86,18 @@ ExecContext OnlineBlockExec::MakeContext(double scale, OnlineEnv* env) {
 
 Status OnlineBlockExec::RunPipelineWithRetry(const ExecContext& ctx,
                                              const std::vector<MorselSource>& sources,
-                                             Chunk* uncertain_out, const char* what) {
-  Status st = pipeline_.Run(ctx, sources, uncertain_out);
+                                             Chunk* uncertain_out,
+                                             std::vector<uint8_t>* pass_out,
+                                             const char* what) {
+  Status st = pipeline_.Run(ctx, sources, uncertain_out, pass_out);
   for (int r = 1; !st.ok() && fail::Retryable(st) && r <= options_->max_morsel_retries;
        ++r) {
     // A failed Run left no merged state behind: the barrier only merges after
     // every morsel succeeded, and per-morsel slots are rebuilt by BeginBatch.
-    // Resetting the uncertain sink is the only cleanup a rerun needs.
+    // Resetting the uncertain sink and its flags is the only cleanup a rerun
+    // needs.
     if (uncertain_out != nullptr) *uncertain_out = EmptyUncertain();
+    if (pass_out != nullptr) pass_out->clear();
     if (obs::MetricsEnabled()) {
       obs::MetricsRegistry::Global()
           .GetCounter("gola_block_pipeline_retries_total")
@@ -102,7 +106,7 @@ Status OnlineBlockExec::RunPipelineWithRetry(const ExecContext& ctx,
     obs::FlightRecorder::Global().Note("pipeline_retry", what, block_->id);
     int64_t backoff = static_cast<int64_t>(options_->retry_backoff_ms) << (r - 1);
     if (backoff > 0) std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    st = pipeline_.Run(ctx, sources, uncertain_out);
+    st = pipeline_.Run(ctx, sources, uncertain_out, pass_out);
   }
   return st;
 }
@@ -128,11 +132,7 @@ Status OnlineBlockExec::Init() {
   pipeline_.SetSink(fold_stage_.get());
 
   uncertain_ = EmptyUncertain();
-
-  uncertain_point_exprs_.clear();
-  for (const auto& uc : block_->uncertain_conjuncts) {
-    uncertain_point_exprs_.push_back(uc.ToPointExpr());
-  }
+  uncertain_pass_.clear();
 
   // Membership classification conjunct (kMembership blocks): usable when
   // there is exactly one HAVING conjunct of comparison shape whose rhs is
@@ -183,11 +183,11 @@ Status OnlineBlockExec::Init() {
 void OnlineBlockExec::Reset() {
   if (agg_) agg_->Reset();
   if (initialized_) uncertain_ = EmptyUncertain();
+  uncertain_pass_.clear();
   if (classify_stage_) classify_stage_->ResetEnvelopes();
-  last_overlay_.reset();
   last_point_lhs_.clear();
   last_members_.clear();
-  classify_cache_.clear();
+  key_answers_.clear();
   rows_seen_ = 0;
 }
 
@@ -222,7 +222,9 @@ Result<RangeFailure> OnlineBlockExec::ProcessBatch(const Chunk& batch, double sc
   // post-join/post-filter, so it re-enters at the classify stage) plus the
   // new batch — the only tuples the delta update must touch (§3.2).
   Chunk uncertain_prev = std::move(uncertain_);
+  std::vector<uint8_t> pass_prev = std::move(uncertain_pass_);
   uncertain_ = EmptyUncertain();
+  uncertain_pass_.clear();
   std::vector<MorselSource> sources;
   if (uncertain_prev.num_rows() > 0) {
     sources.push_back({&uncertain_prev, pipeline_.num_transforms()});
@@ -234,23 +236,23 @@ Result<RangeFailure> OnlineBlockExec::ProcessBatch(const Chunk& batch, double sc
   phase_timer.Restart();
   {
     obs::TraceSpan span("delta_exec");
-    Status st = RunPipelineWithRetry(ctx, sources, &uncertain_, "batch");
+    Status st =
+        RunPipelineWithRetry(ctx, sources, &uncertain_, &uncertain_pass_, "batch");
     if (!st.ok()) {
       // Retries exhausted (or non-retryable): put the pre-batch lineage
       // cache back so the block stays at its batch-(i-1) state.
       uncertain_ = std::move(uncertain_prev);
+      uncertain_pass_ = std::move(pass_prev);
       return st;
     }
   }
   if (stats) stats->delta_exec_seconds += phase_timer.ElapsedSeconds();
 
   rows_seen_ += static_cast<int64_t>(batch.num_rows());
-  phase_timer.Restart();
   {
     obs::TraceSpan span("emit");
-    GOLA_RETURN_NOT_OK(Emit(scale, env));
+    GOLA_RETURN_NOT_OK(Emit(scale, env, stats));
   }
-  if (stats) stats->emit_seconds += phase_timer.ElapsedSeconds();
   return RangeFailure::kNone;
 }
 
@@ -272,15 +274,21 @@ Status OnlineBlockExec::Rebuild(const std::vector<const Chunk*>& seen, double sc
   }
   classify_stage_->SetEnv(env);
   ExecContext ctx = MakeContext(scale, env);
-  GOLA_RETURN_NOT_OK(RunPipelineWithRetry(ctx, sources, &uncertain_, "rebuild"));
-  Status st = Emit(scale, env);
+  GOLA_RETURN_NOT_OK(
+      RunPipelineWithRetry(ctx, sources, &uncertain_, &uncertain_pass_, "rebuild"));
+  Status st = Emit(scale, env, nullptr);
   if (stats) stats->rebuild_seconds += rebuild_timer.ElapsedSeconds();
   return st;
 }
 
 Status OnlineBlockExec::ReEmit(double scale, OnlineEnv* env) {
   GOLA_RETURN_NOT_OK(Init());
-  return Emit(scale, env);
+  // A restored uncertain set carries no pass flags; the upstream blocks have
+  // re-emitted already, so the point environment is the one the flags were
+  // first decided under.
+  GOLA_ASSIGN_OR_RETURN(uncertain_pass_,
+                        classify_stage_->PassFlags(uncertain_, &env->point_env()));
+  return Emit(scale, env, nullptr);
 }
 
 Status OnlineBlockExec::SaveState(BinaryWriter* w) const {
@@ -339,92 +347,193 @@ Status OnlineBlockExec::LoadState(BinaryReader* r) {
   }
   uncertain_ = Chunk(block_->input_schema, std::move(cols));
   uncertain_.set_serials(std::move(serials));
-  // Broadcast-facing caches (overlay, membership views, classify cache) are
-  // intentionally stale here; the caller ReEmits every block in dependency
-  // order to rebuild them from the restored aggregates.
-  last_overlay_.reset();
+  // Pass flags and broadcast-facing caches (membership views and answers)
+  // are intentionally stale here; the caller ReEmits every block in
+  // dependency order to rebuild them from the restored state.
+  uncertain_pass_.clear();
   last_point_lhs_.clear();
   last_members_.clear();
-  classify_cache_.clear();
+  key_answers_.clear();
   return Status::OK();
 }
 
 // ------------------------------------------------------------- emission --
 
-Status OnlineBlockExec::Emit(double scale, OnlineEnv* env) {
-  const BroadcastEnv* point = &env->point_env();
-  AggOverlay overlay(agg_.get());
+namespace {
 
-  if (uncertain_.num_rows() > 0 && !uncertain_point_exprs_.empty()) {
-    size_t n = uncertain_.num_rows();
-    std::vector<uint8_t> mask(n, 1);
-    for (const auto& pred : uncertain_point_exprs_) {
-      GOLA_ASSIGN_OR_RETURN(std::vector<uint8_t> sel,
-                            EvaluatePredicate(*pred, uncertain_, point));
-      for (size_t i = 0; i < n; ++i) mask[i] &= sel[i];
-    }
-    Chunk passing = uncertain_.Filter(mask);
-    if (passing.num_rows() > 0) {
-      GOLA_RETURN_NOT_OK(overlay.Update(passing, point, options_->vectorized));
-    }
+/// Layout of stacked replicate chunks: the group columns as they are, the
+/// aggregate slots as float64 (replicate space). Reuses the point schema when
+/// its aggregate slots are float64 already.
+SchemaPtr ReplicateSchema(const SchemaPtr& point, size_t num_keys) {
+  bool same = true;
+  for (size_t c = num_keys; c < point->num_fields(); ++c) {
+    same = same && point->field(c).type == TypeId::kFloat64;
   }
+  if (same) return point;
+  std::vector<Field> fields;
+  for (size_t c = 0; c < point->num_fields(); ++c) {
+    fields.push_back({point->field(c).name,
+                      c < num_keys ? point->field(c).type : TypeId::kFloat64});
+  }
+  return std::make_shared<Schema>(fields);
+}
 
-  // Scalar blocks broadcast per-key ranges, so they finalize replicates for
-  // every group up front; root blocks compute error bars lazily for the few
-  // rows that survive HAVING/ORDER BY/LIMIT; membership blocks answer
-  // per-key range queries lazily through the MembershipSource interface.
-  bool with_replicates = block_->kind == BlockKind::kScalar;
-  GOLA_ASSIGN_OR_RETURN(PostAggChunk post, overlay.Finalize(scale, with_replicates));
-  last_overlay_ = std::move(overlay);
-  last_scale_ = scale;
-  last_env_ = env;
+/// Stacks `reps` replicates of rows [first, first + n) of a post-aggregation
+/// chunk: stacked row i * reps + j is row first + i in bootstrap world j.
+/// Key columns repeat each row's keys; aggregate slot a holds
+/// values[a][i * reps + j]. A NaN replicate is NULL when `nan_is_null` is set
+/// (the root's and the membership lhs's convention) and a float NaN
+/// otherwise (the scalar broadcast's).
+Chunk StackReplicates(const Chunk& point, const SchemaPtr& schema, size_t num_keys,
+                      size_t first, size_t n, size_t reps,
+                      std::vector<std::vector<double>> values, bool nan_is_null) {
+  std::vector<uint32_t> idx(n * reps);
+  for (size_t i = 0; i < n; ++i) {
+    std::fill_n(idx.begin() + static_cast<std::ptrdiff_t>(i * reps), reps,
+                static_cast<uint32_t>(first + i));
+  }
+  std::vector<Column> cols;
+  cols.reserve(num_keys + values.size());
+  for (size_t k = 0; k < num_keys; ++k) {
+    cols.push_back(point.column(k).Gather(idx.data(), idx.size()));
+  }
+  for (auto& v : values) {
+    std::vector<uint8_t> nulls;
+    if (nan_is_null) {
+      for (size_t r = 0; r < v.size(); ++r) {
+        if (!std::isnan(v[r])) continue;
+        if (nulls.empty()) nulls.assign(v.size(), 0);
+        nulls[r] = 1;
+        v[r] = 0;  // the value a NULL slot holds after AppendNull
+      }
+    }
+    Column c = Column::MakeFloat(std::move(v));
+    cols.push_back(nulls.empty() ? std::move(c)
+                                 : Column::WithNulls(std::move(c), std::move(nulls)));
+  }
+  return Chunk(schema, std::move(cols));
+}
+
+/// Replicate j of a stacked evaluation, NaN where it is NULL.
+inline double StackedValue(const Column& col, size_t r) {
+  return col.IsNull(r) ? kNaN : col.NumericAt(r);
+}
+
+}  // namespace
+
+Status OnlineBlockExec::Emit(double scale, OnlineEnv* env, obs::QueryStats* stats) {
+  const ExecContext ctx = MakeContext(scale, env);
+  Stopwatch part_timer;
+  auto record = [&](double obs::QueryStats::*field) {
+    const double seconds = part_timer.ElapsedSeconds();
+    if (stats != nullptr) {
+      stats->*field += seconds;
+      stats->emit_seconds += seconds;
+    }
+    part_timer.Restart();
+  };
+
+  // The passing set was decided per uncertain row at classification; fold
+  // exactly those rows onto a copy-on-write overlay of the deterministic
+  // state.
+  AggOverlay overlay(agg_.get());
+  {
+    obs::TraceSpan span("emit_overlay");
+    if (uncertain_pass_.size() != uncertain_.num_rows()) {
+      return Status::Internal("uncertain set has no pass flag per row");
+    }
+    SelectionVector passing;
+    for (size_t i = 0; i < uncertain_pass_.size(); ++i) {
+      if (uncertain_pass_[i]) passing.push_back(static_cast<uint32_t>(i));
+    }
+    GOLA_RETURN_NOT_OK(overlay.Update(uncertain_, passing, ctx));
+  }
+  record(&obs::QueryStats::emit_overlay_seconds);
+
+  // Scalar blocks finalize replicates for every group to broadcast per-key
+  // ranges, and membership blocks with a classification conjunct to
+  // classify every key. Root blocks compute error bars only for the rows
+  // that survive HAVING/ORDER BY/LIMIT.
+  PostAggChunk post;
+  {
+    obs::TraceSpan span("emit_finalize");
+    const bool with_replicates = block_->kind == BlockKind::kScalar ||
+                                 (block_->kind == BlockKind::kMembership && cls_conjunct_);
+    GOLA_ASSIGN_OR_RETURN(post, overlay.Finalize(scale, with_replicates, ctx));
+  }
+  record(&obs::QueryStats::emit_finalize_seconds);
 
   switch (block_->kind) {
     case BlockKind::kScalar:
-      return EmitScalar(post, scale, env);
-    case BlockKind::kMembership:
-      return EmitMembership(post, env);
-    case BlockKind::kRoot:
-      return EmitRoot(post, scale, env);
+    case BlockKind::kMembership: {
+      obs::TraceSpan span("emit_broadcast");
+      GOLA_RETURN_NOT_OK(block_->kind == BlockKind::kScalar
+                             ? EmitScalar(post, env, ctx)
+                             : EmitMembership(post, env, ctx));
+      record(&obs::QueryStats::emit_broadcast_seconds);
+      return Status::OK();
+    }
+    case BlockKind::kRoot: {
+      obs::TraceSpan span("emit_root");
+      GOLA_RETURN_NOT_OK(EmitRoot(post, scale, env));
+      record(&obs::QueryStats::emit_root_seconds);
+      return Status::OK();
+    }
   }
   return Status::Internal("unreachable block kind");
 }
 
-Status OnlineBlockExec::EmitScalar(const PostAggChunk& post, double scale,
-                                   OnlineEnv* env) {
-  (void)scale;
+Status OnlineBlockExec::EmitScalar(const PostAggChunk& post, OnlineEnv* env,
+                                   const ExecContext& ctx) {
   const BroadcastEnv* point = &env->point_env();
-  size_t num_groups = block_->group_by.size();
-  size_t rows = post.point.num_rows();
+  const size_t num_keys = block_->group_by.size();
+  const size_t num_aggs = block_->aggs.size();
+  const size_t rows = post.point.num_rows();
+  const size_t b = post.num_replicates;
 
   // Optional HAVING (point form) masks rows out of the broadcast.
   GOLA_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
                         EvaluateHavingMask(*block_, post.point, point));
-
   GOLA_ASSIGN_OR_RETURN(Column point_vals, Evaluate(*block_->value_expr, post.point, point));
-  size_t num_reps = post.replicate_cols.size();
-  std::vector<Column> rep_vals;
-  rep_vals.reserve(num_reps);
-  for (size_t j = 0; j < num_reps; ++j) {
-    Chunk rep_chunk = post.ReplicateChunk(j, num_groups);
-    GOLA_ASSIGN_OR_RETURN(Column c, Evaluate(*block_->value_expr, rep_chunk, point));
-    rep_vals.push_back(std::move(c));
-  }
 
-  auto make_entry = [&](size_t row) {
-    ScalarEntry entry;
-    entry.support = post.support[row];
-    entry.point = point_vals.GetValue(row);
-    std::vector<double> reps(num_reps, kNaN);
-    for (size_t j = 0; j < num_reps; ++j) {
-      if (!rep_vals[j].IsNull(row)) reps[j] = rep_vals[j].NumericAt(row);
+  // value_expr per bootstrap world: one evaluation per key range over the
+  // range's stacked replicates, then one stddev pass per key shared by its
+  // core and padded ranges.
+  const SchemaPtr rep_schema = ReplicateSchema(post.point.schema(), num_keys);
+  std::vector<ScalarEntry> entries(rows);
+  // A key weighs its b stacked replicate rows under the morsel policy.
+  std::vector<PieceRange> pieces =
+      PlanPieces(rows, [b](size_t) { return std::max<size_t>(b, 1); }, ctx);
+  GOLA_RETURN_NOT_OK(RunPieces(ctx, pieces.size(), [&](size_t p) -> Status {
+    const size_t g0 = pieces[p].begin;
+    const size_t g1 = pieces[p].end;
+    Column rep_vals(TypeId::kFloat64);
+    if (b > 0) {
+      std::vector<std::vector<double>> values(num_aggs);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        const double* first = post.replicates[a].data();
+        values[a].assign(first + g0 * b, first + g1 * b);
+      }
+      Chunk stacked = StackReplicates(post.point, rep_schema, num_keys, g0, g1 - g0, b,
+                                      std::move(values), /*nan_is_null=*/false);
+      GOLA_ASSIGN_OR_RETURN(rep_vals, Evaluate(*block_->value_expr, stacked, point));
     }
-    double est = entry.point.is_null() ? kNaN : entry.point.ToDouble().ValueOr(kNaN);
-    if (std::isnan(est)) est = ReplicateMean(reps);
-    entry.core = VariationRange::FromReplicates(reps, est, 0.0);
-    entry.padded = VariationRange::FromReplicates(reps, est, options_->epsilon_mult);
-    return entry;
-  };
+    std::vector<double> reps(b);
+    for (size_t g = g0; g < g1; ++g) {
+      if (!mask[g]) continue;
+      for (size_t j = 0; j < b; ++j) reps[j] = StackedValue(rep_vals, (g - g0) * b + j);
+      ScalarEntry& entry = entries[g];
+      entry.support = post.support[g];
+      entry.point = point_vals.GetValue(g);
+      double est = entry.point.is_null() ? kNaN : entry.point.ToDouble().ValueOr(kNaN);
+      if (std::isnan(est)) est = ReplicateMean(reps.data(), b);
+      const double sd = ReplicateStddev(reps.data(), b);
+      entry.core = VariationRange::FromReplicates(reps.data(), b, est, 0.0, sd);
+      entry.padded =
+          VariationRange::FromReplicates(reps.data(), b, est, options_->epsilon_mult, sd);
+    }
+    return Status::OK();
+  }));
 
   ScalarBroadcast broadcast;
   if (block_->corr_key) {
@@ -432,14 +541,15 @@ Status OnlineBlockExec::EmitScalar(const PostAggChunk& post, double scale,
     broadcast.keyed_entries.reserve(rows);
     for (size_t i = 0; i < rows; ++i) {
       if (!mask[i]) continue;
-      broadcast.keyed_entries.emplace(post.point.column(0).GetValue(i), make_entry(i));
+      broadcast.keyed_entries.emplace(post.point.column(0).GetValue(i),
+                                      std::move(entries[i]));
     }
   } else {
     if (rows != 1) {
       return Status::ExecutionError("scalar subquery did not produce one row");
     }
     if (mask[0]) {
-      broadcast.global = make_entry(0);
+      broadcast.global = std::move(entries[0]);
     } else {
       broadcast.global.point = Value::Null();
       broadcast.global.core = VariationRange::Point(kNaN);
@@ -450,9 +560,10 @@ Status OnlineBlockExec::EmitScalar(const PostAggChunk& post, double scale,
   return Status::OK();
 }
 
-Status OnlineBlockExec::EmitMembership(const PostAggChunk& post, OnlineEnv* env) {
+Status OnlineBlockExec::EmitMembership(const PostAggChunk& post, OnlineEnv* env,
+                                       const ExecContext& ctx) {
   const BroadcastEnv* point = &env->point_env();
-  size_t rows = post.point.num_rows();
+  const size_t rows = post.point.num_rows();
 
   GOLA_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
                         EvaluateHavingMask(*block_, post.point, point));
@@ -465,20 +576,22 @@ Status OnlineBlockExec::EmitMembership(const PostAggChunk& post, OnlineEnv* env)
   }
 
   // Running classification values and the current threshold range, for
-  // consumers' decision-validity monitoring.
+  // consumers' decision-validity monitoring — and, evaluated once here, the
+  // threshold every key's range is classified against.
   last_point_lhs_.clear();
   last_rhs_valid_ = false;
+  key_answers_.clear();
   if (cls_conjunct_) {
-    GOLA_ASSIGN_OR_RETURN(Column lhs_vals,
-                          Evaluate(*cls_conjunct_->lhs, post.point, point));
+    const ClsConjunct& cls = *cls_conjunct_;
+    GOLA_ASSIGN_OR_RETURN(Column lhs_vals, Evaluate(*cls.lhs, post.point, point));
     last_point_lhs_.reserve(rows);
     for (size_t i = 0; i < rows; ++i) {
       if (!keys.IsNull(i) && !lhs_vals.IsNull(i)) {
         last_point_lhs_[keys.GetValue(i)] = lhs_vals.NumericAt(i);
       }
     }
-    if (cls_conjunct_->certain_rhs) {
-      auto rhs = EvaluateScalar(*cls_conjunct_->certain_rhs, point);
+    if (cls.certain_rhs) {
+      auto rhs = EvaluateScalar(*cls.certain_rhs, point);
       if (rhs.ok() && !rhs->is_null()) {
         double v = rhs->ToDouble().ValueOr(kNaN);
         if (!std::isnan(v)) {
@@ -486,17 +599,75 @@ Status OnlineBlockExec::EmitMembership(const PostAggChunk& post, OnlineEnv* env)
           last_rhs_valid_ = true;
         }
       }
-    } else if (cls_conjunct_->rhs_subquery_id >= 0) {
-      const ScalarBroadcast* sb = env->scalar(cls_conjunct_->rhs_subquery_id);
+    } else if (cls.rhs_subquery_id >= 0) {
+      const ScalarBroadcast* sb = env->scalar(cls.rhs_subquery_id);
       if (sb != nullptr && !sb->keyed && !std::isnan(sb->global.padded.lo)) {
         last_rhs_range_ = sb->global.padded;
         last_rhs_valid_ = true;
       }
     }
+
+    // Range classification of every key, once per batch (keys split by
+    // range across the pool): deterministic only when the key's variation
+    // range clears the threshold range. Without a threshold every key stays
+    // uncertain.
+    std::vector<TriState> answers(rows, TriState::kUncertain);
+    const size_t b = post.num_replicates;
+    const bool bare = cls.lhs->kind == ExprKind::kAggregateCall && cls.lhs->agg_slot >= 0;
+    const size_t num_keys = block_->group_by.size();
+    const SchemaPtr rep_schema = ReplicateSchema(post.point.schema(), num_keys);
+    std::vector<PieceRange> pieces = PlanPieces(
+        last_rhs_valid_ ? rows : 0, [b](size_t) { return std::max<size_t>(b, 1); }, ctx);
+    GOLA_RETURN_NOT_OK(RunPieces(ctx, pieces.size(), [&](size_t p) -> Status {
+      const size_t g0 = pieces[p].begin;
+      const size_t g1 = pieces[p].end;
+      std::vector<double> reps(b);
+      Column rep_vals(TypeId::kFloat64);
+      if (!bare && b > 0) {
+        // The lhs per bootstrap world over the range's stacked replicates.
+        std::vector<std::vector<double>> values(post.replicates.size());
+        for (size_t a = 0; a < values.size(); ++a) {
+          const double* first = post.replicates[a].data();
+          values[a].assign(first + g0 * b, first + g1 * b);
+        }
+        Chunk stacked = StackReplicates(post.point, rep_schema, num_keys, g0, g1 - g0, b,
+                                        std::move(values), /*nan_is_null=*/true);
+        auto evaluated = Evaluate(*cls.lhs, stacked, point);
+        if (evaluated.ok()) rep_vals = std::move(*evaluated);
+      }
+      for (size_t g = g0; g < g1; ++g) {
+        double est = kNaN;
+        if (bare) {
+          // Bare aggregate slot: the group's own estimate and replicates.
+          const size_t slot = static_cast<size_t>(cls.lhs->agg_slot);
+          const double s =
+              block_->aggs[slot].fn->ScalesWithMultiplicity() ? post.scale : 1.0;
+          Value v = post.states[g]->aggs[slot].Finalize(s);
+          if (!v.is_null()) est = v.ToDouble().ValueOr(kNaN);
+          if (b > 0) std::copy_n(post.replicates[slot].data() + g * b, b, reps.data());
+        } else {
+          if (!lhs_vals.IsNull(g)) est = lhs_vals.NumericAt(g);
+          for (size_t j = 0; j < b; ++j) {
+            reps[j] =
+                rep_vals.size() > 0 ? StackedValue(rep_vals, (g - g0) * b + j) : kNaN;
+          }
+        }
+        if (std::isnan(est)) continue;
+        VariationRange lhs_range = VariationRange::FromReplicates(
+            reps.data(), b, est, options_->epsilon_mult, ReplicateStddev(reps.data(), b));
+        answers[g] = ClassifyRangeRange(cls.cmp, lhs_range, last_rhs_range_);
+      }
+      return Status::OK();
+    }));
+    if (last_rhs_valid_) {
+      key_answers_.reserve(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        if (!keys.IsNull(i)) key_answers_.emplace(keys.GetValue(i), answers[i]);
+      }
+    }
   }
 
   last_members_ = members;
-  classify_cache_.clear();
   env->SetMembershipView(block_->id, std::move(members), this);
   return Status::OK();
 }
@@ -531,6 +702,10 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
       }
     }
   }
+  std::vector<uint32_t> kept;  // post_in rows passing HAVING
+  for (size_t i = 0; i < rows; ++i) {
+    if (mask[i]) kept.push_back(static_cast<uint32_t>(i));
+  }
   post = post.Filter(mask);
   rows = post.num_rows();
 
@@ -561,8 +736,8 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
   size_t selected = selected_post.num_rows();
   for (auto& c : out_cols) c = c.Take(order);
 
-  // Lazy error bars: replicate aggregate values are finalized only for the
-  // selected rows, looked up from the overlay by group key.
+  // Error bars for the selected rows only: their replicate aggregate values
+  // go into one flat [row × replicate] matrix per aggregate.
   obs::TraceSpan ci_span("bootstrap_ci", "rows", static_cast<int64_t>(selected));
   size_t num_reps = weights_ ? static_cast<size_t>(weights_->num_replicates()) : 0;
   // Deadline degradation: finalize CIs from a prefix of the replicates.
@@ -572,29 +747,22 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
       static_cast<size_t>(options_->active_replicates) < num_reps) {
     num_reps = static_cast<size_t>(options_->active_replicates);
   }
-  std::vector<std::vector<Column>> rep_cols;  // [replicate][agg]
-  if (num_reps > 0 && selected > 0 && last_overlay_) {
-    rep_cols.assign(num_reps, {});
-    for (auto& rep : rep_cols) {
-      rep.reserve(num_aggs);
-      for (size_t a = 0; a < num_aggs; ++a) rep.emplace_back(TypeId::kFloat64);
-    }
-    GroupKey key;
-    key.values.resize(num_groups);
-    for (size_t i = 0; i < selected; ++i) {
-      for (size_t g = 0; g < num_groups; ++g) {
-        key.values[g] = selected_post.column(g).GetValue(i);
-      }
-      const GroupStates* states = last_overlay_->Find(key);
-      for (size_t a = 0; a < num_aggs; ++a) {
-        double s = block_->aggs[a].fn->ScalesWithMultiplicity() ? scale : 1.0;
-        std::vector<double> reps =
-            states ? states->aggs[a].FinalizeReplicates(s) : std::vector<double>();
-        for (size_t j = 0; j < num_reps; ++j) {
-          double v = j < reps.size() ? reps[j] : kNaN;
-          if (std::isnan(v)) rep_cols[j][a].AppendNull();
-          else rep_cols[j][a].AppendFloat(v);
-        }
+  const bool with_bars = num_reps > 0 && selected > 0;
+  std::vector<std::vector<double>> rep_matrix(with_bars ? num_aggs : 0);
+  if (with_bars) {
+    std::vector<double> all_reps;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      rep_matrix[a].assign(selected * num_reps, kNaN);
+      const double s = block_->aggs[a].fn->ScalesWithMultiplicity() ? scale : 1.0;
+      for (size_t i = 0; i < selected; ++i) {
+        const GroupStates* states =
+            post_in.states[kept[static_cast<size_t>(order[i])]];
+        if (states == nullptr) continue;
+        const ReplicatedAgg& agg = states->aggs[a];
+        all_reps.resize(agg.num_replicates());
+        agg.FinalizeReplicatesInto(s, all_reps.data());
+        std::copy_n(all_reps.begin(), std::min(num_reps, all_reps.size()),
+                    rep_matrix[a].begin() + static_cast<std::ptrdiff_t>(i * num_reps));
       }
     }
   }
@@ -608,7 +776,7 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
   for (size_t o = 0; o < block_->output_exprs.size(); ++o) {
     (block_->output_exprs[o]->ContainsAggregate() ? agg_outs : key_outs).push_back(o);
   }
-  if (rep_cols.empty()) agg_outs.clear();
+  if (!with_bars) agg_outs.clear();
   const size_t row_cells = agg_outs.size();
   std::vector<obs::GroupCell> cells(selected * row_cells);
   for (size_t i = 0; i < selected && row_cells > 0; ++i) {
@@ -622,30 +790,23 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
       cells[i * row_cells + c].column = block_->output_names[agg_outs[c]];
     }
   }
+  // Every aggregate-bearing output is evaluated once, over all selected
+  // rows' replicates stacked (row i, world j at i * num_reps + j); undefined
+  // replicates are NULL there.
+  Chunk stacked;
+  if (row_cells > 0) {
+    stacked = StackReplicates(selected_post,
+                              ReplicateSchema(block_->post_agg_schema, num_groups),
+                              num_groups, 0, selected, num_reps, std::move(rep_matrix),
+                              /*nan_is_null=*/true);
+  }
   double max_rsd = 0;
+  std::vector<double> reps(num_reps);
+  std::vector<double> scratch;
   for (size_t agg = 0; agg < row_cells; ++agg) {
     const size_t o = agg_outs[agg];
-    const ExprPtr& e = block_->output_exprs[o];
-    std::vector<Column> rep_out;
-    rep_out.reserve(num_reps);
-    for (size_t j = 0; j < num_reps; ++j) {
-      std::vector<Column> cols;
-      cols.reserve(num_groups + num_aggs);
-      for (size_t g = 0; g < num_groups; ++g) cols.push_back(selected_post.column(g));
-      for (size_t a = 0; a < num_aggs; ++a) cols.push_back(rep_cols[j][a]);
-      // Agg slots are float64 in replicate space; group columns unchanged.
-      std::vector<Field> fields;
-      for (size_t g = 0; g < num_groups; ++g) {
-        fields.push_back(block_->post_agg_schema->field(g));
-      }
-      for (size_t a = 0; a < num_aggs; ++a) {
-        fields.push_back({block_->post_agg_schema->field(num_groups + a).name,
-                          TypeId::kFloat64});
-      }
-      Chunk rep_chunk(std::make_shared<Schema>(fields), std::move(cols));
-      GOLA_ASSIGN_OR_RETURN(Column c, Evaluate(*e, rep_chunk, point));
-      rep_out.push_back(std::move(c));
-    }
+    GOLA_ASSIGN_OR_RETURN(Column rep_out,
+                          Evaluate(*block_->output_exprs[o], stacked, point));
     Column lo(TypeId::kFloat64), hi(TypeId::kFloat64), rsd(TypeId::kFloat64);
     for (size_t i = 0; i < selected; ++i) {
       const double est = all_cols[o].IsNull(i) ? kNaN : all_cols[o].NumericAt(i);
@@ -658,21 +819,29 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
         max_rsd = std::numeric_limits<double>::infinity();
         continue;
       }
-      std::vector<double> reps(num_reps, kNaN);
       for (size_t j = 0; j < num_reps; ++j) {
-        if (!rep_out[j].IsNull(i)) reps[j] = rep_out[j].NumericAt(i);
+        reps[j] = StackedValue(rep_out, i * num_reps + j);
       }
-      const ConfidenceInterval ci = PercentileCI(reps, est, options_->ci_level);
-      const double r = RelativeStdDev(reps, est);
+      const ConfidenceInterval ci =
+          PercentileCI(reps.data(), num_reps, est, options_->ci_level, &scratch);
+      const double r = RelativeStdDev(reps.data(), num_reps, est);
       lo.AppendFloat(ci.lo);
       hi.AppendFloat(ci.hi);
-      rsd.AppendFloat(r);
-      max_rsd = std::max(max_rsd, r);
       obs::GroupCell& cell = cells[i * row_cells + agg];
-      cell.has_estimate = cell.has_rsd = true;
+      cell.has_estimate = true;
       cell.estimate = est;
       cell.ci_lo = ci.lo;
       cell.ci_hi = ci.hi;
+      if (std::isnan(r)) {
+        // An estimate of 0 keeps its interval but has no relative spread:
+        // absent, like a NULL estimate's, so it cannot read as converged.
+        rsd.AppendNull();
+        max_rsd = std::numeric_limits<double>::infinity();
+        continue;
+      }
+      rsd.AppendFloat(r);
+      max_rsd = std::max(max_rsd, r);
+      cell.has_rsd = true;
       cell.rsd = r;
     }
     const std::string& name = block_->output_names[o];
@@ -683,6 +852,8 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
     all_cols.push_back(std::move(hi));
     all_cols.push_back(std::move(rsd));
   }
+  // An answer without a single cell has no error bars to trust yet.
+  if (cells.empty()) max_rsd = std::numeric_limits<double>::infinity();
 
   Chunk combined(std::make_shared<Schema>(all_fields), std::move(all_cols));
   root_emission_.result = Table(combined.schema());
@@ -696,102 +867,12 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
 // ---------------------------------------------------- MembershipSource --
 
 TriState OnlineBlockExec::ClassifyKey(const Value& key) {
-  // Downstream blocks call this from concurrent morsels; the backing state
-  // is frozen between Emits, so the answer per key is deterministic and a
-  // mutex around the shared cache suffices.
-  std::lock_guard<std::mutex> lock(classify_mu_);
   if (membership_monotone_) {
     // No HAVING: a key's presence can only be established, never revoked.
     return last_members_.count(key) ? TriState::kTrue : TriState::kUncertain;
   }
-  if (!cls_conjunct_ || !last_overlay_) return TriState::kUncertain;
-  auto cached = classify_cache_.find(key);
-  if (cached != classify_cache_.end()) return cached->second;
-
-  TriState result = TriState::kUncertain;
-  GroupKey gkey;
-  gkey.values.push_back(key);
-  const GroupStates* states = last_overlay_->Find(gkey);
-  if (states != nullptr) {
-    // Replicate values of the classification lhs for this key.
-    size_t num_reps = static_cast<size_t>(weights_->num_replicates());
-    std::vector<double> reps(num_reps, kNaN);
-    double est = kNaN;
-    const ClsConjunct& cls = *cls_conjunct_;
-    if (cls.lhs->kind == ExprKind::kAggregateCall && cls.lhs->agg_slot >= 0) {
-      // Fast path: bare aggregate slot.
-      const ReplicatedAgg& agg = states->aggs[static_cast<size_t>(cls.lhs->agg_slot)];
-      double s = block_->aggs[static_cast<size_t>(cls.lhs->agg_slot)]
-                         .fn->ScalesWithMultiplicity()
-                     ? last_scale_
-                     : 1.0;
-      Value v = agg.Finalize(s);
-      if (!v.is_null()) est = v.ToDouble().ValueOr(kNaN);
-      reps = agg.FinalizeReplicates(s);
-    } else {
-      // General path: build one-row point/replicate chunks for this group.
-      size_t num_aggs = block_->aggs.size();
-      std::vector<Column> cols;
-      cols.reserve(1 + num_aggs);
-      Column key_col(block_->post_agg_schema->field(0).type);
-      key_col.Append(key);
-      cols.push_back(std::move(key_col));
-      std::vector<std::vector<double>> agg_reps(num_aggs);
-      for (size_t a = 0; a < num_aggs; ++a) {
-        double s = block_->aggs[a].fn->ScalesWithMultiplicity() ? last_scale_ : 1.0;
-        Column c(block_->post_agg_schema->field(1 + a).type);
-        c.Append(states->aggs[a].Finalize(s));
-        cols.push_back(std::move(c));
-        agg_reps[a] = states->aggs[a].FinalizeReplicates(s);
-      }
-      Chunk point_row(block_->post_agg_schema, std::move(cols));
-      const BroadcastEnv* penv = last_env_ ? &last_env_->point_env() : nullptr;
-      auto lhs_point = Evaluate(*cls.lhs, point_row, penv);
-      if (lhs_point.ok() && !lhs_point->IsNull(0)) est = lhs_point->NumericAt(0);
-      for (size_t j = 0; j < num_reps; ++j) {
-        std::vector<Column> rep_cols;
-        rep_cols.reserve(1 + num_aggs);
-        Column kc(block_->post_agg_schema->field(0).type);
-        kc.Append(key);
-        rep_cols.push_back(std::move(kc));
-        for (size_t a = 0; a < num_aggs; ++a) {
-          Column c(TypeId::kFloat64);
-          if (std::isnan(agg_reps[a][j])) c.AppendNull();
-          else c.AppendFloat(agg_reps[a][j]);
-          rep_cols.push_back(std::move(c));
-        }
-        Chunk rep_row(block_->post_agg_schema, std::move(rep_cols));
-        auto v = Evaluate(*cls.lhs, rep_row, penv);
-        if (v.ok() && !v->IsNull(0)) reps[j] = v->NumericAt(0);
-      }
-    }
-
-    if (!std::isnan(est)) {
-      VariationRange lhs_range =
-          VariationRange::FromReplicates(reps, est, options_->epsilon_mult);
-      VariationRange rhs_range = VariationRange::Point(kNaN);
-      bool have_rhs = false;
-      if (cls.certain_rhs) {
-        const BroadcastEnv* penv = last_env_ ? &last_env_->point_env() : nullptr;
-        auto rhs = EvaluateScalar(*cls.certain_rhs, penv);
-        if (rhs.ok() && !rhs->is_null()) {
-          rhs_range = VariationRange::Point(rhs->ToDouble().ValueOr(kNaN));
-          have_rhs = !std::isnan(rhs_range.lo);
-        }
-      } else if (cls.rhs_subquery_id >= 0 && last_env_ != nullptr) {
-        const ScalarBroadcast* sb = last_env_->scalar(cls.rhs_subquery_id);
-        if (sb != nullptr && !sb->keyed) {
-          rhs_range = sb->global.padded;
-          have_rhs = !std::isnan(rhs_range.lo);
-        }
-      }
-      if (have_rhs) {
-        result = ClassifyRangeRange(cls.cmp, lhs_range, rhs_range);
-      }
-    }
-  }
-  classify_cache_.emplace(key, result);
-  return result;
+  auto it = key_answers_.find(key);
+  return it == key_answers_.end() ? TriState::kUncertain : it->second;
 }
 
 TriState OnlineBlockExec::CurrentPointDecision(const Value& key) {

@@ -11,7 +11,6 @@
 #define GOLA_GOLA_BLOCK_EXECUTOR_H_
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -46,7 +45,8 @@ struct RootEmission {
   std::vector<obs::GroupCell> cells;
   /// Worst relative standard deviation across all cells — the headline
   /// accuracy number (y-axis of the paper's Figure 3(a)); +inf while a
-  /// cell has no RSD.
+  /// cell has no RSD (a NULL estimate, or an estimate of 0) and while the
+  /// answer has no cells at all.
   double max_rsd = 0;
   /// Groups whose HAVING outcome is still uncertain (reported, not hidden).
   int64_t uncertain_groups = 0;
@@ -84,8 +84,9 @@ class OnlineBlockExec : public MembershipSource {
   Status LoadState(BinaryReader* r);
 
   /// Re-runs this block's emission from current (e.g. just-restored) state:
-  /// rebuilds broadcasts / membership views / root output without folding
-  /// any new rows.
+  /// recomputes the uncertain set's pass flags against the current upstream
+  /// broadcasts, then rebuilds broadcasts / membership views / root output
+  /// without folding any new rows.
   Status ReEmit(double scale, OnlineEnv* env);
 
   // --- statistics -------------------------------------------------------
@@ -100,6 +101,8 @@ class OnlineBlockExec : public MembershipSource {
   const RootEmission& root_emission() const { return root_emission_; }
 
   // --- MembershipSource -------------------------------------------------
+  /// A read of the answers frozen at this block's last Emit (lock-free:
+  /// nothing writes them while downstream blocks classify).
   TriState ClassifyKey(const Value& key) override;
   TriState CurrentPointDecision(const Value& key) override;
 
@@ -117,13 +120,16 @@ class OnlineBlockExec : public MembershipSource {
   /// every morsel succeeded.
   Status RunPipelineWithRetry(const ExecContext& ctx,
                               const std::vector<MorselSource>& sources,
-                              Chunk* uncertain_out, const char* what);
+                              Chunk* uncertain_out, std::vector<uint8_t>* pass_out,
+                              const char* what);
 
-  /// Finalizes and broadcasts / produces root output.
-  Status Emit(double scale, OnlineEnv* env);
+  /// Folds the passing uncertain rows onto an overlay, finalizes, and
+  /// broadcasts / produces root output. The four parts' times accumulate
+  /// into `stats` (and their sum into emit_seconds) when non-null.
+  Status Emit(double scale, OnlineEnv* env, obs::QueryStats* stats);
 
-  Status EmitScalar(const PostAggChunk& post, double scale, OnlineEnv* env);
-  Status EmitMembership(const PostAggChunk& post, OnlineEnv* env);
+  Status EmitScalar(const PostAggChunk& post, OnlineEnv* env, const ExecContext& ctx);
+  Status EmitMembership(const PostAggChunk& post, OnlineEnv* env, const ExecContext& ctx);
   Status EmitRoot(const PostAggChunk& post, double scale, OnlineEnv* env);
 
   const BlockDef* block_;
@@ -141,11 +147,10 @@ class OnlineBlockExec : public MembershipSource {
 
   std::unique_ptr<OnlineAggregate> agg_;
   Chunk uncertain_;  // cached lineage: full input-layout columns + serials
+  /// One flag per uncertain_ row: its point-form predicate holds (the
+  /// passing set Emit folds). Not checkpointed; ReEmit recomputes it.
+  std::vector<uint8_t> uncertain_pass_;
   int64_t rows_seen_ = 0;
-
-  // Point-expression forms of the uncertain conjuncts (evaluated over the
-  // uncertain set at emission time).
-  std::vector<ExprPtr> uncertain_point_exprs_;
 
   // --- membership-source state (kMembership blocks) ----------------------
   // The single HAVING conjunct usable for range classification, pre-split
@@ -159,19 +164,13 @@ class OnlineBlockExec : public MembershipSource {
   std::optional<ClsConjunct> cls_conjunct_;
   bool membership_monotone_ = false;  // no HAVING: presence is monotone
 
-  std::optional<AggOverlay> last_overlay_;  // state view backing lazy queries
   std::unordered_map<Value, double, ValueHash> last_point_lhs_;
   VariationRange last_rhs_range_ = VariationRange::Point(0);
   bool last_rhs_valid_ = false;
   std::unordered_set<Value, ValueHash> last_members_;
-  std::unordered_map<Value, TriState, ValueHash> classify_cache_;
-  /// Guards ClassifyKey: downstream blocks classify morsels concurrently,
-  /// and the lazy per-key answers share classify_cache_. Answers are
-  /// deterministic per key (the backing state is frozen between Emits), so
-  /// mutual exclusion alone preserves bit-identical results.
-  std::mutex classify_mu_;
-  double last_scale_ = 1.0;
-  OnlineEnv* last_env_ = nullptr;
+  /// Range classification of every key, computed once per Emit and frozen
+  /// until the next: ClassifyKey only reads it.
+  std::unordered_map<Value, TriState, ValueHash> key_answers_;
 
   RootEmission root_emission_;
   bool initialized_ = false;

@@ -13,13 +13,27 @@ namespace gola {
 namespace {
 
 // Group-key and aggregate-argument columns for one fold input; shared by the
-// row-at-a-time and vectorized folds so both see identical values.
-Status EvalFoldInputs(const BlockDef& block, const Chunk& input, const BroadcastEnv* env,
+// row-at-a-time and vectorized folds so both see identical values. With a
+// selection, only the selected rows' key and argument columns are built: a
+// bare column is gathered straight from the input, anything else is
+// evaluated (row by row, so per-row values are unchanged) and then gathered.
+Status EvalFoldInputs(const BlockDef& block, const Chunk& input,
+                      const SelectionVector* sel, const BroadcastEnv* env,
                       std::vector<Column>* key_cols, std::vector<Column>* arg_cols,
                       std::vector<bool>* has_arg) {
+  auto eval = [&](const Expr& e) -> Result<Column> {
+    if (sel == nullptr) return Evaluate(e, input, env);
+    if (e.kind == ExprKind::kColumnRef && !e.from_outer_scope && e.column_index >= 0 &&
+        static_cast<size_t>(e.column_index) < input.num_columns()) {
+      return input.column(static_cast<size_t>(e.column_index))
+          .Gather(sel->data(), sel->size());
+    }
+    GOLA_ASSIGN_OR_RETURN(Column all, Evaluate(e, input, env));
+    return all.Gather(sel->data(), sel->size());
+  };
   key_cols->reserve(block.group_by.size());
   for (const auto& g : block.group_by) {
-    GOLA_ASSIGN_OR_RETURN(Column c, Evaluate(*g, input, env));
+    GOLA_ASSIGN_OR_RETURN(Column c, eval(*g));
     key_cols->push_back(std::move(c));
   }
   for (const auto& agg : block.aggs) {
@@ -27,7 +41,7 @@ Status EvalFoldInputs(const BlockDef& block, const Chunk& input, const Broadcast
       arg_cols->emplace_back(TypeId::kFloat64);
       has_arg->push_back(false);
     } else {
-      GOLA_ASSIGN_OR_RETURN(Column c, Evaluate(*agg.call->children[0], input, env));
+      GOLA_ASSIGN_OR_RETURN(Column c, eval(*agg.call->children[0]));
       arg_cols->push_back(std::move(c));
       has_arg->push_back(true);
     }
@@ -62,35 +76,239 @@ GroupMap::iterator FindOrCreateGroup(GroupMap* map, const GroupMap* clone_source
   return map->emplace(key, NewGroupEntry(block, weights)).first;
 }
 
-}  // namespace
+// Fold inputs of one chunk (or of its selected rows), computed once and
+// read by every group's fold: key and argument columns, dense group ids with
+// per-group row lists, numeric arguments widened to double, and serials.
+struct FoldBatch {
+  std::vector<Column> key_cols;
+  std::vector<Column> arg_cols;
+  std::vector<bool> has_arg;
+  std::vector<std::vector<double>> widened;
+  std::vector<std::vector<uint8_t>> valid;
+  std::vector<bool> numeric;
+  std::vector<int64_t> gathered_serials;
+  const int64_t* serials = nullptr;
+  kernels::GroupIds gids;
 
-Chunk PostAggChunk::ReplicateChunk(size_t j, size_t num_group_cols) const {
-  std::vector<Column> cols;
-  cols.reserve(point.num_columns());
-  for (size_t c = 0; c < num_group_cols; ++c) cols.push_back(point.column(c));
-  for (const auto& agg_col : replicate_cols[j]) cols.push_back(agg_col);
-  // Replicate agg columns are float64; reuse the point schema only when the
-  // agg slots are float64 there too (they are: all replicate-capable
-  // aggregates finalize numerically). Build a parallel schema otherwise.
-  SchemaPtr schema = point.schema();
-  bool same = true;
-  for (size_t a = 0; a < replicate_cols[j].size(); ++a) {
-    if (schema->field(num_group_cols + a).type != replicate_cols[j][a].type()) {
-      same = false;
-      break;
+  size_t group_rows(size_t g) const {
+    return gids.group_offsets[g + 1] - gids.group_offsets[g];
+  }
+  const uint32_t* rows_of(size_t g) const {
+    return gids.group_rows.data() + gids.group_offsets[g];
+  }
+};
+
+Status PrepareFoldBatch(const BlockDef& block, const Chunk& input,
+                        const SelectionVector* sel, const BroadcastEnv* env,
+                        FoldBatch* in) {
+  if (!input.has_serials()) {
+    return Status::Internal("online aggregation requires row serials");
+  }
+  const size_t n = sel != nullptr ? sel->size() : input.num_rows();
+  GOLA_RETURN_NOT_OK(
+      EvalFoldInputs(block, input, sel, env, &in->key_cols, &in->arg_cols, &in->has_arg));
+  if (sel != nullptr) {
+    in->gathered_serials.resize(n);
+    for (size_t i = 0; i < n; ++i) in->gathered_serials[i] = input.serials()[(*sel)[i]];
+    in->serials = in->gathered_serials.data();
+  } else {
+    in->serials = input.serials().data();
+  }
+  GOLA_RETURN_NOT_OK(
+      kernels::ComputeGroupIds(in->key_cols, n, /*force_generic=*/false, &in->gids));
+  kernels::BuildGroupRows(&in->gids);
+
+  // Widen numeric argument columns once per chunk (same doubles the reference
+  // path produces per row via NumericAt).
+  const size_t num_args = in->arg_cols.size();
+  in->widened.resize(num_args);
+  in->valid.resize(num_args);
+  in->numeric.assign(num_args, false);
+  for (size_t a = 0; a < num_args; ++a) {
+    if (!in->has_arg[a]) continue;
+    const Column& col = in->arg_cols[a];
+    if (IsNumeric(col.type()) || col.type() == TypeId::kBool) {
+      in->numeric[a] = true;
+      GOLA_ASSIGN_OR_RETURN(in->widened[a],
+                            col.ToFloat64(col.has_nulls() ? &in->valid[a] : nullptr));
     }
   }
-  if (!same) {
-    std::vector<Field> fields;
-    for (size_t c = 0; c < num_group_cols; ++c) fields.push_back(schema->field(c));
-    for (size_t a = 0; a < replicate_cols[j].size(); ++a) {
-      fields.push_back({schema->field(num_group_cols + a).name,
-                        replicate_cols[j][a].type()});
-    }
-    schema = std::make_shared<Schema>(fields);
-  }
-  return Chunk(schema, std::move(cols));
+  return Status::OK();
 }
+
+// Where one (group, aggregate) fold lands. Flat aggregates whose main state
+// exposes usable slots accumulate through `slots` and the B-length replicate
+// arrays; everything else goes row by row through `agg`.
+struct FoldTarget {
+  bool flat = false;  // the aggregate keeps flat replicates
+  AggState::SimpleSlots slots;
+  double* rep_sum = nullptr;
+  double* rep_count = nullptr;
+  ReplicatedAgg* agg = nullptr;
+};
+
+FoldTarget TargetOf(ReplicatedAgg* agg) {
+  FoldTarget t;
+  t.agg = agg;
+  if (agg->has_flat_replicates()) {
+    t.flat = true;
+    t.slots = agg->main_state()->simple_slots();
+    t.rep_sum = agg->flat_sum_data();
+    t.rep_count = agg->flat_count_data();
+  }
+  return t;
+}
+
+// Per-thread scratch of the group fold.
+struct FoldScratch {
+  std::vector<int64_t> tile_serials;
+  std::vector<int32_t> wtile;
+  std::vector<int32_t> wcol_sums;  // per-tile weight column sums (int-exact)
+  std::vector<uint32_t> nn_rows;   // null-filtered row list (chunk row ids)
+  std::vector<uint32_t> nn_wrows;  // parallel: their weight-tile row indices
+  std::vector<kernels::ReplicateTarget> fused;  // unfiltered flat targets per tile
+};
+
+// Poisson weights are generated per row TILE, not for the whole chunk: a
+// kRowTile x b matrix (<= ~100 KiB at B = 200) stays cache-resident across
+// the fused replicate sweep, where a chunk-wide matrix would stream from
+// memory. Tile row i equals WeightsFor(serial of the i-th selected row)
+// element-for-element.
+constexpr size_t kRowTile = 128;
+
+// Folds one group's rows (ascending) into its targets, one per aggregate.
+// Touches only the group's own states, so distinct groups fold concurrently.
+void FoldGroup(const FoldBatch& in, const PoissonWeights* weights, size_t g,
+               FoldTarget* targets, FoldScratch* scratch) {
+  const size_t b =
+      weights != nullptr ? static_cast<size_t>(weights->num_replicates()) : 0;
+  if (b > 0 && scratch->wtile.size() != kRowTile * b) {
+    scratch->tile_serials.resize(kRowTile);
+    scratch->wtile.resize(kRowTile * b);
+    scratch->wcol_sums.resize(b);
+  }
+  const uint32_t* rows = in.rows_of(g);
+  const size_t cnt = in.group_rows(g);
+  const size_t num_aggs = in.arg_cols.size();
+  int32_t* wtile = scratch->wtile.data();
+  for (size_t t0 = 0; t0 < cnt; t0 += kRowTile) {
+    const size_t tn = std::min(cnt - t0, kRowTile);
+    const uint32_t* trows = rows + t0;
+    if (b > 0) {
+      for (size_t i = 0; i < tn; ++i) scratch->tile_serials[i] = in.serials[trows[i]];
+      weights->FillMatrix(scratch->tile_serials.data(), tn, wtile,
+                          scratch->wcol_sums.data());
+    }
+    auto weight_row = [&](size_t tile_i) -> const int32_t* {
+      return b > 0 ? wtile + tile_i * b : nullptr;
+    };
+    // Fast-path aggregates whose row set is the whole tile are collected
+    // into one fused sweep over the weight tile; null-filtered ones sweep
+    // individually with their own selection. Interleavings across
+    // aggregates touch disjoint accumulators, so both stay bit-identical
+    // to the reference's per-row order.
+    std::vector<kernels::ReplicateTarget>& fused = scratch->fused;
+    fused.clear();
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const FoldTarget& t = targets[a];
+      const bool fast = t.flat && t.slots.usable();
+      if (!in.has_arg[a]) {
+        // COUNT(*): every row contributes v = 1.0.
+        if (fast) {
+          kernels::AccumulateSimpleMain(t.slots, nullptr, 1.0, trows, tn);
+          fused.push_back({nullptr, 1.0, t.rep_sum, t.rep_count});
+        } else {
+          for (size_t i = 0; i < tn; ++i) {
+            t.agg->UpdateValueWeighted(Value::Int(1), weight_row(i), b);
+          }
+        }
+        continue;
+      }
+      const Column& col = in.arg_cols[a];
+      if (in.numeric[a]) {
+        const double* values = in.widened[a].data();
+        const uint32_t* sel = trows;
+        const uint32_t* wsel = nullptr;  // identity: tile row i
+        size_t sel_n = tn;
+        if (!in.valid[a].empty()) {
+          scratch->nn_rows.clear();
+          scratch->nn_wrows.clear();
+          for (size_t i = 0; i < tn; ++i) {
+            if (in.valid[a][trows[i]]) {
+              scratch->nn_rows.push_back(trows[i]);
+              scratch->nn_wrows.push_back(static_cast<uint32_t>(i));
+            }
+          }
+          sel = scratch->nn_rows.data();
+          wsel = scratch->nn_wrows.data();
+          sel_n = scratch->nn_rows.size();
+        }
+        if (fast) {
+          kernels::AccumulateSimpleMain(t.slots, values, 0.0, sel, sel_n);
+          if (wsel == nullptr) {
+            fused.push_back({values, 0.0, t.rep_sum, t.rep_count});
+          } else {
+            kernels::ReplicateTarget one{values, 0.0, t.rep_sum, t.rep_count};
+            kernels::TiledReplicateUpdate(&one, 1, sel, wsel, sel_n, wtile, b);
+          }
+        } else {
+          for (size_t i = 0; i < sel_n; ++i) {
+            size_t tile_i = wsel != nullptr ? wsel[i] : i;
+            t.agg->UpdateNumericWeighted(values[sel[i]], weight_row(tile_i), b);
+          }
+        }
+      } else if (t.flat) {
+        // Simple aggregate over a string argument: every non-null value
+        // fails to widen, so the fold is a no-op (matches the reference).
+      } else {
+        for (size_t i = 0; i < tn; ++i) {
+          uint32_t r = trows[i];
+          if (col.IsNull(r)) continue;
+          t.agg->UpdateValueWeighted(col.GetValue(r), weight_row(i), b);
+        }
+      }
+    }
+    if (!fused.empty() && b > 0) {
+      kernels::TiledReplicateUpdate(fused.data(), fused.size(), trows,
+                                    /*wrows=*/nullptr, tn, wtile, b,
+                                    scratch->wcol_sums.data());
+    }
+  }
+}
+
+// Vectorized fold into a map of group states: every touched group is found,
+// cloned from `clone_source` or created on the calling thread, in
+// first-occurrence order; then groups fold in row-balanced pieces, on
+// ctx.pool when there are several.
+Status FoldIntoMap(const BlockDef& block, const PoissonWeights* weights,
+                   const FoldBatch& in, GroupMap* map, const GroupMap* clone_source,
+                   const ExecContext& ctx) {
+  const size_t num_groups = in.gids.num_groups;
+  const size_t num_aggs = block.aggs.size();
+  std::vector<FoldTarget> targets(num_groups * num_aggs);
+  for (size_t g = 0; g < num_groups; ++g) {
+    GroupKey key = kernels::GroupKeyAt(in.key_cols, in.gids.first_row[g]);
+    GroupEntry& entry =
+        FindOrCreateGroup(map, clone_source, key, block, weights)->second;
+    entry.rows += static_cast<int64_t>(in.group_rows(g));
+    for (size_t a = 0; a < num_aggs; ++a) {
+      targets[g * num_aggs + a] = TargetOf(&entry.aggs[a]);
+    }
+  }
+  std::vector<PieceRange> pieces =
+      PlanPieces(num_groups, [&](size_t g) { return in.group_rows(g); }, ctx);
+  return RunPieces(ctx, pieces.size(), [&](size_t p) -> Status {
+    obs::TraceSpan span("kernel_fold", "groups",
+                        static_cast<int64_t>(pieces[p].end - pieces[p].begin));
+    FoldScratch scratch;
+    for (size_t g = pieces[p].begin; g < pieces[p].end; ++g) {
+      FoldGroup(in, weights, g, &targets[g * num_aggs], &scratch);
+    }
+    return Status::OK();
+  });
+}
+
+}  // namespace
 
 Status UpdateGroupMap(const BlockDef& block, const PoissonWeights* weights,
                       const Chunk& input, const BroadcastEnv* env, GroupMap* map,
@@ -104,7 +322,8 @@ Status UpdateGroupMap(const BlockDef& block, const PoissonWeights* weights,
   std::vector<Column> key_cols;
   std::vector<Column> arg_cols;
   std::vector<bool> has_arg;
-  GOLA_RETURN_NOT_OK(EvalFoldInputs(block, input, env, &key_cols, &arg_cols, &has_arg));
+  GOLA_RETURN_NOT_OK(
+      EvalFoldInputs(block, input, nullptr, env, &key_cols, &arg_cols, &has_arg));
 
   const auto& serials = input.serials();
   GroupKey key;
@@ -132,179 +351,132 @@ Status UpdateGroupMap(const BlockDef& block, const PoissonWeights* weights,
   return Status::OK();
 }
 
-Status UpdateGroupMapVectorized(const BlockDef& block, const PoissonWeights* weights,
-                                const Chunk& input, const BroadcastEnv* env,
-                                GroupMap* map, const GroupMap* clone_source) {
-  size_t n = input.num_rows();
-  if (n == 0) return Status::OK();
-  if (!input.has_serials()) {
-    return Status::Internal("online aggregation requires row serials");
-  }
-  obs::TraceSpan span("kernel_fold", "rows", static_cast<int64_t>(n));
-
-  std::vector<Column> key_cols;
-  std::vector<Column> arg_cols;
-  std::vector<bool> has_arg;
-  GOLA_RETURN_NOT_OK(EvalFoldInputs(block, input, env, &key_cols, &arg_cols, &has_arg));
-
-  kernels::GroupIds gids;
-  GOLA_RETURN_NOT_OK(kernels::ComputeGroupIds(key_cols, n, /*force_generic=*/false, &gids));
-  kernels::BuildGroupRows(&gids);
-
-  // Widen numeric argument columns once per chunk (same doubles the reference
-  // path produces per row via NumericAt).
-  std::vector<std::vector<double>> widened(arg_cols.size());
-  std::vector<std::vector<uint8_t>> valid(arg_cols.size());
-  std::vector<bool> numeric(arg_cols.size(), false);
-  for (size_t a = 0; a < arg_cols.size(); ++a) {
-    if (!has_arg[a]) continue;
-    if (IsNumeric(arg_cols[a].type()) || arg_cols[a].type() == TypeId::kBool) {
-      numeric[a] = true;
-      GOLA_ASSIGN_OR_RETURN(
-          widened[a],
-          arg_cols[a].ToFloat64(arg_cols[a].has_nulls() ? &valid[a] : nullptr));
-    }
-  }
-
-  // Poisson weights are generated per row TILE, not for the whole chunk: a
-  // kRowTile x b matrix (<= ~100 KiB at B = 200) stays cache-resident across
-  // the fused replicate sweep, where a chunk-wide matrix would stream from
-  // memory. Tile row i equals WeightsFor(serial of the i-th selected row)
-  // element-for-element.
-  size_t b = weights != nullptr ? static_cast<size_t>(weights->num_replicates()) : 0;
-  constexpr size_t kRowTile = 128;
-  std::vector<int64_t> tile_serials;
-  std::vector<int32_t> wtile;
-  std::vector<int32_t> wcol_sums;  // per-tile weight column sums (int-exact)
-  if (b > 0) {
-    tile_serials.resize(kRowTile);
-    wtile.resize(kRowTile * b);
-    wcol_sums.resize(b);
-  }
-  const int64_t* serials = input.serials().data();
-
-  std::vector<uint32_t> nn_rows;   // scratch: null-filtered row list (chunk row ids)
-  std::vector<uint32_t> nn_wrows;  // parallel: their weight-tile row indices
-  std::vector<kernels::ReplicateTarget> fused;  // unfiltered flat targets per tile
-  std::vector<AggState::SimpleSlots> slots_vec;
-  std::vector<uint8_t> flat_vec;
-  for (size_t g = 0; g < gids.num_groups; ++g) {
-    const uint32_t* rows = gids.group_rows.data() + gids.group_offsets[g];
-    size_t cnt = gids.group_offsets[g + 1] - gids.group_offsets[g];
-    GroupKey key = kernels::GroupKeyAt(key_cols, gids.first_row[g]);
-    auto it = FindOrCreateGroup(map, clone_source, key, block, weights);
-    GroupEntry& entry = it->second;
-    entry.rows += static_cast<int64_t>(cnt);
-
-    const size_t num_aggs = entry.aggs.size();
-    slots_vec.assign(num_aggs, AggState::SimpleSlots{});
-    flat_vec.assign(num_aggs, 0);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (entry.aggs[a].has_flat_replicates()) {
-        flat_vec[a] = 1;
-        slots_vec[a] = entry.aggs[a].main_state()->simple_slots();
-      }
-    }
-
-    for (size_t t0 = 0; t0 < cnt; t0 += kRowTile) {
-      const size_t tn = std::min(cnt - t0, kRowTile);
-      const uint32_t* trows = rows + t0;
-      if (b > 0) {
-        for (size_t i = 0; i < tn; ++i) tile_serials[i] = serials[trows[i]];
-        weights->FillMatrix(tile_serials.data(), tn, wtile.data(),
-                            wcol_sums.data());
-      }
-      auto weight_row = [&](size_t tile_i) -> const int32_t* {
-        return b > 0 ? wtile.data() + tile_i * b : nullptr;
-      };
-      // Fast-path aggregates whose row set is the whole tile are collected
-      // into one fused sweep over the weight tile; null-filtered ones sweep
-      // individually with their own selection. Interleavings across
-      // aggregates touch disjoint accumulators, so both stay bit-identical
-      // to the reference's per-row order.
-      fused.clear();
-      for (size_t a = 0; a < num_aggs; ++a) {
-        ReplicatedAgg& agg = entry.aggs[a];
-        const bool flat = flat_vec[a] != 0;
-        const AggState::SimpleSlots& slots = slots_vec[a];
-        if (!has_arg[a]) {
-          // COUNT(*): every row contributes v = 1.0.
-          if (flat && slots.usable()) {
-            kernels::AccumulateSimpleMain(slots, nullptr, 1.0, trows, tn);
-            fused.push_back({nullptr, 1.0, agg.flat_sum_data(), agg.flat_count_data()});
-          } else {
-            for (size_t i = 0; i < tn; ++i) {
-              agg.UpdateValueWeighted(Value::Int(1), weight_row(i), b);
-            }
-          }
-          continue;
-        }
-        const Column& col = arg_cols[a];
-        if (numeric[a]) {
-          const uint32_t* sel = trows;
-          const uint32_t* wsel = nullptr;  // identity: tile row i
-          size_t sel_n = tn;
-          if (!valid[a].empty()) {
-            nn_rows.clear();
-            nn_wrows.clear();
-            for (size_t i = 0; i < tn; ++i) {
-              if (valid[a][trows[i]]) {
-                nn_rows.push_back(trows[i]);
-                nn_wrows.push_back(static_cast<uint32_t>(i));
-              }
-            }
-            sel = nn_rows.data();
-            wsel = nn_wrows.data();
-            sel_n = nn_rows.size();
-          }
-          if (flat && slots.usable()) {
-            kernels::AccumulateSimpleMain(slots, widened[a].data(), 0.0, sel, sel_n);
-            if (wsel == nullptr) {
-              fused.push_back(
-                  {widened[a].data(), 0.0, agg.flat_sum_data(), agg.flat_count_data()});
-            } else {
-              kernels::ReplicateTarget one{widened[a].data(), 0.0, agg.flat_sum_data(),
-                                           agg.flat_count_data()};
-              kernels::TiledReplicateUpdate(&one, 1, sel, wsel, sel_n, wtile.data(), b);
-            }
-          } else {
-            for (size_t i = 0; i < sel_n; ++i) {
-              size_t tile_i = wsel != nullptr ? wsel[i] : i;
-              agg.UpdateNumericWeighted(widened[a][sel[i]], weight_row(tile_i), b);
-            }
-          }
-        } else if (flat) {
-          // Simple aggregate over a string argument: every non-null value
-          // fails to widen, so the fold is a no-op (matches the reference).
-        } else {
-          for (size_t i = 0; i < tn; ++i) {
-            uint32_t r = trows[i];
-            if (col.IsNull(r)) continue;
-            agg.UpdateValueWeighted(col.GetValue(r), weight_row(i), b);
-          }
-        }
-      }
-      if (!fused.empty() && b > 0) {
-        kernels::TiledReplicateUpdate(fused.data(), fused.size(), trows,
-                                      /*wrows=*/nullptr, tn, wtile.data(), b,
-                                      wcol_sums.data());
-      }
-    }
-  }
-  return Status::OK();
-}
-
 OnlineAggregate::OnlineAggregate(const BlockDef* block, const PoissonWeights* weights)
     : block_(block), weights_(weights) {
   GOLA_CHECK(block_->is_aggregate);
+  int flat = 0;
+  int generic = 0;
+  for (const auto& agg : block_->aggs) {
+    std::unique_ptr<AggState> proto = agg.fn->CreateState();
+    AggState::SimpleSlots slots = proto->simple_slots();
+    if (agg.fn->simple_kind() != SimpleAggKind::kNone && slots.usable()) {
+      flat_slot_.push_back(flat++);
+      generic_slot_.push_back(-1);
+      flat_proto_.push_back(slots);
+    } else {
+      flat_slot_.push_back(-1);
+      generic_slot_.push_back(generic++);
+    }
+  }
 }
 
 Status OnlineAggregate::Update(const Chunk& input, const BroadcastEnv* env,
                                bool vectorized) {
-  if (vectorized) {
-    return UpdateGroupMapVectorized(*block_, weights_, input, env, &groups_, nullptr);
+  if (input.num_rows() == 0) return Status::OK();
+  if (!vectorized) {
+    return UpdateGroupMap(*block_, weights_, input, env, &groups_, nullptr);
   }
-  return UpdateGroupMap(*block_, weights_, input, env, &groups_, nullptr);
+  FoldBatch in;
+  GOLA_RETURN_NOT_OK(PrepareFoldBatch(*block_, input, nullptr, env, &in));
+  return FoldIntoMap(*block_, weights_, in, &groups_, nullptr, ExecContext());
+}
+
+Status OnlineAggregate::FoldTileOf(const Chunk& input, const BroadcastEnv* env,
+                                   FoldTile* tile) const {
+  *tile = FoldTile();
+  if (input.num_rows() == 0) return Status::OK();
+  obs::TraceSpan span("kernel_fold", "rows", static_cast<int64_t>(input.num_rows()));
+  FoldBatch in;
+  GOLA_RETURN_NOT_OK(PrepareFoldBatch(*block_, input, nullptr, env, &in));
+  const size_t num_groups = in.gids.num_groups;
+  const size_t num_aggs = block_->aggs.size();
+  const size_t num_flat = flat_proto_.size();
+  const size_t num_generic = num_aggs - num_flat;
+  const size_t b =
+      weights_ != nullptr ? static_cast<size_t>(weights_->num_replicates()) : 0;
+  tile->keys.reserve(num_groups);
+  tile->rows.resize(num_groups);
+  tile->main.assign(num_groups * num_flat, FlatMain{});
+  tile->rep_sum.assign(num_groups * num_flat * b, 0.0);
+  tile->rep_count.assign(num_groups * num_flat * b, 0.0);
+  tile->generic.reserve(num_groups * num_generic);
+  std::vector<FoldTarget> targets(num_aggs);
+  FoldScratch scratch;
+  for (size_t g = 0; g < num_groups; ++g) {
+    tile->keys.push_back(kernels::GroupKeyAt(in.key_cols, in.gids.first_row[g]));
+    tile->rows[g] = static_cast<int64_t>(in.group_rows(g));
+    for (size_t a = 0; a < num_aggs; ++a) {
+      FoldTarget& t = targets[a];
+      if (flat_slot_[a] < 0) {
+        tile->generic.emplace_back(block_->aggs[a].fn, weights_);
+        t = TargetOf(&tile->generic.back());
+        continue;
+      }
+      const size_t f = g * num_flat + static_cast<size_t>(flat_slot_[a]);
+      const AggState::SimpleSlots& proto =
+          flat_proto_[static_cast<size_t>(flat_slot_[a])];
+      FlatMain& m = tile->main[f];
+      t = FoldTarget();
+      t.flat = true;
+      t.slots = {proto.sum != nullptr ? &m.sum : nullptr,
+                 proto.count != nullptr ? &m.count : nullptr,
+                 proto.any != nullptr ? &m.any : nullptr};
+      t.rep_sum = tile->rep_sum.data() + f * b;
+      t.rep_count = tile->rep_count.data() + f * b;
+    }
+    FoldGroup(in, weights_, g, targets.data(), &scratch);
+  }
+  return Status::OK();
+}
+
+void OnlineAggregate::MergeTile(FoldTile&& tile) {
+  const size_t num_aggs = block_->aggs.size();
+  const size_t num_flat = flat_proto_.size();
+  const size_t num_generic = num_aggs - num_flat;
+  const size_t b =
+      weights_ != nullptr ? static_cast<size_t>(weights_->num_replicates()) : 0;
+  for (size_t g = 0; g < tile.keys.size(); ++g) {
+    auto it = groups_.find(tile.keys[g]);
+    const bool fresh = it == groups_.end();
+    if (fresh) it = groups_.emplace(std::move(tile.keys[g]), NewStates()).first;
+    GroupEntry& dst = it->second;
+    dst.rows += tile.rows[g];
+    for (size_t a = 0; a < num_aggs; ++a) {
+      ReplicatedAgg& agg = dst.aggs[a];
+      if (flat_slot_[a] < 0) {
+        ReplicatedAgg& src = tile.generic[g * num_generic +
+                                         static_cast<size_t>(generic_slot_[a])];
+        if (fresh) agg = std::move(src);
+        else agg.Merge(src);
+        continue;
+      }
+      // ReplicatedAgg::Merge on the flat fields: the main state's Merge
+      // (sum +=, count +=, any ||=) and elementwise replicate adds. A fresh
+      // group takes the tile's values as they are, as a moved partial did.
+      const size_t f = g * num_flat + static_cast<size_t>(flat_slot_[a]);
+      const FlatMain& m = tile.main[f];
+      const AggState::SimpleSlots slots = agg.main_state()->simple_slots();
+      const double* rs = tile.rep_sum.data() + f * b;
+      const double* rc = tile.rep_count.data() + f * b;
+      double* ds = agg.flat_sum_data();
+      double* dc = agg.flat_count_data();
+      if (fresh) {
+        if (slots.sum != nullptr) *slots.sum = m.sum;
+        if (slots.count != nullptr) *slots.count = m.count;
+        if (slots.any != nullptr) *slots.any = m.any;
+        std::copy(rs, rs + b, ds);
+        std::copy(rc, rc + b, dc);
+        continue;
+      }
+      if (slots.sum != nullptr) *slots.sum += m.sum;
+      if (slots.count != nullptr) *slots.count += m.count;
+      if (slots.any != nullptr) *slots.any = *slots.any || m.any;
+      for (size_t j = 0; j < b; ++j) {
+        ds[j] += rs[j];
+        dc[j] += rc[j];
+      }
+    }
+  }
 }
 
 void OnlineAggregate::MergePartial(GroupMap&& partial) {
@@ -370,11 +542,6 @@ Status OnlineAggregate::LoadFrom(BinaryReader* r) {
   return Status::OK();
 }
 
-const GroupStates* OnlineAggregate::Find(const GroupKey& key) const {
-  auto it = groups_.find(key);
-  return it == groups_.end() ? nullptr : &it->second;
-}
-
 GroupStates OnlineAggregate::NewStates() const {
   GroupEntry entry;
   entry.aggs.reserve(block_->aggs.size());
@@ -382,59 +549,27 @@ GroupStates OnlineAggregate::NewStates() const {
   return entry;
 }
 
-Status AggOverlay::Update(const Chunk& input, const BroadcastEnv* env,
-                          bool vectorized) {
-  if (vectorized) {
-    return UpdateGroupMapVectorized(*base_->block_, base_->weights_, input, env,
-                                    &delta_, &base_->groups_);
+Status AggOverlay::Update(const Chunk& input, const SelectionVector& rows,
+                          const ExecContext& ctx) {
+  if (rows.empty()) return Status::OK();
+  const BlockDef& block = *base_->block_;
+  if (!ctx.vectorized) {
+    return UpdateGroupMap(block, base_->weights_, input.Gather(rows), ctx.env, &delta_,
+                          &base_->groups_);
   }
-  return UpdateGroupMap(*base_->block_, base_->weights_, input, env, &delta_,
-                        &base_->groups_);
+  FoldBatch in;
+  GOLA_RETURN_NOT_OK(PrepareFoldBatch(block, input, &rows, ctx.env, &in));
+  return FoldIntoMap(block, base_->weights_, in, &delta_, &base_->groups_, ctx);
 }
 
-const GroupStates* AggOverlay::Find(const GroupKey& key) const {
-  auto it = delta_.find(key);
-  if (it != delta_.end()) return &it->second;
-  return base_->Find(key);
-}
-
-Result<PostAggChunk> AggOverlay::Finalize(double scale, bool with_replicates) const {
+Result<PostAggChunk> AggOverlay::Finalize(double scale, bool with_replicates,
+                                          const ExecContext& ctx) const {
   const BlockDef& block = *base_->block_;
   size_t num_keys = block.group_by.size();
   size_t num_aggs = block.aggs.size();
-  int num_reps = with_replicates && base_->weights_ ? base_->weights_->num_replicates() : 0;
-
-  PostAggChunk out;
-  std::vector<Column> cols;
-  cols.reserve(num_keys + num_aggs);
-  for (size_t c = 0; c < num_keys + num_aggs; ++c) {
-    cols.emplace_back(block.post_agg_schema->field(c).type);
-  }
-  out.replicate_cols.resize(static_cast<size_t>(num_reps));
-  for (auto& rep : out.replicate_cols) {
-    rep.reserve(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) rep.emplace_back(TypeId::kFloat64);
-  }
-
-  auto emit = [&](const GroupKey& key, const GroupStates& states) {
-    for (size_t k = 0; k < num_keys; ++k) cols[k].Append(key.values[k]);
-    out.support.push_back(states.rows);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      double s = block.aggs[a].fn->ScalesWithMultiplicity() ? scale : 1.0;
-      cols[num_keys + a].Append(states.aggs[a].Finalize(s));
-      if (num_reps > 0) {
-        std::vector<double> reps = states.aggs[a].FinalizeReplicates(s);
-        for (int j = 0; j < num_reps; ++j) {
-          if (j < static_cast<int>(reps.size())) {
-            out.replicate_cols[static_cast<size_t>(j)][a].AppendFloat(
-                reps[static_cast<size_t>(j)]);
-          } else {
-            out.replicate_cols[static_cast<size_t>(j)][a].AppendNull();
-          }
-        }
-      }
-    }
-  };
+  const size_t b = with_replicates && base_->weights_
+                       ? static_cast<size_t>(base_->weights_->num_replicates())
+                       : 0;
 
   // Emit groups in sorted key order, not hash-map order: the map's layout
   // depends on its insertion history (morsel merges, rebuilds, checkpoint
@@ -452,16 +587,56 @@ Result<PostAggChunk> AggOverlay::Finalize(double scale, bool with_replicates) co
     ordered.emplace_back(&key, &states);
   }
   std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  bool any = !ordered.empty();
-  for (const auto& [key, states] : ordered) emit(*key, *states);
-  if (!any && num_keys == 0) {
-    // Global aggregation over an empty prefix still yields one row.
-    GroupKey empty;
-    GroupStates states = base_->NewStates();
-    emit(empty, states);
+            [](const auto& x, const auto& y) { return *x.first < *y.first; });
+  // Global aggregation over an empty prefix still yields one row, finalized
+  // from fresh states but backed by none.
+  const GroupKey empty_key;
+  const GroupStates empty_states = base_->NewStates();
+  const bool synthetic = ordered.empty() && num_keys == 0;
+  if (synthetic) ordered.emplace_back(&empty_key, &empty_states);
+  const size_t rows = ordered.size();
+
+  PostAggChunk out;
+  out.scale = scale;
+  std::vector<Column> cols;
+  cols.reserve(num_keys + num_aggs);
+  for (size_t c = 0; c < num_keys + num_aggs; ++c) {
+    cols.emplace_back(block.post_agg_schema->field(c).type);
+    cols.back().Reserve(rows);
+  }
+  std::vector<double> agg_scale(num_aggs);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    agg_scale[a] = block.aggs[a].fn->ScalesWithMultiplicity() ? scale : 1.0;
+  }
+  out.support.reserve(rows);
+  out.states.reserve(rows);
+  for (const auto& [key, states] : ordered) {
+    for (size_t k = 0; k < num_keys; ++k) cols[k].Append(key->values[k]);
+    out.support.push_back(states->rows);
+    out.states.push_back(synthetic ? nullptr : states);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      cols[num_keys + a].Append(states->aggs[a].Finalize(agg_scale[a]));
+    }
   }
   out.point = Chunk(block.post_agg_schema, std::move(cols));
+
+  out.num_replicates = b;
+  if (b > 0) {
+    out.replicates.assign(num_aggs, std::vector<double>(rows * b));
+    // Each group weighs its b replicate rows under the morsel policy.
+    std::vector<PieceRange> pieces = PlanPieces(rows, [b](size_t) { return b; }, ctx);
+    GOLA_RETURN_NOT_OK(RunPieces(ctx, pieces.size(), [&](size_t p) -> Status {
+      for (size_t g = pieces[p].begin; g < pieces[p].end; ++g) {
+        const GroupStates& states = *ordered[g].second;
+        for (size_t a = 0; a < num_aggs; ++a) {
+          GOLA_CHECK(states.aggs[a].num_replicates() == b);
+          states.aggs[a].FinalizeReplicatesInto(agg_scale[a],
+                                                out.replicates[a].data() + g * b);
+        }
+      }
+      return Status::OK();
+    }));
+  }
   return out;
 }
 

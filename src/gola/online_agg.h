@@ -5,8 +5,8 @@
 // were classified deterministic and are never revisited (paper §3.2).
 // AggOverlay is a copy-on-write view used at emission time each mini-batch:
 // the block clones only the groups touched by currently-passing uncertain
-// tuples, folds those tuples in, and finalizes — so per-batch emission cost
-// scales with |U_i|, not with the number of groups.
+// tuples, folds those tuples in, and finalizes — so the per-batch fold
+// scales with the passing set, not with the number of groups.
 #ifndef GOLA_GOLA_ONLINE_AGG_H_
 #define GOLA_GOLA_ONLINE_AGG_H_
 
@@ -16,6 +16,7 @@
 
 #include "bootstrap/replicated_agg.h"
 #include "exec/hash_aggregate.h"
+#include "exec/pipeline.h"
 #include "expr/evaluator.h"
 #include "plan/logical_plan.h"
 
@@ -35,17 +36,45 @@ struct GroupEntry {
 using GroupStates = GroupEntry;
 using GroupMap = std::unordered_map<GroupKey, GroupEntry, GroupKeyHash>;
 
-/// Point estimates plus (optionally) per-replicate aggregate columns of one
-/// aggregation, aligned row-by-row.
+/// Point estimates of one aggregation, row-aligned with the states behind
+/// each row and (optionally) the rows' finalized bootstrap replicates.
 struct PostAggChunk {
   Chunk point;  // [group columns..., main aggregate slots...]
-  /// replicate_cols[j][a] = replicate j's finalized column for agg slot a.
-  std::vector<std::vector<Column>> replicate_cols;
   /// Raw observation count per emitted group row.
   std::vector<int64_t> support;
+  /// The states behind each row, valid while the finalized overlay lives;
+  /// nullptr for the synthetic row of a global aggregation over no rows.
+  std::vector<const GroupStates*> states;
+  /// Replicate outputs (Finalize with replicates): replicates[a] holds
+  /// num_replicates values per row, row g's at [g * B, (g + 1) * B) — one
+  /// flat buffer per aggregate. Undefined replicates are NaN.
+  std::vector<std::vector<double>> replicates;
+  size_t num_replicates = 0;
+  /// The multiplicity scale the rows were finalized under.
+  double scale = 1.0;
+};
 
-  /// Chunk for replicate j: group columns + replicate agg columns.
-  Chunk ReplicateChunk(size_t j, size_t num_group_cols) const;
+/// Main-state accumulators of one flat (COUNT/SUM/AVG) aggregate: the
+/// fields its AggState::SimpleSlots expose.
+struct FlatMain {
+  double sum = 0;
+  double count = 0;
+  bool any = false;
+};
+
+/// One morsel's partial state from the vectorized fold, laid out densely
+/// over the morsel's local group ids (first-occurrence order). Flat
+/// aggregates keep their main slots and B replicate sums/counts in flat
+/// arrays; only the others keep a ReplicatedAgg per local group. No heap
+/// node per group: the barrier adds tiles into the OnlineAggregate.
+struct FoldTile {
+  std::vector<GroupKey> keys;  // per local group
+  std::vector<int64_t> rows;   // raw observations per local group
+  std::vector<FlatMain> main;  // [group * num_flat + f]
+  /// B values per (group, flat aggregate): [(group * num_flat + f) * B + j].
+  std::vector<double> rep_sum;
+  std::vector<double> rep_count;
+  std::vector<ReplicatedAgg> generic;  // [group * num_generic + k]
 };
 
 class OnlineAggregate {
@@ -53,15 +82,21 @@ class OnlineAggregate {
   OnlineAggregate(const BlockDef* block, const PoissonWeights* weights);
 
   /// Folds an input chunk (must carry serials) into the deterministic
-  /// states. `env` supplies point broadcast values for group/agg exprs.
-  /// `vectorized` selects the chunk-at-a-time kernel fold; results are
-  /// bit-identical either way (the row path is the reference oracle).
+  /// states on the calling thread. `env` supplies point broadcast values for
+  /// group/agg exprs. `vectorized` selects the chunk-at-a-time kernel fold;
+  /// results are bit-identical either way (the row path is the reference).
   Status Update(const Chunk& input, const BroadcastEnv* env, bool vectorized = true);
 
-  /// Merges a partial GroupMap built over a disjoint morsel into the
-  /// deterministic states. Callers merge partials in morsel order so the
-  /// floating-point accumulation order — and hence every downstream result —
-  /// is independent of which thread ran which morsel.
+  /// Vectorized fold of one morsel into a fresh tile (thread-safe: reads
+  /// only the block definition).
+  Status FoldTileOf(const Chunk& input, const BroadcastEnv* env, FoldTile* tile) const;
+
+  /// Adds a tile (or, on the row-at-a-time reference path, a partial
+  /// GroupMap) built over a disjoint morsel into the deterministic states.
+  /// Callers merge partials in morsel order so the floating-point
+  /// accumulation order — and hence every downstream result — is
+  /// independent of which thread ran which morsel.
+  void MergeTile(FoldTile&& tile);
   void MergePartial(GroupMap&& partial);
 
   /// Clears all state (used by range-failure recompute).
@@ -71,9 +106,6 @@ class OnlineAggregate {
   const BlockDef* block() const { return block_; }
   const PoissonWeights* weights() const { return weights_; }
   size_t num_groups() const { return groups_.size(); }
-
-  /// Finds the states for a key tuple (nullptr when absent).
-  const GroupStates* Find(const GroupKey& key) const;
 
   GroupStates NewStates() const;
 
@@ -88,6 +120,12 @@ class OnlineAggregate {
   const BlockDef* block_;
   const PoissonWeights* weights_;
   GroupMap groups_;
+  /// Tile layout: flat_slot_[a] (or generic_slot_[a]) is aggregate a's index
+  /// among the flat (or other) aggregates, -1 when it is of the other kind;
+  /// flat_proto_[f] says which SimpleSlots fields the flat aggregate uses.
+  std::vector<int> flat_slot_;
+  std::vector<int> generic_slot_;
+  std::vector<AggState::SimpleSlots> flat_proto_;
 };
 
 /// Copy-on-write overlay over an OnlineAggregate for per-batch emission.
@@ -95,37 +133,31 @@ class AggOverlay {
  public:
   explicit AggOverlay(const OnlineAggregate* base) : base_(base) {}
 
-  /// Folds currently-passing uncertain tuples (chunk must carry serials);
-  /// touched base groups are cloned on first touch.
-  Status Update(const Chunk& input, const BroadcastEnv* env, bool vectorized = true);
+  /// Folds rows `rows` of `input` (the passing uncertain tuples; the chunk
+  /// must carry serials). Touched base groups are cloned on first touch, on
+  /// the calling thread; the vectorized fold then folds each group's rows,
+  /// in row order, with groups split into row-balanced pieces across
+  /// ctx.pool. ctx.vectorized = false runs the serial row-at-a-time
+  /// reference fold.
+  Status Update(const Chunk& input, const SelectionVector& rows, const ExecContext& ctx);
 
-  /// Group states as visible through the overlay.
-  const GroupStates* Find(const GroupKey& key) const;
-
-  /// Finalizes the merged view into a post-aggregation chunk. When
-  /// `with_replicates` is set, per-replicate aggregate columns are emitted
-  /// too (needed to evaluate value/having expressions per bootstrap world).
-  Result<PostAggChunk> Finalize(double scale, bool with_replicates) const;
-
-  size_t delta_size() const { return delta_.size(); }
+  /// Finalizes the merged view into a post-aggregation chunk, groups in key
+  /// order. When `with_replicates` is set, every group's replicate outputs
+  /// are finalized too (needed to evaluate value/having expressions per
+  /// bootstrap world), split by key range across ctx.pool.
+  Result<PostAggChunk> Finalize(double scale, bool with_replicates,
+                                const ExecContext& ctx) const;
 
  private:
   const OnlineAggregate* base_;
   GroupMap delta_;
 };
 
-/// Shared row-at-a-time fold used by both classes — the bit-identity
-/// reference for the vectorized kernel fold below.
+/// Shared row-at-a-time fold — the bit-identity reference for the
+/// vectorized kernel fold.
 Status UpdateGroupMap(const BlockDef& block, const PoissonWeights* weights,
                       const Chunk& input, const BroadcastEnv* env, GroupMap* map,
                       const GroupMap* clone_source);
-
-/// Chunk-at-a-time kernel fold: dense group ids, one map probe per (group,
-/// chunk), a whole-chunk Poisson weight matrix, and tiled flat-replicate
-/// sweeps for the SimpleAggKind states. Bit-identical to UpdateGroupMap.
-Status UpdateGroupMapVectorized(const BlockDef& block, const PoissonWeights* weights,
-                                const Chunk& input, const BroadcastEnv* env,
-                                GroupMap* map, const GroupMap* clone_source);
 
 }  // namespace gola
 

@@ -144,9 +144,9 @@ struct ScalarBroadcast {
   }
 };
 
-/// Lazy per-key interface onto a membership block's running state; answers
-/// are valid until the block's next Emit. Implementations must be
-/// thread-safe: downstream blocks classify morsels concurrently.
+/// Per-key interface onto a membership block's running state; answers are
+/// valid until the block's next Emit. Implementations must be thread-safe:
+/// downstream blocks classify morsels concurrently.
 class MembershipSource {
  public:
   virtual ~MembershipSource() = default;

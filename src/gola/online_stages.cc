@@ -21,6 +21,28 @@ const char* RangeFailureName(RangeFailure cause) {
 
 // --------------------------------------------------- OnlineClassifyStage --
 
+OnlineClassifyStage::OnlineClassifyStage(const BlockDef* block,
+                                         const GolaOptions* options)
+    : block_(block), options_(options) {
+  for (const auto& uc : block_->uncertain_conjuncts) {
+    point_exprs_.push_back(uc.ToPointExpr());
+  }
+  ResetEnvelopes();
+}
+
+Result<std::vector<uint8_t>> OnlineClassifyStage::PassFlags(
+    const Chunk& uncertain, const BroadcastEnv* point) const {
+  const size_t n = uncertain.num_rows();
+  std::vector<uint8_t> pass(n, 1);
+  if (n == 0) return pass;
+  for (const auto& pred : point_exprs_) {
+    GOLA_ASSIGN_OR_RETURN(std::vector<uint8_t> sel,
+                          EvaluatePredicate(*pred, uncertain, point));
+    for (size_t i = 0; i < n; ++i) pass[i] &= sel[i];
+  }
+  return pass;
+}
+
 void OnlineClassifyStage::ResetEnvelopes() {
   conj_states_.assign(block_->uncertain_conjuncts.size(), ConjunctState{});
   pending_.clear();
@@ -218,6 +240,10 @@ Result<ClassifyStage::Split> OnlineClassifyStage::Classify(size_t morsel_index,
   }
 
   out.uncertain = in.Gather(uncertain_sel);
+  // The passing set is decided here, on the morsel's worker: a flag is a
+  // function of the row and the point environment alone, and neither
+  // changes between this classification and the batch's emission.
+  GOLA_ASSIGN_OR_RETURN(out.pass, PassFlags(out.uncertain, point));
   out.fold = fold_sel.size() == n ? std::move(in) : in.Gather(fold_sel);
   return out;
 }
@@ -315,34 +341,40 @@ Status OnlineClassifyStage::LoadState(BinaryReader* r) {
 // ------------------------------------------------------- OnlineFoldStage --
 
 void OnlineFoldStage::BeginBatch(size_t num_morsels) {
+  tiles_.clear();
+  tiles_.resize(num_morsels);
   partials_.clear();
   partials_.resize(num_morsels);
 }
 
 Status OnlineFoldStage::Consume(size_t morsel_index, Chunk in, const ExecContext& ctx) {
-  // Retry idempotency: fold into a local map and only then publish it into
-  // the morsel's slot, so a fold that fails (or trips the failpoint) partway
-  // leaves no half-accumulated replicate state behind for the retry to
-  // double-count.
-  GroupMap local;
+  // Retry idempotency: fold into a local partial and only then publish it
+  // into the morsel's slot, so a fold that fails (or trips the failpoint)
+  // partway leaves no half-accumulated replicate state behind for the retry
+  // to double-count.
   GOLA_FAILPOINT_RETURN("bootstrap.replicate");
+  if (ctx.vectorized) {
+    FoldTile tile;
+    GOLA_RETURN_NOT_OK(agg_->FoldTileOf(in, ctx.env, &tile));
+    tiles_[morsel_index] = std::move(tile);
+    return Status::OK();
+  }
+  GroupMap local;
   if (in.num_rows() > 0) {
-    if (ctx.vectorized) {
-      GOLA_RETURN_NOT_OK(UpdateGroupMapVectorized(*agg_->block(), agg_->weights(), in,
-                                                  ctx.env, &local, nullptr));
-    } else {
-      GOLA_RETURN_NOT_OK(UpdateGroupMap(*agg_->block(), agg_->weights(), in, ctx.env,
-                                        &local, nullptr));
-    }
+    GOLA_RETURN_NOT_OK(
+        UpdateGroupMap(*agg_->block(), agg_->weights(), in, ctx.env, &local, nullptr));
   }
   partials_[morsel_index] = std::move(local);
   return Status::OK();
 }
 
 Status OnlineFoldStage::Finish() {
-  for (auto& partial : partials_) {
-    if (!partial.empty()) agg_->MergePartial(std::move(partial));
+  // Each morsel filled exactly one of its two slots; the other is empty.
+  for (size_t m = 0; m < tiles_.size(); ++m) {
+    if (!tiles_[m].keys.empty()) agg_->MergeTile(std::move(tiles_[m]));
+    if (!partials_[m].empty()) agg_->MergePartial(std::move(partials_[m]));
   }
+  tiles_.clear();
   partials_.clear();
   return Status::OK();
 }

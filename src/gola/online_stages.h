@@ -57,10 +57,7 @@ const char* RangeFailureName(RangeFailure cause);
 /// envelopes and runs the per-batch envelope-failure check.
 class OnlineClassifyStage : public ClassifyStage {
  public:
-  OnlineClassifyStage(const BlockDef* block, const GolaOptions* options)
-      : block_(block), options_(options) {
-    ResetEnvelopes();
-  }
+  OnlineClassifyStage(const BlockDef* block, const GolaOptions* options);
 
   /// Drops every envelope and member decision (failure recovery).
   void ResetEnvelopes();
@@ -73,6 +70,12 @@ class OnlineClassifyStage : public ClassifyStage {
   /// violation cause, kNone when every installed decision still holds
   /// (serial, before the batch's pipeline run).
   Result<RangeFailure> CheckEnvelopes(OnlineEnv* env);
+
+  /// One flag per row of `uncertain`: whether the conjunction of the
+  /// block's point-form uncertain predicates holds under `point`. Classify
+  /// fills Split::pass with it; a restored uncertain set recomputes it.
+  Result<std::vector<uint8_t>> PassFlags(const Chunk& uncertain,
+                                         const BroadcastEnv* point) const;
 
   // --- ClassifyStage ----------------------------------------------------
   const char* name() const override { return "online_classify"; }
@@ -117,13 +120,15 @@ class OnlineClassifyStage : public ClassifyStage {
   const BlockDef* block_;
   const GolaOptions* options_;
   OnlineEnv* env_ = nullptr;
+  std::vector<ExprPtr> point_exprs_;  // point forms of the uncertain conjuncts
   std::vector<ConjunctState> conj_states_;       // one per uncertain conjunct
   std::vector<std::vector<ConjInstalls>> pending_;  // [morsel][conjunct]
 };
 
 /// Sink folding morsels into the block's deterministic-set states: one
-/// partial GroupMap per morsel, merged into the OnlineAggregate in morsel
-/// order at the barrier (bootstrap replicate maintenance included).
+/// partial per morsel — a dense FoldTile on the vectorized path, a GroupMap
+/// on the row-at-a-time reference path — added into the OnlineAggregate in
+/// morsel order at the barrier (bootstrap replicate maintenance included).
 class OnlineFoldStage : public AggregateStage {
  public:
   explicit OnlineFoldStage(OnlineAggregate* agg) : agg_(agg) {}
@@ -135,6 +140,7 @@ class OnlineFoldStage : public AggregateStage {
 
  private:
   OnlineAggregate* agg_;
+  std::vector<FoldTile> tiles_;
   std::vector<GroupMap> partials_;
 };
 

@@ -42,12 +42,16 @@ void ConvergenceRecorder::Append(const UpdateRecord& r, int64_t result_rows) {
       "\"uncertain_groups\": %lld, \"recomputes\": %d, \"result_rows\": %lld, "
       "\"batch_seconds\": %.6g, \"elapsed_seconds\": %.6g, "
       "\"phases\": {\"envelope_check\": %.6g, \"delta_exec\": %.6g, "
-      "\"emit\": %.6g, \"rebuild\": %.6g, \"materialize\": %.6g}, ",
+      "\"emit\": %.6g, \"emit_overlay\": %.6g, \"emit_finalize\": %.6g, "
+      "\"emit_broadcast\": %.6g, \"emit_root\": %.6g, \"rebuild\": %.6g, "
+      "\"materialize\": %.6g}, ",
       static_cast<long long>(r.uncertain_tuples),
       static_cast<long long>(r.uncertain_groups), r.recomputes_so_far,
       static_cast<long long>(result_rows), r.batch_seconds, r.elapsed_seconds,
       r.stats.envelope_check_seconds, r.stats.delta_exec_seconds,
-      r.stats.emit_seconds, r.stats.rebuild_seconds,
+      r.stats.emit_seconds, r.stats.emit_overlay_seconds,
+      r.stats.emit_finalize_seconds, r.stats.emit_broadcast_seconds,
+      r.stats.emit_root_seconds, r.stats.rebuild_seconds,
       r.stats.materialize_seconds);
   line += "\"groups\": " + r.groups.ToJson() + "}\n";
   // One fwrite per record: stdio locks the stream per call, so the line

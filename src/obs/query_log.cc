@@ -68,6 +68,10 @@ std::string QueryLogRecord::ToJson() const {
     AppendField(inner, "envelope_check_seconds", stats.envelope_check_seconds);
     AppendField(inner, "delta_exec_seconds", stats.delta_exec_seconds);
     AppendField(inner, "emit_seconds", stats.emit_seconds);
+    AppendField(inner, "emit_overlay_seconds", stats.emit_overlay_seconds);
+    AppendField(inner, "emit_finalize_seconds", stats.emit_finalize_seconds);
+    AppendField(inner, "emit_broadcast_seconds", stats.emit_broadcast_seconds);
+    AppendField(inner, "emit_root_seconds", stats.emit_root_seconds);
     AppendField(inner, "rebuild_seconds", stats.rebuild_seconds);
     AppendField(inner, "materialize_seconds", stats.materialize_seconds);
     AppendField(inner, "morsels", stats.morsels);

@@ -30,11 +30,14 @@ void AppendQueryJson(const QueryStatus& q, std::string* out) {
   *out += Format(
       ", \"last_batch\": {\"envelope_check_seconds\": %.6g, "
       "\"delta_exec_seconds\": %.6g, \"emit_seconds\": %.6g, "
+      "\"emit_overlay_seconds\": %.6g, \"emit_finalize_seconds\": %.6g, "
+      "\"emit_broadcast_seconds\": %.6g, \"emit_root_seconds\": %.6g, "
       "\"rebuild_seconds\": %.6g, \"materialize_seconds\": %.6g, "
       "\"morsels\": %lld, \"rows_in\": %lld, \"rows_folded\": %lld, "
       "\"rows_uncertain\": %lld, \"failure_cause\": %s%s%s}}",
       s.envelope_check_seconds, s.delta_exec_seconds, s.emit_seconds,
-      s.rebuild_seconds, s.materialize_seconds,
+      s.emit_overlay_seconds, s.emit_finalize_seconds, s.emit_broadcast_seconds,
+      s.emit_root_seconds, s.rebuild_seconds, s.materialize_seconds,
       static_cast<long long>(s.morsels), static_cast<long long>(s.rows_in),
       static_cast<long long>(s.rows_folded),
       static_cast<long long>(s.rows_uncertain),

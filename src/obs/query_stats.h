@@ -17,8 +17,18 @@ struct QueryStats {
   double envelope_check_seconds = 0;
   /// Morsel-parallel delta pipeline: DimJoin → Filter → Classify → Fold.
   double delta_exec_seconds = 0;
-  /// Finalization, bootstrap CI estimation, and broadcast/root emission.
+  /// Finalization, bootstrap CI estimation, and broadcast/root emission:
+  /// the sum of the four emit parts below.
   double emit_seconds = 0;
+  /// Emit, part 1: folding the passing uncertain rows onto the overlay.
+  double emit_overlay_seconds = 0;
+  /// Emit, part 2: finalizing point values (and replicates, for scalar and
+  /// membership blocks) of every group.
+  double emit_finalize_seconds = 0;
+  /// Emit, part 3: scalar broadcasts and membership answers.
+  double emit_broadcast_seconds = 0;
+  /// Emit, part 4: the root's selection, error bars and typed cells.
+  double emit_root_seconds = 0;
   /// Query-wide recompute after a range failure (0 when none fired).
   double rebuild_seconds = 0;
   /// Building the OnlineUpdate the caller sees (result-table copy) — kept
@@ -42,6 +52,10 @@ struct QueryStats {
     envelope_check_seconds += o.envelope_check_seconds;
     delta_exec_seconds += o.delta_exec_seconds;
     emit_seconds += o.emit_seconds;
+    emit_overlay_seconds += o.emit_overlay_seconds;
+    emit_finalize_seconds += o.emit_finalize_seconds;
+    emit_broadcast_seconds += o.emit_broadcast_seconds;
+    emit_root_seconds += o.emit_root_seconds;
     rebuild_seconds += o.rebuild_seconds;
     materialize_seconds += o.materialize_seconds;
     morsels += o.morsels;

@@ -47,6 +47,13 @@ Column Column::WithNulls(Column col, std::vector<uint8_t> nulls) {
 }
 
 Result<Column> Column::MakeConstant(const Value& v, TypeId type, size_t n) {
+  // Numeric constants fill their vector at once: the value Append stores.
+  if (!v.is_null() && type == TypeId::kFloat64 && v.ToDouble().ok()) {
+    return MakeFloat(std::vector<double>(n, *v.ToDouble()));
+  }
+  if (!v.is_null() && type == TypeId::kInt64 && v.type() == TypeId::kInt64) {
+    return MakeInt(std::vector<int64_t>(n, v.AsInt()));
+  }
   Column c(type);
   c.Reserve(n);
   for (size_t i = 0; i < n; ++i) c.Append(v);

@@ -9,6 +9,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -127,6 +128,67 @@ TEST_F(CheckpointTest, ResumeMidQueryIsBitIdenticalToUninterruptedRun) {
     EXPECT_EQ(tail[i].max_rsd, clean[i + 3].max_rsd);
     ExpectTablesIdentical(tail[i].result, clean[i + 3].result,
                           Format("resumed update %zu", i));
+  }
+}
+
+TEST_F(CheckpointTest, PooledResumeRecomputesThePassingSet) {
+  // The pass flags of the cached uncertain set are not checkpointed: the
+  // resumed executor's ReEmit recomputes them, and the re-emitted answer of
+  // the cut batch folds those passing rows on top of the deterministic
+  // state. A ReEmit that skipped them would re-emit a different answer.
+  ThreadPool pool(3);
+  GolaOptions opts = BaseOptions();
+  opts.pool = &pool;
+  std::vector<OnlineUpdate> clean;
+  std::vector<std::vector<obs::GroupCell>> clean_cells;
+  {
+    auto online = engine_.ExecuteOnline(kQuery, opts);
+    GOLA_CHECK_OK(online.status());
+    while (!(*online)->done()) {
+      auto update = (*online)->Step();
+      GOLA_CHECK_OK(update.status());
+      clean.push_back(std::move(*update));
+      clean_cells.push_back((*online)->cells());
+    }
+  }
+  constexpr int kCut = 3;
+  ASSERT_GT(clean[kCut - 1].uncertain_tuples, 0) << "the cut needs an uncertain set";
+  {
+    auto online = engine_.ExecuteOnline(kQuery, opts);
+    GOLA_CHECK_OK(online.status());
+    for (int i = 0; i < kCut; ++i) GOLA_CHECK_OK((*online)->Step().status());
+    GOLA_CHECK_OK((*online)->Checkpoint(path_));
+  }
+
+  auto resumed = engine_.ResumeOnline(kQuery, path_, opts);
+  GOLA_CHECK_OK(resumed.status());
+  const std::vector<obs::GroupCell>& cells = (*resumed)->cells();
+  const std::vector<obs::GroupCell>& want = clean_cells[kCut - 1];
+  ASSERT_EQ(cells.size(), want.size());
+  auto same_bits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(cells[i].group_key, want[i].group_key) << i;
+    EXPECT_EQ(cells[i].has_estimate, want[i].has_estimate) << i;
+    EXPECT_TRUE(same_bits(cells[i].estimate, want[i].estimate))
+        << "re-emitted cell " << i << ": " << cells[i].estimate << " vs "
+        << want[i].estimate;
+    EXPECT_TRUE(same_bits(cells[i].ci_lo, want[i].ci_lo)) << i;
+    EXPECT_TRUE(same_bits(cells[i].ci_hi, want[i].ci_hi)) << i;
+    EXPECT_TRUE(same_bits(cells[i].rsd, want[i].rsd)) << i;
+  }
+
+  std::vector<OnlineUpdate> tail;
+  while (!(*resumed)->done()) {
+    auto update = (*resumed)->Step();
+    GOLA_CHECK_OK(update.status());
+    tail.push_back(std::move(*update));
+  }
+  ASSERT_EQ(tail.size(), clean.size() - kCut);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].uncertain_tuples, clean[i + kCut].uncertain_tuples);
+    EXPECT_TRUE(same_bits(tail[i].max_rsd, clean[i + kCut].max_rsd));
+    ExpectTablesIdentical(tail[i].result, clean[i + kCut].result,
+                          Format("pooled resumed update %zu", i));
   }
 }
 

@@ -132,6 +132,15 @@ TEST_F(ObsEquivalenceTest, QueryStatsAccountForTheBatch) {
     EXPECT_LE(s.envelope_check_seconds + s.delta_exec_seconds + s.emit_seconds +
                   s.rebuild_seconds + s.materialize_seconds,
               update->batch_seconds + 1e-6);
+    // Emit splits into its four parts, which add up to it. SBI has a scalar
+    // block (broadcast) and a root block, and both emit every batch.
+    EXPECT_GE(s.emit_overlay_seconds, 0.0);
+    EXPECT_GT(s.emit_finalize_seconds, 0.0);
+    EXPECT_GT(s.emit_broadcast_seconds, 0.0);
+    EXPECT_GT(s.emit_root_seconds, 0.0);
+    EXPECT_NEAR(s.emit_overlay_seconds + s.emit_finalize_seconds +
+                    s.emit_broadcast_seconds + s.emit_root_seconds,
+                s.emit_seconds, 1e-9);
     if (s.failure_cause == nullptr) {
       EXPECT_EQ(s.rebuild_seconds, 0.0);
     } else {

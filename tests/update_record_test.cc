@@ -256,6 +256,71 @@ TEST(UpdateRecordTest, NullEstimateIsNeverConverged) {
   EXPECT_TRUE(stopped->headline.has_estimate);
 }
 
+TEST(UpdateRecordTest, ZeroEstimateAndEmptyAnswerAreNeverConverged) {
+  // Five matches in 10 000 rows: batch 1 almost surely sees none of them.
+  auto schema = std::make_shared<Schema>(
+      std::vector<Field>{{"g", TypeId::kInt64}, {"x", TypeId::kFloat64}});
+  TableBuilder builder(schema, 1024);
+  for (int64_t i = 0; i < 10000; ++i) {
+    builder.AppendRow({Value::Int(i % 4),
+                       Value::Float(i % 2000 == 7 ? 1000.0 + static_cast<double>(i)
+                                                  : static_cast<double>(i % 1000))});
+  }
+  Engine engine;
+  GOLA_CHECK_OK(engine.RegisterTable("t", builder.Finish()));
+  GolaOptions opts;
+  opts.num_batches = 100;
+  opts.bootstrap_replicates = 50;
+
+  // A COUNT of 0 keeps its interval, but its RSD is absent: a spread
+  // relative to 0 says nothing about convergence.
+  const std::string count_sql = "SELECT COUNT(*) AS n FROM t WHERE x > 1000";
+  {
+    auto online = engine.ExecuteOnline(count_sql, opts);
+    ASSERT_TRUE(online.ok()) << online.status().ToString();
+    auto first = (*online)->Step();
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first->result.num_rows(), 1);
+    ASSERT_EQ(first->result.At(0, 0).ToDouble().ValueOr(-1), 0.0)
+        << "no match in batch 1 expected";
+    EXPECT_FALSE(first->result.At(0, 1).is_null());  // n_lo
+    EXPECT_FALSE(first->result.At(0, 2).is_null());  // n_hi
+    EXPECT_TRUE(first->result.At(0, 3).is_null());   // n_rsd
+    EXPECT_TRUE(first->headline.has_estimate);
+    EXPECT_EQ(first->headline.estimate, 0.0);
+    EXPECT_FALSE(first->headline.has_rsd);
+    EXPECT_TRUE(std::isinf(first->max_rsd));
+  }
+  {
+    auto online = engine.ExecuteOnline(count_sql, opts);
+    ASSERT_TRUE(online.ok());
+    auto stopped = (*online)->RunToAccuracy(0.05);
+    ASSERT_TRUE(stopped.ok());
+    EXPECT_GT(stopped->batch_index, 1);
+    EXPECT_GT(stopped->result.At(0, 0).ToDouble().ValueOr(0), 0.0);
+  }
+
+  // A grouped answer with no rows yet has no cells, and so no accuracy.
+  const std::string grouped_sql =
+      "SELECT g, AVG(x) AS a FROM t WHERE x > 1000 GROUP BY g";
+  {
+    auto online = engine.ExecuteOnline(grouped_sql, opts);
+    ASSERT_TRUE(online.ok()) << online.status().ToString();
+    auto first = (*online)->Step();
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first->result.num_rows(), 0) << "no match in batch 1 expected";
+    EXPECT_TRUE((*online)->cells().empty());
+    EXPECT_TRUE(std::isinf(first->max_rsd));
+    EXPECT_FALSE(first->max_rsd < 0.02);
+  }
+  auto online = engine.ExecuteOnline(grouped_sql, opts);
+  ASSERT_TRUE(online.ok());
+  auto stopped = (*online)->RunToAccuracy(0.05);
+  ASSERT_TRUE(stopped.ok());
+  EXPECT_GT(stopped->batch_index, 1);
+  EXPECT_GT(stopped->result.num_rows(), 0);
+}
+
 // --- key rendering and escaping ---------------------------------------------
 
 TEST(UpdateRecordTest, ScalarCellKeyIsStarAndGroupKeysAreEscaped) {
