@@ -1,9 +1,11 @@
-// Kernel-layer microbenchmarks (google-benchmark): vectorized vs
-// row-at-a-time reference on the three hot paths the kernel subsystem
-// replaces — predicate filtering, grouped aggregation, and the poissonized
+// Kernel-layer microbenchmarks (google-benchmark): the chunk-at-a-time
+// kernels the engine runs against a row-at-a-time reference on its three
+// hot paths — predicate filtering, grouped aggregation, and the poissonized
 // replicate fold. Every benchmark carries a `vec` argument (0 = reference,
 // 1 = kernels); tools/check_perf.py pairs the two and fails CI when the
-// vectorized path loses its speedup on the group-by / replicate benches.
+// kernels lose their speedup on the group-by / replicate benches. The
+// group-by and replicate references are the row-at-a-time fold the tests
+// use as their oracle (tests/support/row_fold.h).
 //
 // Emits BENCH_kernels.json (google-benchmark JSON) in the working
 // directory unless --benchmark_out is passed explicitly.
@@ -17,6 +19,7 @@
 #include "bench_util.h"
 #include "exec/hash_aggregate.h"
 #include "gola/online_agg.h"
+#include "support/row_fold.h"
 
 namespace gola {
 namespace {
@@ -94,7 +97,8 @@ BENCHMARK(BM_KernelFilter)
     ->ArgNames({"rows", "vec"});
 
 /// Grouped COUNT(*)/SUM/AVG through the exact batch aggregate: dense group
-/// ids + flat slot accumulation vs per-row Value-boxed map probes.
+/// ids + flat slot accumulation vs the oracle's per-row Value-boxed map
+/// probes (no replicates, so it makes the exact aggregate's per-row calls).
 void BM_KernelGroupBy(benchmark::State& state) {
   Engine engine;
   GOLA_CHECK_OK(engine.RegisterTable("t", MakeGroupedTable(state.range(0))));
@@ -105,13 +109,15 @@ void BM_KernelGroupBy(benchmark::State& state) {
   const BlockDef& block = query->root();
   const bool vec = state.range(1) != 0;
   for (auto _ : state) {
-    HashAggregate agg(&block);
     if (vec) {
-      GOLA_CHECK_OK(agg.UpdateVectorized(chunk, nullptr));
-    } else {
+      HashAggregate agg(&block);
       GOLA_CHECK_OK(agg.Update(chunk, nullptr));
+      benchmark::DoNotOptimize(agg);
+    } else {
+      GroupMap groups;
+      GOLA_CHECK_OK(oracle::UpdateGroupMap(block, nullptr, chunk, nullptr, &groups));
+      benchmark::DoNotOptimize(groups);
     }
-    benchmark::DoNotOptimize(agg);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -123,9 +129,10 @@ BENCHMARK(BM_KernelGroupBy)
     ->Repetitions(3);
 
 /// The online fold with B bootstrap replicates per aggregate — the G-OLA
-/// hot loop. Kernel path: one weight matrix per chunk + tiled flat-replicate
-/// sweeps; reference: per-tuple WeightsFor + B-length scalar passes. B = 0
-/// folds point states only (no replication).
+/// hot loop. Kernel path: a morsel's FoldTileOf (weight tiles + tiled
+/// flat-replicate sweeps) merged with MergeTile, as the fold stage runs it;
+/// reference: the oracle's per-tuple WeightsFor + B-length scalar passes.
+/// B = 0 folds point states only (no replication).
 void BM_KernelReplicateUpdate(benchmark::State& state) {
   constexpr int64_t kRows = 1 << 14;
   Engine engine;
@@ -141,9 +148,17 @@ void BM_KernelReplicateUpdate(benchmark::State& state) {
   std::unique_ptr<PoissonWeights> weights;
   if (b > 0) weights = std::make_unique<PoissonWeights>(b, 42);
   for (auto _ : state) {
-    OnlineAggregate agg(&block, weights.get());
-    GOLA_CHECK_OK(agg.Update(chunk, nullptr, vec));
-    benchmark::DoNotOptimize(agg.num_groups());
+    if (vec) {
+      OnlineAggregate agg(&block, weights.get());
+      FoldTile tile;
+      GOLA_CHECK_OK(agg.FoldTileOf(chunk, nullptr, &tile));
+      agg.MergeTile(std::move(tile));
+      benchmark::DoNotOptimize(agg.num_groups());
+    } else {
+      GroupMap groups;
+      GOLA_CHECK_OK(oracle::UpdateGroupMap(block, weights.get(), chunk, nullptr, &groups));
+      benchmark::DoNotOptimize(groups.size());
+    }
   }
   state.SetItemsProcessed(state.iterations() * kRows);
 }

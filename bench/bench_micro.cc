@@ -162,7 +162,6 @@ void BM_OnlineDrainSbi(benchmark::State& state) {
   opts.num_batches = 20;
   opts.bootstrap_replicates = 60;
   opts.pool = pool.get();
-  opts.vectorized = bench::VectorizedFromEnv();
   opts.trace_path = bench::TracePathFromEnv();
   std::string sql = SbiQuery();
   for (auto _ : state) {
@@ -207,12 +206,8 @@ int main(int argc, char** argv) {
   int patched_argc = static_cast<int>(args.size());
   benchmark::Initialize(&patched_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(patched_argc, args.data())) return 1;
-  // Record which execution path (GolaOptions::vectorized) the online
-  // benchmarks ran in the JSON context, so A/B artifacts are self-labeling.
-  const bool vectorized = gola::bench::VectorizedFromEnv();
-  benchmark::AddCustomContext("vectorized", vectorized ? "true" : "false");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  gola::bench::WriteMetricsArtifact("micro", vectorized);
+  gola::bench::WriteMetricsArtifact("micro");
   return 0;
 }

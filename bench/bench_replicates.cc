@@ -28,7 +28,6 @@ int Main(int argc, char** argv) {
     GolaOptions opts;
     opts.num_batches = kBatches;
     opts.bootstrap_replicates = b;
-    opts.vectorized = bench::VectorizedFromEnv();
     auto online = engine.ExecuteOnline(sql, opts);
     GOLA_CHECK_OK(online.status());
     double total = 0;
@@ -50,7 +49,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("\nshape: time grows ~linearly with B; CI estimates stabilize by "
               "B~=50-100 (more replicates stop paying)\n");
-  bench::WriteMetricsArtifact("replicates", bench::VectorizedFromEnv());
+  bench::WriteMetricsArtifact("replicates");
   return 0;
 }
 

@@ -104,7 +104,7 @@ void BM_SegmentRleFold(benchmark::State& state) {
   const Chunk& input = vec ? chunks.encoded : chunks.decoded;
   for (auto _ : state) {
     HashAggregate agg(&block);
-    GOLA_CHECK_OK(agg.UpdateVectorized(input, nullptr));
+    GOLA_CHECK_OK(agg.Update(input, nullptr));
     benchmark::DoNotOptimize(agg);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

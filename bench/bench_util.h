@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 
 #if defined(__GLIBC__)
@@ -74,15 +73,6 @@ inline void PrintHeader(const std::string& title, int64_t rows, int batches,
               static_cast<long long>(rows), batches, replicates);
 }
 
-/// GolaOptions::vectorized from the GOLA_VECTORIZED env var (default on;
-/// "0" selects the row-at-a-time reference path). Results are bit-identical
-/// either way, so A/B runs of the same bench binary measure the kernel
-/// speedup on the full workload.
-inline bool VectorizedFromEnv() {
-  const char* env = std::getenv("GOLA_VECTORIZED");
-  return env == nullptr || std::string(env) != "0";
-}
-
 /// Chrome-trace output path from GOLA_TRACE_PATH; empty → tracing stays off.
 /// Opt-in by env keeps the CI overhead guard measuring metrics cost alone.
 inline std::string TracePathFromEnv() {
@@ -92,17 +82,10 @@ inline std::string TracePathFromEnv() {
 
 /// Folds the engine's metrics registry into the bench's artifact set:
 /// BENCH_<name>.metrics.json next to the timing output, so CI uploads a
-/// machine-readable snapshot of counters/gauges/histograms per run. When
-/// `vectorized` is set, a top-level "vectorized" field records which
-/// execution path (GolaOptions::vectorized) produced the run.
-inline void WriteMetricsArtifact(const std::string& name,
-                                 std::optional<bool> vectorized = std::nullopt) {
+/// machine-readable snapshot of counters/gauges/histograms per run.
+inline void WriteMetricsArtifact(const std::string& name) {
   const std::string path = "BENCH_" + name + ".metrics.json";
   std::string json = obs::MetricsRegistry::Global().Snapshot().ToJson();
-  if (vectorized.has_value() && !json.empty() && json.front() == '{') {
-    json.insert(1, std::string("\n  \"vectorized\": ") +
-                       (*vectorized ? "true" : "false") + ",");
-  }
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());

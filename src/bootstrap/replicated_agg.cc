@@ -65,13 +65,13 @@ void ReplicatedAgg::UpdateNumericWeighted(double v, const int32_t* weights, size
 
 void ReplicatedAgg::UpdateValueWeighted(const Value& v, const int32_t* weights, size_t b) {
   if (simple_ != SimpleAggKind::kNone) {
-    // A value that cannot widen to double (NULL, string) is skipped outright
-    // — the same behavior as the generic AggState path, whose default
-    // UpdateValue drops non-convertible observations. Folding it as 0.0
-    // would bias SUM/AVG replicates and inflate every replicate count.
+    // A value that cannot widen to double (a string) still counts for COUNT,
+    // as 1.0 — the way COUNT(*) counts a row. SUM and AVG skip it outright,
+    // as the generic AggState path's default UpdateValue does: folding it as
+    // 0.0 would bias their replicates and inflate every replicate count.
     auto d = v.ToDouble();
-    if (!d.ok()) return;
-    UpdateNumericWeighted(*d, weights, b);
+    if (!d.ok() && simple_ != SimpleAggKind::kCount) return;
+    UpdateNumericWeighted(d.ok() ? *d : 1.0, weights, b);
     return;
   }
   main_->UpdateValue(v, 1.0);

@@ -44,7 +44,7 @@ class ReplicatedAgg {
   void UpdateValueWeighted(const Value& v, const std::vector<int32_t>& weights);
 
   /// Pointer forms for callers holding a row of a precomputed weight matrix
-  /// (the vectorized fold); `b` must equal num_replicates().
+  /// (the kernel fold); `b` must equal num_replicates().
   void UpdateNumericWeighted(double v, const int32_t* weights, size_t b);
   void UpdateValueWeighted(const Value& v, const int32_t* weights, size_t b);
 

@@ -145,7 +145,6 @@ Status BatchExecutor::ExecuteBlock(const BlockDef& block,
   ctx.pool = opts.pool;
   ctx.scale = opts.scale;
   ctx.env = env;
-  ctx.vectorized = opts.vectorized;
 
   DeltaPipeline pipeline;
   if (!join_stage.empty()) pipeline.Add(&join_stage);

@@ -32,9 +32,6 @@ struct BatchExecOptions {
   double scale = 1.0;
   /// Worker pool for the morsel-parallel pipeline (null → sequential).
   ThreadPool* pool = nullptr;
-  /// Vectorized execution kernels (see ExecContext::vectorized); false runs
-  /// the row-at-a-time reference path. Results are bit-identical either way.
-  bool vectorized = true;
 };
 
 class BatchExecutor {

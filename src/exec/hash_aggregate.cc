@@ -20,72 +20,28 @@ HashAggregate::StateVec HashAggregate::NewStates() const {
   return states;
 }
 
-Status HashAggregate::EvalInputs(const Chunk& input, const BroadcastEnv* env,
-                                 std::vector<Column>* key_cols,
-                                 std::vector<Column>* arg_cols,
-                                 std::vector<bool>* has_arg) const {
-  key_cols->reserve(block_->group_by.size());
-  for (const auto& g : block_->group_by) {
-    GOLA_ASSIGN_OR_RETURN(Column c, Evaluate(*g, input, env));
-    key_cols->push_back(std::move(c));
-  }
-  for (const auto& agg : block_->aggs) {
-    if (agg.call->children.empty()) {
-      arg_cols->emplace_back(TypeId::kFloat64);
-      has_arg->push_back(false);
-    } else {
-      GOLA_ASSIGN_OR_RETURN(Column c, Evaluate(*agg.call->children[0], input, env));
-      arg_cols->push_back(std::move(c));
-      has_arg->push_back(true);
-    }
-  }
-  return Status::OK();
-}
-
 Status HashAggregate::Update(const Chunk& input, const BroadcastEnv* env) {
-  size_t n = input.num_rows();
-  if (n == 0) return Status::OK();
-
-  // Evaluate group keys and aggregate arguments vectorized.
-  std::vector<Column> key_cols;
-  std::vector<Column> arg_cols;
-  std::vector<bool> has_arg;
-  GOLA_RETURN_NOT_OK(EvalInputs(input, env, &key_cols, &arg_cols, &has_arg));
-
-  GroupKey key;
-  key.values.resize(key_cols.size());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < key_cols.size(); ++k) key.values[k] = key_cols[k].GetValue(i);
-    auto it = groups_.find(key);
-    if (it == groups_.end()) {
-      it = groups_.emplace(key, NewStates()).first;
-    }
-    StateVec& states = it->second;
-    for (size_t a = 0; a < states.size(); ++a) {
-      if (!has_arg[a]) {
-        states[a]->UpdateValue(Value::Int(1), 1.0);  // COUNT(*)
-        continue;
-      }
-      if (arg_cols[a].IsNull(i)) continue;  // SQL aggregates skip NULLs
-      if (IsNumeric(arg_cols[a].type()) || arg_cols[a].type() == TypeId::kBool) {
-        states[a]->UpdateNumeric(arg_cols[a].NumericAt(i), 1.0);
-      } else {
-        states[a]->UpdateValue(arg_cols[a].GetValue(i), 1.0);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status HashAggregate::UpdateVectorized(const Chunk& input, const BroadcastEnv* env) {
   size_t n = input.num_rows();
   if (n == 0) return Status::OK();
   obs::TraceSpan span("kernel_agg", "rows", static_cast<int64_t>(n));
 
   std::vector<Column> key_cols;
+  key_cols.reserve(block_->group_by.size());
+  for (const auto& g : block_->group_by) {
+    GOLA_ASSIGN_OR_RETURN(Column c, Evaluate(*g, input, env));
+    key_cols.push_back(std::move(c));
+  }
   std::vector<Column> arg_cols;
   std::vector<bool> has_arg;
-  GOLA_RETURN_NOT_OK(EvalInputs(input, env, &key_cols, &arg_cols, &has_arg));
+  for (const auto& agg : block_->aggs) {
+    has_arg.push_back(!agg.call->children.empty());
+    if (!has_arg.back()) {
+      arg_cols.emplace_back(TypeId::kFloat64);
+      continue;
+    }
+    GOLA_ASSIGN_OR_RETURN(Column c, Evaluate(*agg.call->children[0], input, env));
+    arg_cols.push_back(std::move(c));
+  }
 
   kernels::GroupIds gids;
   GOLA_RETURN_NOT_OK(kernels::ComputeGroupIds(key_cols, n, /*force_generic=*/false, &gids));
@@ -116,9 +72,9 @@ Status HashAggregate::UpdateVectorized(const Chunk& input, const BroadcastEnv* e
     }
   }
 
-  // Widen numeric argument columns once per chunk; the reference path widens
-  // per row via NumericAt, which produces the same doubles. Fast-path
-  // candidates defer widening until the run fold actually rejects them.
+  // Widen numeric argument columns once per chunk (the same doubles a
+  // per-row NumericAt gives). Fast-path candidates defer widening until the
+  // run fold actually rejects them.
   std::vector<std::vector<double>> widened(arg_cols.size());
   std::vector<std::vector<uint8_t>> valid(arg_cols.size());
   std::vector<bool> numeric(arg_cols.size(), false);
@@ -163,7 +119,7 @@ Status HashAggregate::UpdateVectorized(const Chunk& input, const BroadcastEnv* e
             continue;
           }
           // Fold rejected (non-simple state or exactness guard): widen now
-          // and fall through to the reference row loop.
+          // and fall through to the row loop.
           if (widened[a].empty()) {
             GOLA_ASSIGN_OR_RETURN(widened[a], col.ToFloat64(nullptr));
           }

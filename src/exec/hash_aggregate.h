@@ -43,15 +43,12 @@ class HashAggregate {
   /// `block` must outlive this object and must be an aggregate block.
   explicit HashAggregate(const BlockDef* block);
 
-  /// Accumulates one (already filtered) input chunk. `env` supplies
-  /// broadcast values when aggregate arguments reference subqueries.
+  /// Accumulates one (already filtered) input chunk, a chunk at a time:
+  /// dense group ids via the flat group-by kernel, one map probe per
+  /// (group, chunk), and slot-based accumulation for the SimpleAggKind
+  /// states. `env` supplies broadcast values when aggregate arguments
+  /// reference subqueries.
   Status Update(const Chunk& input, const BroadcastEnv* env);
-
-  /// Chunk-at-a-time variant of Update: dense group ids via the flat
-  /// group-by kernel, one map probe per (group, chunk), and slot-based
-  /// accumulation for the SimpleAggKind states. Bit-identical to Update —
-  /// the row-at-a-time path remains the reference oracle.
-  Status UpdateVectorized(const Chunk& input, const BroadcastEnv* env);
 
   /// Merges a partial aggregation built over a disjoint partition.
   Status Merge(HashAggregate&& other);
@@ -63,15 +60,16 @@ class HashAggregate {
 
   size_t num_groups() const { return groups_.size(); }
 
- private:
   using StateVec = std::vector<std::unique_ptr<AggState>>;
+  using GroupStateMap = std::unordered_map<GroupKey, StateVec, GroupKeyHash>;
+  /// Per-group states, one per aggregate in block order.
+  const GroupStateMap& groups() const { return groups_; }
+
+ private:
   StateVec NewStates() const;
-  Status EvalInputs(const Chunk& input, const BroadcastEnv* env,
-                    std::vector<Column>* key_cols, std::vector<Column>* arg_cols,
-                    std::vector<bool>* has_arg) const;
 
   const BlockDef* block_;
-  std::unordered_map<GroupKey, StateVec, GroupKeyHash> groups_;
+  GroupStateMap groups_;
 };
 
 }  // namespace gola

@@ -1,7 +1,7 @@
 // Flat accumulation kernels for the SimpleAggKind fast paths. Both kernels
-// replay the exact floating-point op sequence of the row-at-a-time reference
-// (read accumulator, add selected rows in row order, write back), so
-// vectorized and reference execution stay bit-identical even when the target
+// replay the exact floating-point op sequence of a row-at-a-time fold (read
+// accumulator, add selected rows in row order, write back), so they stay
+// bit-identical to the tests' row-at-a-time oracle even when the target
 // state already carries content (e.g. an AggOverlay clone of a base group).
 #ifndef GOLA_EXEC_KERNELS_AGG_KERNELS_H_
 #define GOLA_EXEC_KERNELS_AGG_KERNELS_H_

@@ -113,32 +113,18 @@ Result<Chunk> FilterStage::Apply(Chunk in, const ExecContext& ctx) const {
     if (ctx.metrics) ctx.metrics->rows_filtered += static_cast<int64_t>(n);
     return in;
   }
-  if (ctx.vectorized) {
-    // Selection-vector path: each predicate refines the survivor list in
-    // place (typed column-vs-literal fast paths touch only surviving rows),
-    // and the morsel is gathered once at the end — no per-predicate boolean
-    // columns, no intermediate chunks.
-    obs::TraceSpan span("kernel_filter", "rows", static_cast<int64_t>(n));
-    SelectionVector sel(n);
-    for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
-    for (const auto& pred : preds_) {
-      GOLA_RETURN_NOT_OK(EvaluatePredicateInto(*pred, in, ctx.env, &sel));
-      if (sel.empty()) break;
-    }
-    Chunk out = sel.size() == n ? std::move(in) : in.Gather(sel);
-    if (ctx.metrics) ctx.metrics->rows_filtered += static_cast<int64_t>(out.num_rows());
-    return out;
-  }
-  std::vector<uint8_t> mask(n, 1);
-  bool all = true;
+  // Selection-vector path: each predicate refines the survivor list in
+  // place (typed column-vs-literal fast paths touch only surviving rows),
+  // and the morsel is gathered once at the end — no per-predicate boolean
+  // columns, no intermediate chunks.
+  obs::TraceSpan span("kernel_filter", "rows", static_cast<int64_t>(n));
+  SelectionVector sel(n);
+  for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
   for (const auto& pred : preds_) {
-    GOLA_ASSIGN_OR_RETURN(std::vector<uint8_t> sel, EvaluatePredicate(*pred, in, ctx.env));
-    for (size_t i = 0; i < n; ++i) {
-      mask[i] &= sel[i];
-      if (!mask[i]) all = false;
-    }
+    GOLA_RETURN_NOT_OK(EvaluatePredicateInto(*pred, in, ctx.env, &sel));
+    if (sel.empty()) break;
   }
-  Chunk out = all ? std::move(in) : in.Filter(mask);
+  Chunk out = sel.size() == n ? std::move(in) : in.Gather(sel);
   if (ctx.metrics) ctx.metrics->rows_filtered += static_cast<int64_t>(out.num_rows());
   return out;
 }
@@ -157,7 +143,6 @@ Status HashAggregateStage::Consume(size_t morsel_index, Chunk in,
   partials_[morsel_index].reset();
   if (in.num_rows() == 0) return Status::OK();
   partials_[morsel_index] = std::make_unique<HashAggregate>(block_);
-  if (ctx.vectorized) return partials_[morsel_index]->UpdateVectorized(in, ctx.env);
   return partials_[morsel_index]->Update(in, ctx.env);
 }
 

@@ -74,10 +74,6 @@ struct ExecContext {
   size_t min_morsel_rows = 512;
   size_t max_morsels = 32;
   PipelineMetrics* metrics = nullptr;
-  /// Vectorized kernel dispatch: selection-vector filters, chunk-at-a-time
-  /// group ids, flat aggregate slots, tiled replicate updates. false selects
-  /// the row-at-a-time reference path; results are bit-identical either way.
-  bool vectorized = true;
   /// Resilience policy: a morsel whose body returns a retryable error (or
   /// throws) is re-executed in place up to this many extra attempts, with
   /// exponential backoff starting at `retry_backoff_ms`. Morsel bodies are

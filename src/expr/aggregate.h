@@ -46,7 +46,7 @@ class AggState {
   /// returns empty slots and goes through the virtual per-row path. A
   /// kernel using the slots must replicate the per-row add sequence of
   /// repeated UpdateNumeric calls (read slot, add rows in order, write
-  /// back) so vectorized and row-at-a-time execution stay bit-identical.
+  /// back) so the kernels stay bit-identical to a row-at-a-time fold.
   struct SimpleSlots {
     double* sum = nullptr;
     double* count = nullptr;

@@ -8,7 +8,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "exec/sort.h"
 #include "obs/flight_recorder.h"
@@ -78,7 +77,6 @@ ExecContext OnlineBlockExec::MakeContext(double scale, OnlineEnv* env) {
   ctx.seed = options_->seed;
   ctx.env = &env->point_env();
   ctx.metrics = &metrics_;
-  ctx.vectorized = options_->vectorized;
   ctx.max_morsel_retries = options_->max_morsel_retries;
   ctx.retry_backoff_ms = options_->retry_backoff_ms;
   return ctx;
@@ -136,7 +134,8 @@ Status OnlineBlockExec::Init() {
 
   // Membership classification conjunct (kMembership blocks): usable when
   // there is exactly one HAVING conjunct of comparison shape whose rhs is
-  // group-free.
+  // group-free and whose aggregate side is numeric (a string has no
+  // variation range).
   if (block_->kind == BlockKind::kMembership) {
     if (block_->group_by.size() != 1) {
       return Status::NotImplemented(
@@ -155,7 +154,8 @@ Status OnlineBlockExec::Init() {
           std::swap(lhs, rhs);
           cmp = FlipCmp(cmp);
         }
-        if (lhs->ContainsAggregate() && !rhs->ContainsAggregate()) {
+        if (lhs->ContainsAggregate() && !rhs->ContainsAggregate() &&
+            lhs->type != TypeId::kString) {
           ClsConjunct cls;
           cls.lhs = lhs;
           cls.cmp = cmp;
@@ -165,7 +165,8 @@ Status OnlineBlockExec::Init() {
       }
     } else if (total == 1 && block_->having_uncertain.size() == 1) {
       const UncertainConjunct& uc = block_->having_uncertain[0];
-      if (uc.form == UncertainConjunct::Form::kScalarCmp && !uc.outer_key) {
+      if (uc.form == UncertainConjunct::Form::kScalarCmp && !uc.outer_key &&
+          uc.lhs->type != TypeId::kString) {
         ClsConjunct cls;
         cls.lhs = uc.lhs;
         cls.cmp = uc.cmp;
@@ -196,18 +197,21 @@ Result<RangeFailure> OnlineBlockExec::ProcessBatch(const Chunk& batch, double sc
                                                    obs::QueryStats* stats) {
   GOLA_RETURN_NOT_OK(Init());
   obs::TraceSpan block_span("block", "id", block_->id);
-  Stopwatch phase_timer;
+  // Each phase's span adds its time to the phase's QueryStats field.
+  auto phase = [stats](double obs::QueryStats::*field) {
+    return stats != nullptr ? &(stats->*field) : nullptr;
+  };
   RangeFailure violated;
   {
-    obs::TraceSpan span("envelope_check");
+    obs::TraceSpan span("envelope_check", phase(&obs::QueryStats::envelope_check_seconds));
     GOLA_ASSIGN_OR_RETURN(violated, classify_stage_->CheckEnvelopes(env));
+    if (violated == RangeFailure::kNone && GOLA_FAILPOINT("gola.check_envelopes")) {
+      // Forced range failure: exercises the full recovery path (the caller
+      // runs a query-wide Rebuild) without waiting for a real envelope
+      // escape.
+      violated = RangeFailure::kInjected;
+    }
   }
-  if (violated == RangeFailure::kNone && GOLA_FAILPOINT("gola.check_envelopes")) {
-    // Forced range failure: exercises the full recovery path (the caller
-    // runs a query-wide Rebuild) without waiting for a real envelope escape.
-    violated = RangeFailure::kInjected;
-  }
-  if (stats) stats->envelope_check_seconds += phase_timer.ElapsedSeconds();
   if (violated != RangeFailure::kNone) {
     if (obs::MetricsEnabled()) {
       obs::MetricsRegistry::Global()
@@ -233,9 +237,8 @@ Result<RangeFailure> OnlineBlockExec::ProcessBatch(const Chunk& batch, double sc
 
   classify_stage_->SetEnv(env);
   ExecContext ctx = MakeContext(scale, env);
-  phase_timer.Restart();
   {
-    obs::TraceSpan span("delta_exec");
+    obs::TraceSpan span("delta_exec", phase(&obs::QueryStats::delta_exec_seconds));
     Status st =
         RunPipelineWithRetry(ctx, sources, &uncertain_, &uncertain_pass_, "batch");
     if (!st.ok()) {
@@ -246,12 +249,15 @@ Result<RangeFailure> OnlineBlockExec::ProcessBatch(const Chunk& batch, double sc
       return st;
     }
   }
-  if (stats) stats->delta_exec_seconds += phase_timer.ElapsedSeconds();
 
   rows_seen_ += static_cast<int64_t>(batch.num_rows());
   {
     obs::TraceSpan span("emit");
     GOLA_RETURN_NOT_OK(Emit(scale, env, stats));
+  }
+  if (stats) {
+    stats->emit_seconds = stats->emit_overlay_seconds + stats->emit_finalize_seconds +
+                          stats->emit_broadcast_seconds + stats->emit_root_seconds;
   }
   return RangeFailure::kNone;
 }
@@ -260,8 +266,8 @@ Status OnlineBlockExec::Rebuild(const std::vector<const Chunk*>& seen, double sc
                                 OnlineEnv* env, obs::QueryStats* stats) {
   GOLA_RETURN_NOT_OK(Init());
   GOLA_FAILPOINT_RETURN("gola.rebuild");
-  obs::TraceSpan block_span("rebuild_block", "id", block_->id);
-  Stopwatch rebuild_timer;
+  obs::TraceSpan block_span("rebuild_block", "id", block_->id,
+                            stats != nullptr ? &stats->rebuild_seconds : nullptr);
   Reset();
   // One morsel-parallel pass over all seen data with the *current* upstream
   // broadcasts (frozen for the whole pass): the envelopes installed at the
@@ -276,9 +282,7 @@ Status OnlineBlockExec::Rebuild(const std::vector<const Chunk*>& seen, double sc
   ExecContext ctx = MakeContext(scale, env);
   GOLA_RETURN_NOT_OK(
       RunPipelineWithRetry(ctx, sources, &uncertain_, &uncertain_pass_, "rebuild"));
-  Status st = Emit(scale, env, nullptr);
-  if (stats) stats->rebuild_seconds += rebuild_timer.ElapsedSeconds();
-  return st;
+  return Emit(scale, env, nullptr);
 }
 
 Status OnlineBlockExec::ReEmit(double scale, OnlineEnv* env) {
@@ -423,14 +427,9 @@ inline double StackedValue(const Column& col, size_t r) {
 
 Status OnlineBlockExec::Emit(double scale, OnlineEnv* env, obs::QueryStats* stats) {
   const ExecContext ctx = MakeContext(scale, env);
-  Stopwatch part_timer;
-  auto record = [&](double obs::QueryStats::*field) {
-    const double seconds = part_timer.ElapsedSeconds();
-    if (stats != nullptr) {
-      stats->*field += seconds;
-      stats->emit_seconds += seconds;
-    }
-    part_timer.Restart();
+  // Each part's span adds its time to the part's QueryStats field.
+  auto part = [stats](double obs::QueryStats::*field) {
+    return stats != nullptr ? &(stats->*field) : nullptr;
   };
 
   // The passing set was decided per uncertain row at classification; fold
@@ -438,7 +437,7 @@ Status OnlineBlockExec::Emit(double scale, OnlineEnv* env, obs::QueryStats* stat
   // state.
   AggOverlay overlay(agg_.get());
   {
-    obs::TraceSpan span("emit_overlay");
+    obs::TraceSpan span("emit_overlay", part(&obs::QueryStats::emit_overlay_seconds));
     if (uncertain_pass_.size() != uncertain_.num_rows()) {
       return Status::Internal("uncertain set has no pass flag per row");
     }
@@ -448,7 +447,6 @@ Status OnlineBlockExec::Emit(double scale, OnlineEnv* env, obs::QueryStats* stat
     }
     GOLA_RETURN_NOT_OK(overlay.Update(uncertain_, passing, ctx));
   }
-  record(&obs::QueryStats::emit_overlay_seconds);
 
   // Scalar blocks finalize replicates for every group to broadcast per-key
   // ranges, and membership blocks with a classification conjunct to
@@ -456,28 +454,23 @@ Status OnlineBlockExec::Emit(double scale, OnlineEnv* env, obs::QueryStats* stat
   // that survive HAVING/ORDER BY/LIMIT.
   PostAggChunk post;
   {
-    obs::TraceSpan span("emit_finalize");
+    obs::TraceSpan span("emit_finalize", part(&obs::QueryStats::emit_finalize_seconds));
     const bool with_replicates = block_->kind == BlockKind::kScalar ||
                                  (block_->kind == BlockKind::kMembership && cls_conjunct_);
     GOLA_ASSIGN_OR_RETURN(post, overlay.Finalize(scale, with_replicates, ctx));
   }
-  record(&obs::QueryStats::emit_finalize_seconds);
 
   switch (block_->kind) {
     case BlockKind::kScalar:
     case BlockKind::kMembership: {
-      obs::TraceSpan span("emit_broadcast");
-      GOLA_RETURN_NOT_OK(block_->kind == BlockKind::kScalar
-                             ? EmitScalar(post, env, ctx)
-                             : EmitMembership(post, env, ctx));
-      record(&obs::QueryStats::emit_broadcast_seconds);
-      return Status::OK();
+      obs::TraceSpan span("emit_broadcast",
+                          part(&obs::QueryStats::emit_broadcast_seconds));
+      return block_->kind == BlockKind::kScalar ? EmitScalar(post, env, ctx)
+                                                : EmitMembership(post, env, ctx);
     }
     case BlockKind::kRoot: {
-      obs::TraceSpan span("emit_root");
-      GOLA_RETURN_NOT_OK(EmitRoot(post, scale, env));
-      record(&obs::QueryStats::emit_root_seconds);
-      return Status::OK();
+      obs::TraceSpan span("emit_root", part(&obs::QueryStats::emit_root_seconds));
+      return EmitRoot(post, scale, env);
     }
   }
   return Status::Internal("unreachable block kind");
@@ -739,14 +732,12 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
   // Error bars for the selected rows only: their replicate aggregate values
   // go into one flat [row × replicate] matrix per aggregate.
   obs::TraceSpan ci_span("bootstrap_ci", "rows", static_cast<int64_t>(selected));
-  size_t num_reps = weights_ ? static_cast<size_t>(weights_->num_replicates()) : 0;
-  // Deadline degradation: finalize CIs from a prefix of the replicates.
+  // Deadline degradation may finalize CIs from a prefix of the replicates.
   // Classification and envelope checks always use the full set, so results
   // stay bit-identical — only the error bars get cheaper (and wider).
-  if (options_->active_replicates >= 0 &&
-      static_cast<size_t>(options_->active_replicates) < num_reps) {
-    num_reps = static_cast<size_t>(options_->active_replicates);
-  }
+  const size_t num_reps =
+      weights_ ? std::min(ci_replicates_, static_cast<size_t>(weights_->num_replicates()))
+               : 0;
   const bool with_bars = num_reps > 0 && selected > 0;
   std::vector<std::vector<double>> rep_matrix(with_bars ? num_aggs : 0);
   if (with_bars) {
@@ -770,11 +761,17 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
   std::vector<Field> all_fields = block_->output_schema->fields();
   std::vector<Column> all_cols = std::move(out_cols);
   // Error bars exist once there are selected rows and replicates. Each
-  // aggregate-bearing output column then gets its companions and each
-  // (row, column) a typed cell; the other output columns form the key.
+  // numeric aggregate-bearing output column then gets its companions and
+  // each (row, column) a typed cell; a string one (MIN(name)) has no
+  // bootstrap spread and gets neither. The aggregate-free output columns
+  // form the key.
   std::vector<size_t> agg_outs, key_outs;
   for (size_t o = 0; o < block_->output_exprs.size(); ++o) {
-    (block_->output_exprs[o]->ContainsAggregate() ? agg_outs : key_outs).push_back(o);
+    if (!block_->output_exprs[o]->ContainsAggregate()) {
+      key_outs.push_back(o);
+    } else if (all_cols[o].type() != TypeId::kString) {
+      agg_outs.push_back(o);
+    }
   }
   if (!with_bars) agg_outs.clear();
   const size_t row_cells = agg_outs.size();

@@ -10,6 +10,7 @@
 #ifndef GOLA_GOLA_BLOCK_EXECUTOR_H_
 #define GOLA_GOLA_BLOCK_EXECUTOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -100,6 +101,11 @@ class OnlineBlockExec : public MembershipSource {
   /// Root emissions of the most recent batch (root blocks only).
   const RootEmission& root_emission() const { return root_emission_; }
 
+  /// Caps the replicates the root's error bars are finalized from (all of
+  /// them by default); the deadline ladder lowers it. Classification and
+  /// envelope checks always use the full set.
+  void set_ci_replicates(size_t n) { ci_replicates_ = n; }
+
   // --- MembershipSource -------------------------------------------------
   /// A read of the answers frozen at this block's last Emit (lock-free:
   /// nothing writes them while downstream blocks classify).
@@ -173,6 +179,7 @@ class OnlineBlockExec : public MembershipSource {
   std::unordered_map<Value, TriState, ValueHash> key_answers_;
 
   RootEmission root_emission_;
+  size_t ci_replicates_ = SIZE_MAX;
   bool initialized_ = false;
 };
 

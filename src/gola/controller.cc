@@ -66,10 +66,6 @@ Status ValidateOptions(const GolaOptions& o) {
   if (o.deadline_ms < 0 || !(o.deadline_ms == o.deadline_ms)) {
     return Status::InvalidArgument("deadline_ms must be a non-negative number");
   }
-  if (o.active_replicates < -1 || o.active_replicates > o.bootstrap_replicates) {
-    return Status::InvalidArgument(
-        "active_replicates must be -1 (all) or in [0, bootstrap_replicates]");
-  }
   return Status::OK();
 }
 
@@ -218,8 +214,8 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
     ApplyDeadlinePressure(ElapsedSeconds());
     update.degradation = degradation_;
 
-    Stopwatch materialize_timer;
-    obs::TraceSpan materialize_span("materialize", "batch", i);
+    obs::TraceSpan materialize_span("materialize", "batch", i,
+                                    &update.stats.materialize_seconds);
     update.batch_index = next_batch_;
     update.total_batches = partitioner_->num_batches();
     update.fraction_processed = static_cast<double>(rows_through) /
@@ -239,7 +235,6 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
       update.uncertain_tuples += block->uncertain_size();
     }
     update.recomputes_so_far = recomputes_;
-    update.stats.materialize_seconds = materialize_timer.ElapsedSeconds();
   }
   update.batch_seconds = batch_timer.ElapsedSeconds();
   update.elapsed_seconds = ElapsedSeconds();
@@ -298,7 +293,8 @@ void OnlineQueryExecutor::ApplyDegradationEffects() {
     options_.materialize_results = false;
   }
   if (degradation_ >= Degradation::kReducedReplicates) {
-    options_.active_replicates = std::max(1, options_.bootstrap_replicates / 2);
+    blocks_.back()->set_ci_replicates(
+        static_cast<size_t>(std::max(1, options_.bootstrap_replicates / 2)));
   }
   if (degradation_ >= Degradation::kStoppedEarly) {
     stopped_early_ = true;

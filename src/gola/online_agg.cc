@@ -12,8 +12,7 @@ namespace gola {
 
 namespace {
 
-// Group-key and aggregate-argument columns for one fold input; shared by the
-// row-at-a-time and vectorized folds so both see identical values. With a
+// Group-key and aggregate-argument columns for one fold input. With a
 // selection, only the selected rows' key and argument columns are built: a
 // bare column is gathered straight from the input, anything else is
 // evaluated (row by row, so per-row values are unchanged) and then gathered.
@@ -49,33 +48,6 @@ Status EvalFoldInputs(const BlockDef& block, const Chunk& input,
   return Status::OK();
 }
 
-GroupEntry NewGroupEntry(const BlockDef& block, const PoissonWeights* weights) {
-  GroupEntry entry;
-  entry.aggs.reserve(block.aggs.size());
-  for (const auto& agg : block.aggs) entry.aggs.emplace_back(agg.fn, weights);
-  return entry;
-}
-
-// Copy-on-write find-or-create shared by both folds: probe `map`, else clone
-// the group from `clone_source` if present there, else create fresh states.
-GroupMap::iterator FindOrCreateGroup(GroupMap* map, const GroupMap* clone_source,
-                                     const GroupKey& key, const BlockDef& block,
-                                     const PoissonWeights* weights) {
-  auto it = map->find(key);
-  if (it != map->end()) return it;
-  if (clone_source != nullptr) {
-    auto src = clone_source->find(key);
-    if (src != clone_source->end()) {
-      GroupEntry cloned;
-      cloned.rows = src->second.rows;
-      cloned.aggs.reserve(src->second.aggs.size());
-      for (const auto& s : src->second.aggs) cloned.aggs.push_back(s.Clone());
-      return map->emplace(key, std::move(cloned)).first;
-    }
-  }
-  return map->emplace(key, NewGroupEntry(block, weights)).first;
-}
-
 // Fold inputs of one chunk (or of its selected rows), computed once and
 // read by every group's fold: key and argument columns, dense group ids with
 // per-group row lists, numeric arguments widened to double, and serials.
@@ -84,7 +56,6 @@ struct FoldBatch {
   std::vector<Column> arg_cols;
   std::vector<bool> has_arg;
   std::vector<std::vector<double>> widened;
-  std::vector<std::vector<uint8_t>> valid;
   std::vector<bool> numeric;
   std::vector<int64_t> gathered_serials;
   const int64_t* serials = nullptr;
@@ -118,19 +89,17 @@ Status PrepareFoldBatch(const BlockDef& block, const Chunk& input,
       kernels::ComputeGroupIds(in->key_cols, n, /*force_generic=*/false, &in->gids));
   kernels::BuildGroupRows(&in->gids);
 
-  // Widen numeric argument columns once per chunk (same doubles the reference
-  // path produces per row via NumericAt).
+  // Widen numeric argument columns once per chunk (the same doubles a
+  // per-row NumericAt gives).
   const size_t num_args = in->arg_cols.size();
   in->widened.resize(num_args);
-  in->valid.resize(num_args);
   in->numeric.assign(num_args, false);
   for (size_t a = 0; a < num_args; ++a) {
     if (!in->has_arg[a]) continue;
     const Column& col = in->arg_cols[a];
     if (IsNumeric(col.type()) || col.type() == TypeId::kBool) {
       in->numeric[a] = true;
-      GOLA_ASSIGN_OR_RETURN(in->widened[a],
-                            col.ToFloat64(col.has_nulls() ? &in->valid[a] : nullptr));
+      GOLA_ASSIGN_OR_RETURN(in->widened[a], col.ToFloat64(nullptr));
     }
   }
   return Status::OK();
@@ -141,6 +110,7 @@ Status PrepareFoldBatch(const BlockDef& block, const Chunk& input,
 // arrays; everything else goes row by row through `agg`.
 struct FoldTarget {
   bool flat = false;  // the aggregate keeps flat replicates
+  SimpleAggKind kind = SimpleAggKind::kNone;
   AggState::SimpleSlots slots;
   double* rep_sum = nullptr;
   double* rep_count = nullptr;
@@ -152,6 +122,7 @@ FoldTarget TargetOf(ReplicatedAgg* agg) {
   t.agg = agg;
   if (agg->has_flat_replicates()) {
     t.flat = true;
+    t.kind = agg->function()->simple_kind();
     t.slots = agg->main_state()->simple_slots();
     t.rep_sum = agg->flat_sum_data();
     t.rep_count = agg->flat_count_data();
@@ -205,8 +176,8 @@ void FoldGroup(const FoldBatch& in, const PoissonWeights* weights, size_t g,
     // Fast-path aggregates whose row set is the whole tile are collected
     // into one fused sweep over the weight tile; null-filtered ones sweep
     // individually with their own selection. Interleavings across
-    // aggregates touch disjoint accumulators, so both stay bit-identical
-    // to the reference's per-row order.
+    // aggregates touch disjoint accumulators, so both keep each
+    // accumulator's per-row add order.
     std::vector<kernels::ReplicateTarget>& fused = scratch->fused;
     fused.clear();
     for (size_t a = 0; a < num_aggs; ++a) {
@@ -225,46 +196,47 @@ void FoldGroup(const FoldBatch& in, const PoissonWeights* weights, size_t g,
         continue;
       }
       const Column& col = in.arg_cols[a];
-      if (in.numeric[a]) {
-        const double* values = in.widened[a].data();
-        const uint32_t* sel = trows;
-        const uint32_t* wsel = nullptr;  // identity: tile row i
-        size_t sel_n = tn;
-        if (!in.valid[a].empty()) {
-          scratch->nn_rows.clear();
-          scratch->nn_wrows.clear();
-          for (size_t i = 0; i < tn; ++i) {
-            if (in.valid[a][trows[i]]) {
-              scratch->nn_rows.push_back(trows[i]);
-              scratch->nn_wrows.push_back(static_cast<uint32_t>(i));
-            }
-          }
-          sel = scratch->nn_rows.data();
-          wsel = scratch->nn_wrows.data();
-          sel_n = scratch->nn_rows.size();
-        }
-        if (fast) {
-          kernels::AccumulateSimpleMain(t.slots, values, 0.0, sel, sel_n);
-          if (wsel == nullptr) {
-            fused.push_back({values, 0.0, t.rep_sum, t.rep_count});
-          } else {
-            kernels::ReplicateTarget one{values, 0.0, t.rep_sum, t.rep_count};
-            kernels::TiledReplicateUpdate(&one, 1, sel, wsel, sel_n, wtile, b);
-          }
-        } else {
-          for (size_t i = 0; i < sel_n; ++i) {
-            size_t tile_i = wsel != nullptr ? wsel[i] : i;
-            t.agg->UpdateNumericWeighted(values[sel[i]], weight_row(tile_i), b);
-          }
-        }
-      } else if (t.flat) {
-        // Simple aggregate over a string argument: every non-null value
-        // fails to widen, so the fold is a no-op (matches the reference).
-      } else {
+      if (!in.numeric[a] && !t.flat) {
         for (size_t i = 0; i < tn; ++i) {
           uint32_t r = trows[i];
           if (col.IsNull(r)) continue;
           t.agg->UpdateValueWeighted(col.GetValue(r), weight_row(i), b);
+        }
+        continue;
+      }
+      // A string argument does not widen: COUNT counts each non-null value
+      // as 1.0, as COUNT(*) counts a row, and SUM/AVG skip it.
+      if (!in.numeric[a] && t.kind != SimpleAggKind::kCount) continue;
+      const double* values = in.numeric[a] ? in.widened[a].data() : nullptr;
+      const uint32_t* sel = trows;
+      const uint32_t* wsel = nullptr;  // identity: tile row i
+      size_t sel_n = tn;
+      if (col.has_nulls()) {
+        scratch->nn_rows.clear();
+        scratch->nn_wrows.clear();
+        for (size_t i = 0; i < tn; ++i) {
+          if (!col.IsNull(trows[i])) {
+            scratch->nn_rows.push_back(trows[i]);
+            scratch->nn_wrows.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        sel = scratch->nn_rows.data();
+        wsel = scratch->nn_wrows.data();
+        sel_n = scratch->nn_rows.size();
+      }
+      if (fast) {
+        kernels::AccumulateSimpleMain(t.slots, values, 1.0, sel, sel_n);
+        if (wsel == nullptr) {
+          fused.push_back({values, 1.0, t.rep_sum, t.rep_count});
+        } else {
+          kernels::ReplicateTarget one{values, 1.0, t.rep_sum, t.rep_count};
+          kernels::TiledReplicateUpdate(&one, 1, sel, wsel, sel_n, wtile, b);
+        }
+      } else {
+        for (size_t i = 0; i < sel_n; ++i) {
+          size_t tile_i = wsel != nullptr ? wsel[i] : i;
+          t.agg->UpdateNumericWeighted(values != nullptr ? values[sel[i]] : 1.0,
+                                       weight_row(tile_i), b);
         }
       }
     }
@@ -276,80 +248,7 @@ void FoldGroup(const FoldBatch& in, const PoissonWeights* weights, size_t g,
   }
 }
 
-// Vectorized fold into a map of group states: every touched group is found,
-// cloned from `clone_source` or created on the calling thread, in
-// first-occurrence order; then groups fold in row-balanced pieces, on
-// ctx.pool when there are several.
-Status FoldIntoMap(const BlockDef& block, const PoissonWeights* weights,
-                   const FoldBatch& in, GroupMap* map, const GroupMap* clone_source,
-                   const ExecContext& ctx) {
-  const size_t num_groups = in.gids.num_groups;
-  const size_t num_aggs = block.aggs.size();
-  std::vector<FoldTarget> targets(num_groups * num_aggs);
-  for (size_t g = 0; g < num_groups; ++g) {
-    GroupKey key = kernels::GroupKeyAt(in.key_cols, in.gids.first_row[g]);
-    GroupEntry& entry =
-        FindOrCreateGroup(map, clone_source, key, block, weights)->second;
-    entry.rows += static_cast<int64_t>(in.group_rows(g));
-    for (size_t a = 0; a < num_aggs; ++a) {
-      targets[g * num_aggs + a] = TargetOf(&entry.aggs[a]);
-    }
-  }
-  std::vector<PieceRange> pieces =
-      PlanPieces(num_groups, [&](size_t g) { return in.group_rows(g); }, ctx);
-  return RunPieces(ctx, pieces.size(), [&](size_t p) -> Status {
-    obs::TraceSpan span("kernel_fold", "groups",
-                        static_cast<int64_t>(pieces[p].end - pieces[p].begin));
-    FoldScratch scratch;
-    for (size_t g = pieces[p].begin; g < pieces[p].end; ++g) {
-      FoldGroup(in, weights, g, &targets[g * num_aggs], &scratch);
-    }
-    return Status::OK();
-  });
-}
-
 }  // namespace
-
-Status UpdateGroupMap(const BlockDef& block, const PoissonWeights* weights,
-                      const Chunk& input, const BroadcastEnv* env, GroupMap* map,
-                      const GroupMap* clone_source) {
-  size_t n = input.num_rows();
-  if (n == 0) return Status::OK();
-  if (!input.has_serials()) {
-    return Status::Internal("online aggregation requires row serials");
-  }
-
-  std::vector<Column> key_cols;
-  std::vector<Column> arg_cols;
-  std::vector<bool> has_arg;
-  GOLA_RETURN_NOT_OK(
-      EvalFoldInputs(block, input, nullptr, env, &key_cols, &arg_cols, &has_arg));
-
-  const auto& serials = input.serials();
-  GroupKey key;
-  key.values.resize(key_cols.size());
-  std::vector<int32_t> row_weights;  // one replicate-weight vector per row
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < key_cols.size(); ++k) key.values[k] = key_cols[k].GetValue(i);
-    auto it = FindOrCreateGroup(map, clone_source, key, block, weights);
-    GroupEntry& entry = it->second;
-    ++entry.rows;
-    if (weights != nullptr) weights->WeightsFor(serials[i], &row_weights);
-    for (size_t a = 0; a < entry.aggs.size(); ++a) {
-      if (!has_arg[a]) {
-        entry.aggs[a].UpdateValueWeighted(Value::Int(1), row_weights);  // COUNT(*)
-        continue;
-      }
-      if (arg_cols[a].IsNull(i)) continue;
-      if (IsNumeric(arg_cols[a].type()) || arg_cols[a].type() == TypeId::kBool) {
-        entry.aggs[a].UpdateNumericWeighted(arg_cols[a].NumericAt(i), row_weights);
-      } else {
-        entry.aggs[a].UpdateValueWeighted(arg_cols[a].GetValue(i), row_weights);
-      }
-    }
-  }
-  return Status::OK();
-}
 
 OnlineAggregate::OnlineAggregate(const BlockDef* block, const PoissonWeights* weights)
     : block_(block), weights_(weights) {
@@ -368,17 +267,6 @@ OnlineAggregate::OnlineAggregate(const BlockDef* block, const PoissonWeights* we
       generic_slot_.push_back(generic++);
     }
   }
-}
-
-Status OnlineAggregate::Update(const Chunk& input, const BroadcastEnv* env,
-                               bool vectorized) {
-  if (input.num_rows() == 0) return Status::OK();
-  if (!vectorized) {
-    return UpdateGroupMap(*block_, weights_, input, env, &groups_, nullptr);
-  }
-  FoldBatch in;
-  GOLA_RETURN_NOT_OK(PrepareFoldBatch(*block_, input, nullptr, env, &in));
-  return FoldIntoMap(*block_, weights_, in, &groups_, nullptr, ExecContext());
 }
 
 Status OnlineAggregate::FoldTileOf(const Chunk& input, const BroadcastEnv* env,
@@ -418,6 +306,7 @@ Status OnlineAggregate::FoldTileOf(const Chunk& input, const BroadcastEnv* env,
       FlatMain& m = tile->main[f];
       t = FoldTarget();
       t.flat = true;
+      t.kind = block_->aggs[a].fn->simple_kind();
       t.slots = {proto.sum != nullptr ? &m.sum : nullptr,
                  proto.count != nullptr ? &m.count : nullptr,
                  proto.any != nullptr ? &m.any : nullptr};
@@ -479,25 +368,6 @@ void OnlineAggregate::MergeTile(FoldTile&& tile) {
   }
 }
 
-void OnlineAggregate::MergePartial(GroupMap&& partial) {
-  if (groups_.empty()) {
-    groups_ = std::move(partial);
-    return;
-  }
-  while (!partial.empty()) {
-    auto node = partial.extract(partial.begin());
-    auto it = groups_.find(node.key());
-    if (it == groups_.end()) {
-      groups_.insert(std::move(node));
-      continue;
-    }
-    GroupEntry& dst = it->second;
-    GroupEntry& src = node.mapped();
-    dst.rows += src.rows;
-    for (size_t a = 0; a < dst.aggs.size(); ++a) dst.aggs[a].Merge(src.aggs[a]);
-  }
-}
-
 void OnlineAggregate::Reset() { groups_.clear(); }
 
 Status OnlineAggregate::SaveTo(BinaryWriter* w) const {
@@ -553,13 +423,46 @@ Status AggOverlay::Update(const Chunk& input, const SelectionVector& rows,
                           const ExecContext& ctx) {
   if (rows.empty()) return Status::OK();
   const BlockDef& block = *base_->block_;
-  if (!ctx.vectorized) {
-    return UpdateGroupMap(block, base_->weights_, input.Gather(rows), ctx.env, &delta_,
-                          &base_->groups_);
-  }
   FoldBatch in;
   GOLA_RETURN_NOT_OK(PrepareFoldBatch(block, input, &rows, ctx.env, &in));
-  return FoldIntoMap(block, base_->weights_, in, &delta_, &base_->groups_, ctx);
+  // Every touched group is found, cloned from the base or created on the
+  // calling thread, in first-occurrence order; then groups fold in
+  // row-balanced pieces, on ctx.pool when there are several.
+  const size_t num_groups = in.gids.num_groups;
+  const size_t num_aggs = block.aggs.size();
+  std::vector<FoldTarget> targets(num_groups * num_aggs);
+  for (size_t g = 0; g < num_groups; ++g) {
+    GroupKey key = kernels::GroupKeyAt(in.key_cols, in.gids.first_row[g]);
+    auto it = delta_.find(key);
+    if (it == delta_.end()) {
+      auto src = base_->groups_.find(key);
+      GroupEntry entry;
+      if (src == base_->groups_.end()) {
+        entry = base_->NewStates();
+      } else {
+        entry.rows = src->second.rows;
+        entry.aggs.reserve(num_aggs);
+        for (const auto& s : src->second.aggs) entry.aggs.push_back(s.Clone());
+      }
+      it = delta_.emplace(std::move(key), std::move(entry)).first;
+    }
+    GroupEntry& entry = it->second;
+    entry.rows += static_cast<int64_t>(in.group_rows(g));
+    for (size_t a = 0; a < num_aggs; ++a) {
+      targets[g * num_aggs + a] = TargetOf(&entry.aggs[a]);
+    }
+  }
+  std::vector<PieceRange> pieces =
+      PlanPieces(num_groups, [&](size_t g) { return in.group_rows(g); }, ctx);
+  return RunPieces(ctx, pieces.size(), [&](size_t p) -> Status {
+    obs::TraceSpan span("kernel_fold", "groups",
+                        static_cast<int64_t>(pieces[p].end - pieces[p].begin));
+    FoldScratch scratch;
+    for (size_t g = pieces[p].begin; g < pieces[p].end; ++g) {
+      FoldGroup(in, base_->weights_, g, &targets[g * num_aggs], &scratch);
+    }
+    return Status::OK();
+  });
 }
 
 Result<PostAggChunk> AggOverlay::Finalize(double scale, bool with_replicates,

@@ -62,7 +62,7 @@ struct FlatMain {
   bool any = false;
 };
 
-/// One morsel's partial state from the vectorized fold, laid out densely
+/// One morsel's partial state from the kernel fold, laid out densely
 /// over the morsel's local group ids (first-occurrence order). Flat
 /// aggregates keep their main slots and B replicate sums/counts in flat
 /// arrays; only the others keep a ReplicatedAgg per local group. No heap
@@ -81,23 +81,16 @@ class OnlineAggregate {
  public:
   OnlineAggregate(const BlockDef* block, const PoissonWeights* weights);
 
-  /// Folds an input chunk (must carry serials) into the deterministic
-  /// states on the calling thread. `env` supplies point broadcast values for
-  /// group/agg exprs. `vectorized` selects the chunk-at-a-time kernel fold;
-  /// results are bit-identical either way (the row path is the reference).
-  Status Update(const Chunk& input, const BroadcastEnv* env, bool vectorized = true);
-
-  /// Vectorized fold of one morsel into a fresh tile (thread-safe: reads
-  /// only the block definition).
+  /// Folds one morsel (must carry serials) into a fresh tile, a chunk at a
+  /// time (thread-safe: reads only the block definition). `env` supplies
+  /// point broadcast values for group/agg exprs.
   Status FoldTileOf(const Chunk& input, const BroadcastEnv* env, FoldTile* tile) const;
 
-  /// Adds a tile (or, on the row-at-a-time reference path, a partial
-  /// GroupMap) built over a disjoint morsel into the deterministic states.
-  /// Callers merge partials in morsel order so the floating-point
-  /// accumulation order — and hence every downstream result — is
-  /// independent of which thread ran which morsel.
+  /// Adds a tile built over a disjoint morsel into the deterministic states.
+  /// Callers merge tiles in morsel order so the floating-point accumulation
+  /// order — and hence every downstream result — is independent of which
+  /// thread ran which morsel.
   void MergeTile(FoldTile&& tile);
-  void MergePartial(GroupMap&& partial);
 
   /// Clears all state (used by range-failure recompute).
   void Reset();
@@ -135,10 +128,8 @@ class AggOverlay {
 
   /// Folds rows `rows` of `input` (the passing uncertain tuples; the chunk
   /// must carry serials). Touched base groups are cloned on first touch, on
-  /// the calling thread; the vectorized fold then folds each group's rows,
-  /// in row order, with groups split into row-balanced pieces across
-  /// ctx.pool. ctx.vectorized = false runs the serial row-at-a-time
-  /// reference fold.
+  /// the calling thread; the kernel fold then folds each group's rows, in
+  /// row order, with groups split into row-balanced pieces across ctx.pool.
   Status Update(const Chunk& input, const SelectionVector& rows, const ExecContext& ctx);
 
   /// Finalizes the merged view into a post-aggregation chunk, groups in key
@@ -152,12 +143,6 @@ class AggOverlay {
   const OnlineAggregate* base_;
   GroupMap delta_;
 };
-
-/// Shared row-at-a-time fold — the bit-identity reference for the
-/// vectorized kernel fold.
-Status UpdateGroupMap(const BlockDef& block, const PoissonWeights* weights,
-                      const Chunk& input, const BroadcastEnv* env, GroupMap* map,
-                      const GroupMap* clone_source);
 
 }  // namespace gola
 

@@ -40,12 +40,6 @@ struct GolaOptions {
   /// Pre-shuffle rows (the paper's shuffle preprocessing tool); false keeps
   /// only partition-wise randomness.
   bool row_shuffle = true;
-  /// Vectorized execution kernels: selection-vector filters, chunk-at-a-time
-  /// group-id computation, flat aggregate slots and tiled bootstrap-replicate
-  /// updates. false selects the row-at-a-time reference path. Results are
-  /// bit-identical either way — this is a performance switch, not a
-  /// semantics switch.
-  bool vectorized = true;
   /// Worker pool for the morsel-parallel delta pipelines (null → every
   /// batch runs on the calling thread). Results are bit-identical across
   /// pool sizes: the morsel plan and partial-merge order never depend on it.
@@ -97,10 +91,6 @@ struct GolaOptions {
   /// deterministic), and at 100% it stops early and returns the best
   /// available estimate with its CI, flagged via OnlineUpdate::degradation.
   double deadline_ms = 0;
-  /// Replicates used when finalizing CIs/error bars at the root (-1 = all
-  /// of bootstrap_replicates). Lowered by the deadline controller; never
-  /// affects classification or envelope checks.
-  int active_replicates = -1;
   /// Label set attached to this query's metric series (DESIGN.md §13). The
   /// session layer fills session_id and table; when session_id is set, the
   /// controller additionally records into per-session labeled families

@@ -343,39 +343,25 @@ Status OnlineClassifyStage::LoadState(BinaryReader* r) {
 void OnlineFoldStage::BeginBatch(size_t num_morsels) {
   tiles_.clear();
   tiles_.resize(num_morsels);
-  partials_.clear();
-  partials_.resize(num_morsels);
 }
 
 Status OnlineFoldStage::Consume(size_t morsel_index, Chunk in, const ExecContext& ctx) {
-  // Retry idempotency: fold into a local partial and only then publish it
-  // into the morsel's slot, so a fold that fails (or trips the failpoint)
-  // partway leaves no half-accumulated replicate state behind for the retry
-  // to double-count.
+  // Retry idempotency: fold into a local tile and only then publish it into
+  // the morsel's slot, so a fold that fails (or trips the failpoint) partway
+  // leaves no half-accumulated replicate state behind for the retry to
+  // double-count.
   GOLA_FAILPOINT_RETURN("bootstrap.replicate");
-  if (ctx.vectorized) {
-    FoldTile tile;
-    GOLA_RETURN_NOT_OK(agg_->FoldTileOf(in, ctx.env, &tile));
-    tiles_[morsel_index] = std::move(tile);
-    return Status::OK();
-  }
-  GroupMap local;
-  if (in.num_rows() > 0) {
-    GOLA_RETURN_NOT_OK(
-        UpdateGroupMap(*agg_->block(), agg_->weights(), in, ctx.env, &local, nullptr));
-  }
-  partials_[morsel_index] = std::move(local);
+  FoldTile tile;
+  GOLA_RETURN_NOT_OK(agg_->FoldTileOf(in, ctx.env, &tile));
+  tiles_[morsel_index] = std::move(tile);
   return Status::OK();
 }
 
 Status OnlineFoldStage::Finish() {
-  // Each morsel filled exactly one of its two slots; the other is empty.
-  for (size_t m = 0; m < tiles_.size(); ++m) {
-    if (!tiles_[m].keys.empty()) agg_->MergeTile(std::move(tiles_[m]));
-    if (!partials_[m].empty()) agg_->MergePartial(std::move(partials_[m]));
+  for (FoldTile& tile : tiles_) {
+    if (!tile.keys.empty()) agg_->MergeTile(std::move(tile));
   }
   tiles_.clear();
-  partials_.clear();
   return Status::OK();
 }
 

@@ -126,9 +126,8 @@ class OnlineClassifyStage : public ClassifyStage {
 };
 
 /// Sink folding morsels into the block's deterministic-set states: one
-/// partial per morsel — a dense FoldTile on the vectorized path, a GroupMap
-/// on the row-at-a-time reference path — added into the OnlineAggregate in
-/// morsel order at the barrier (bootstrap replicate maintenance included).
+/// dense FoldTile per morsel, added into the OnlineAggregate in morsel order
+/// at the barrier (bootstrap replicate maintenance included).
 class OnlineFoldStage : public AggregateStage {
  public:
   explicit OnlineFoldStage(OnlineAggregate* agg) : agg_(agg) {}
@@ -141,7 +140,6 @@ class OnlineFoldStage : public AggregateStage {
  private:
   OnlineAggregate* agg_;
   std::vector<FoldTile> tiles_;
-  std::vector<GroupMap> partials_;
 };
 
 }  // namespace gola

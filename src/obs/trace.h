@@ -6,11 +6,15 @@
 // by time containment on each thread track, which the Chrome format renders
 // natively from overlapping complete ("ph":"X") events.
 //
-// Cost model: when tracing is disabled (the default) a TraceSpan is two
-// relaxed loads and no clock reads. When enabled, a span costs two
-// steady_clock reads plus one append into its thread's buffer (per-thread,
-// so the mutex is uncontended except during export). Span names and arg
-// names must be string literals (the buffer stores the pointers).
+// A span can also add its duration to a `double` of seconds: the per-phase
+// QueryStats are timed this way, so stats and traces read one clock.
+//
+// Cost model: when tracing is disabled (the default) and the span feeds no
+// seconds, a TraceSpan is two relaxed loads and no clock reads. A span that
+// feeds seconds always costs two steady_clock reads; when tracing is
+// enabled, a span adds one append into its thread's buffer (per-thread, so
+// the mutex is uncontended except during export). Span names and arg names
+// must be string literals (the buffer stores the pointers).
 #ifndef GOLA_OBS_TRACE_H_
 #define GOLA_OBS_TRACE_H_
 
@@ -97,22 +101,27 @@ class Tracer {
 };
 
 /// RAII span against the global tracer: records a complete event covering
-/// its lifetime. Near-free when tracing is disabled.
+/// its lifetime and, when `seconds` is non-null, adds that lifetime to
+/// `*seconds`. Near-free when tracing is disabled and `seconds` is null.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) : TraceSpan(name, nullptr, 0) {}
+  explicit TraceSpan(const char* name, double* seconds = nullptr)
+      : TraceSpan(name, nullptr, 0, seconds) {}
 
-  TraceSpan(const char* name, const char* arg_name, int64_t arg)
-      : name_(name), arg_name_(arg_name), arg_(arg) {
+  TraceSpan(const char* name, const char* arg_name, int64_t arg,
+            double* seconds = nullptr)
+      : name_(name), arg_name_(arg_name), arg_(arg), seconds_(seconds) {
     Tracer& tracer = Tracer::Global();
     armed_ = tracer.enabled();
-    if (armed_) start_ns_ = tracer.NowNs();
+    if (armed_ || seconds_ != nullptr) start_ns_ = tracer.NowNs();
   }
 
   ~TraceSpan() {
-    if (!armed_) return;
+    if (!armed_ && seconds_ == nullptr) return;
     Tracer& tracer = Tracer::Global();
-    tracer.Record(name_, start_ns_, tracer.NowNs() - start_ns_, arg_name_, arg_);
+    const int64_t dur_ns = tracer.NowNs() - start_ns_;
+    if (armed_) tracer.Record(name_, start_ns_, dur_ns, arg_name_, arg_);
+    if (seconds_ != nullptr) *seconds_ += static_cast<double>(dur_ns) * 1e-9;
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -122,6 +131,7 @@ class TraceSpan {
   const char* name_;
   const char* arg_name_;
   int64_t arg_;
+  double* seconds_;
   int64_t start_ns_ = 0;
   bool armed_ = false;
 };

@@ -112,7 +112,7 @@ TEST_F(HashAggTest, GroupsAndScale) {
   }
 }
 
-TEST_F(HashAggTest, MergePartials) {
+TEST_F(HashAggTest, MergeCombinesDisjointPartitions) {
   HashAggregate a(&query_->root());
   HashAggregate b(&query_->root());
   ASSERT_TRUE(a.Update(MakeChunk({1, 2}, {1, 2}), nullptr).ok());

@@ -120,6 +120,66 @@ TEST_F(OnlineEdgeTest, StringGroupKeysOnline) {
       "WHERE x > (SELECT AVG(x) FROM t) GROUP BY label ORDER BY label");
 }
 
+/// 2 000 rows: a two-valued key g, and a string name with 400 NULLs. Group
+/// 0's names are p/q/r, group 1's only q/r, so MIN(name) is 'p' in group 0
+/// alone.
+Table NamesTable() {
+  auto schema = std::make_shared<Schema>(
+      std::vector<Field>{{"g", TypeId::kInt64}, {"name", TypeId::kString}});
+  TableBuilder b(schema);
+  const char* names[] = {"p", "q", "r"};
+  for (int i = 0; i < 2000; ++i) {
+    const int g = i % 2;
+    Value name = i % 5 == 4 ? Value::Null() : Value::String(names[g + (i / 2) % (3 - g)]);
+    b.AppendRow({Value::Int(g), name});
+  }
+  return b.Finish();
+}
+
+TEST_F(OnlineEdgeTest, CountOfStringColumnCountsNonNullValues) {
+  Register("t", NamesTable());
+  // The flat COUNT fold dropped every value that does not widen to double,
+  // so the online COUNT(name) stayed 0 while the exact answer was 1600.
+  ExpectConverges("SELECT COUNT(name) AS n, COUNT(*) AS m FROM t");
+  ExpectConverges("SELECT g, COUNT(name) AS n FROM t GROUP BY g ORDER BY g");
+
+  GolaOptions opts;
+  opts.num_batches = 7;
+  opts.bootstrap_replicates = 25;
+  auto online = engine_.ExecuteOnline("SELECT COUNT(name) AS n FROM t", opts);
+  ASSERT_TRUE(online.ok()) << online.status().ToString();
+  auto last = (*online)->Run();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last->result.At(0, 0).ToDouble().ValueOr(0), 1600);
+  EXPECT_EQ(last->headline.column, "n");
+  EXPECT_TRUE(last->headline.has_estimate);
+}
+
+TEST_F(OnlineEdgeTest, StringValuedAggregatesFinishOnline) {
+  Register("t", NamesTable());
+  // A string aggregate output has no error bars: no companions, no typed
+  // cell; the headline and max_rsd come from the numeric COUNT(*).
+  const std::string flat = "SELECT MIN(name) AS lo, COUNT(*) AS n FROM t";
+  ExpectConverges(flat);
+  GolaOptions opts;
+  opts.num_batches = 7;
+  opts.bootstrap_replicates = 25;
+  auto online = engine_.ExecuteOnline(flat, opts);
+  ASSERT_TRUE(online.ok()) << online.status().ToString();
+  auto last = (*online)->Run();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_FALSE(last->result.schema()->FieldIndex("lo_lo").ok());
+  EXPECT_TRUE(last->result.schema()->FieldIndex("n_rsd").ok());
+  EXPECT_EQ(last->headline.column, "n");
+  EXPECT_TRUE(std::isfinite(last->max_rsd));
+
+  // A string HAVING side classifies no key: every key stays uncertain and
+  // the final answer is exact.
+  ExpectConverges(
+      "SELECT g, COUNT(*) AS n FROM t WHERE g IN "
+      "(SELECT g FROM t GROUP BY g HAVING MIN(name) = 'p') GROUP BY g ORDER BY g");
+}
+
 TEST_F(OnlineEdgeTest, DimensionJoinWhileStreamingFact) {
   // §2: stream the fact table, read the dimension in entirety.
   auto fact_schema = std::make_shared<Schema>(

@@ -262,6 +262,33 @@ TEST_F(ResilienceTest, DeadlineLadderDegradesInDocumentedOrder) {
   // The answer carries its CI columns (best estimate *with* error bars).
   EXPECT_TRUE(updates.back().result.schema()->FieldIndex("m_lo").ok());
   EXPECT_TRUE(updates.back().result.schema()->FieldIndex("m_hi").ok());
+
+  // An update emitted under the reduced-replicates rung (raised after the
+  // previous batch) keeps the undegraded estimates, and its error bars come
+  // from half the replicates.
+  GolaOptions undegraded = opts;
+  undegraded.deadline_ms = 0;
+  std::vector<OnlineUpdate> reference = RunAll(undegraded);
+  size_t i = 1;
+  while (i < updates.size() && updates[i - 1].degradation < Degradation::kReducedReplicates) {
+    ++i;
+  }
+  ASSERT_LT(i, updates.size()) << "no update was emitted under reduced replicates";
+  const Table& reduced = updates[i].result;
+  const Table& full = reference[i].result;
+  ASSERT_EQ(reduced.num_rows(), full.num_rows());
+  bool bars_differ = false;
+  for (int64_t r = 0; r < full.num_rows(); ++r) {
+    for (const char* col : {"g1", "m", "n"}) {
+      const int c = *full.schema()->FieldIndex(col);
+      EXPECT_TRUE(reduced.At(r, c) == full.At(r, c)) << col << " row " << r;
+    }
+    for (const char* col : {"m_lo", "m_hi", "n_lo", "n_hi"}) {
+      const int c = *full.schema()->FieldIndex(col);
+      bars_differ = bars_differ || !(reduced.At(r, c) == full.At(r, c));
+    }
+  }
+  EXPECT_TRUE(bars_differ);
 }
 
 TEST_F(ResilienceTest, TinyDeadlineStopsAfterOneBatchWithAnAnswer) {
@@ -296,10 +323,6 @@ TEST_F(ResilienceTest, InvalidResilienceOptionsAreRejected) {
             StatusCode::kInvalidArgument);
   opts = BaseOptions();
   opts.deadline_ms = -5;
-  EXPECT_EQ(engine_.ExecuteOnline(kQuery, opts).status().code(),
-            StatusCode::kInvalidArgument);
-  opts = BaseOptions();
-  opts.active_replicates = opts.bootstrap_replicates + 1;
   EXPECT_EQ(engine_.ExecuteOnline(kQuery, opts).status().code(),
             StatusCode::kInvalidArgument);
   // B < 2 makes every variation range a point.

@@ -2,9 +2,9 @@
 // tables through packed segment files instead of in-memory chunks must not
 // change a single bit of any result — every OnlineUpdate in the stream
 // (estimates, bootstrap CIs, rsd columns, scalar progress fields) and every
-// batch result, across pool sizes and the vectorized/reference paths. The
-// encoded fast paths (predicates on codes, zone pruning, RLE folds) ride on
-// the segment side, so this is also their end-to-end oracle.
+// batch result, across pool sizes. The encoded fast paths (predicates on
+// codes, zone pruning, RLE folds) ride on the segment side, so this is also
+// their end-to-end oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -93,14 +93,12 @@ class SegmentEquivalenceTest : public ::testing::TestWithParam<NamedQuery> {
   /// Steps the online executor to completion, collecting every update.
   static std::vector<OnlineUpdate> DrainOnline(Engine* engine,
                                                const NamedQuery& q,
-                                               bool vectorized,
                                                ThreadPool* pool) {
     GolaOptions opts;
     opts.num_batches = 6;
     opts.bootstrap_replicates = 40;
     opts.seed = 7;
     opts.pool = pool;
-    opts.vectorized = vectorized;
     auto online = engine->ExecuteOnline(q.sql, opts);
     GOLA_CHECK_OK(online.status());
     std::vector<OnlineUpdate> updates;
@@ -116,28 +114,22 @@ class SegmentEquivalenceTest : public ::testing::TestWithParam<NamedQuery> {
 TEST_P(SegmentEquivalenceTest, OnlineUpdateStreamBitIdentical) {
   const NamedQuery& q = GetParam();
   ThreadPool four(4);
-  for (bool vec : {true, false}) {
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
-      std::string cfg = q.name + (vec ? "/vec" : "/ref") +
-                        (pool ? "/pool4" : "/serial");
-      std::vector<OnlineUpdate> expect =
-          DrainOnline(&engines()->vectors, q, vec, pool);
-      std::vector<OnlineUpdate> got =
-          DrainOnline(&engines()->segments, q, vec, pool);
-      ASSERT_EQ(expect.size(), got.size()) << cfg;
-      for (size_t i = 0; i < expect.size(); ++i) {
-        const OnlineUpdate& e = expect[i];
-        const OnlineUpdate& g = got[i];
-        EXPECT_EQ(e.batch_index, g.batch_index) << cfg;
-        EXPECT_EQ(e.total_batches, g.total_batches) << cfg;
-        EXPECT_EQ(e.fraction_processed, g.fraction_processed) << cfg;
-        EXPECT_EQ(e.scale, g.scale) << cfg;
-        EXPECT_EQ(e.max_rsd, g.max_rsd) << cfg << " update " << i;
-        EXPECT_EQ(e.uncertain_tuples, g.uncertain_tuples) << cfg;
-        EXPECT_EQ(e.uncertain_groups, g.uncertain_groups) << cfg;
-        ExpectBitIdentical(e.result, g.result,
-                           cfg + " update " + std::to_string(i));
-      }
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    std::string cfg = q.name + (pool ? "/pool4" : "/serial");
+    std::vector<OnlineUpdate> expect = DrainOnline(&engines()->vectors, q, pool);
+    std::vector<OnlineUpdate> got = DrainOnline(&engines()->segments, q, pool);
+    ASSERT_EQ(expect.size(), got.size()) << cfg;
+    for (size_t i = 0; i < expect.size(); ++i) {
+      const OnlineUpdate& e = expect[i];
+      const OnlineUpdate& g = got[i];
+      EXPECT_EQ(e.batch_index, g.batch_index) << cfg;
+      EXPECT_EQ(e.total_batches, g.total_batches) << cfg;
+      EXPECT_EQ(e.fraction_processed, g.fraction_processed) << cfg;
+      EXPECT_EQ(e.scale, g.scale) << cfg;
+      EXPECT_EQ(e.max_rsd, g.max_rsd) << cfg << " update " << i;
+      EXPECT_EQ(e.uncertain_tuples, g.uncertain_tuples) << cfg;
+      EXPECT_EQ(e.uncertain_groups, g.uncertain_groups) << cfg;
+      ExpectBitIdentical(e.result, g.result, cfg + " update " + std::to_string(i));
     }
   }
 }
@@ -145,19 +137,14 @@ TEST_P(SegmentEquivalenceTest, OnlineUpdateStreamBitIdentical) {
 TEST_P(SegmentEquivalenceTest, BatchResultBitIdentical) {
   const NamedQuery& q = GetParam();
   ThreadPool four(4);
-  for (bool vec : {true, false}) {
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
-      BatchExecOptions opts;
-      opts.vectorized = vec;
-      opts.pool = pool;
-      auto expect = engines()->vectors.ExecuteBatch(q.sql, opts);
-      ASSERT_TRUE(expect.ok()) << expect.status().ToString();
-      auto got = engines()->segments.ExecuteBatch(q.sql, opts);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectBitIdentical(*expect, *got,
-                         q.name + (vec ? "/vec" : "/ref") +
-                             (pool ? "/pool4" : "/serial"));
-    }
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    BatchExecOptions opts;
+    opts.pool = pool;
+    auto expect = engines()->vectors.ExecuteBatch(q.sql, opts);
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    auto got = engines()->segments.ExecuteBatch(q.sql, opts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectBitIdentical(*expect, *got, q.name + (pool ? "/pool4" : "/serial"));
   }
 }
 

@@ -1,0 +1,32 @@
+// The row-at-a-time fold: the oracle the chunk-at-a-time kernels are checked
+// against. It folds one row at a time, in row order, into a GroupMap of
+// ReplicatedAgg states through their per-row Update*Weighted calls. With
+// `weights == nullptr` it makes exactly the per-row AggState calls an exact
+// aggregation over the same rows makes, so one oracle serves the online fold
+// (FoldTileOf, MergeTile, AggOverlay) and the exact HashAggregate alike.
+//
+// The engine never runs it: tests and bench_kernels link this target.
+#ifndef GOLA_TESTS_SUPPORT_ROW_FOLD_H_
+#define GOLA_TESTS_SUPPORT_ROW_FOLD_H_
+
+#include "gola/online_agg.h"
+
+namespace gola {
+namespace oracle {
+
+/// Folds every row of `input` into `map`. A group missing from `map` is
+/// cloned from `clone_source` when it is there (an overlay over a base),
+/// else created fresh. `input` must carry serials when `weights` is set.
+Status UpdateGroupMap(const BlockDef& block, const PoissonWeights* weights,
+                      const Chunk& input, const BroadcastEnv* env, GroupMap* map,
+                      const GroupMap* clone_source = nullptr);
+
+/// Adds `partial`, folded over a disjoint morsel, into `map`: a group new to
+/// `map` moves in as it is, and an existing one adds the row count and
+/// merges each aggregate with ReplicatedAgg::Merge.
+void MergeGroupMap(GroupMap&& partial, GroupMap* map);
+
+}  // namespace oracle
+}  // namespace gola
+
+#endif  // GOLA_TESTS_SUPPORT_ROW_FOLD_H_

@@ -1,21 +1,48 @@
-// Vectorized ↔ reference bit-identity: the kernel path (GolaOptions /
-// BatchExecOptions vectorized=true, the default) must produce results — point
-// estimates, bootstrap CIs, rsd columns — that are BIT-IDENTICAL to the
-// row-at-a-time reference path, across pool sizes, for every workload query
-// and for randomized group-by shapes (arity 0–3, mixed int/double/string/bool
-// keys, NULLs, every SimpleAggKind plus the generic aggregates).
+// Kernel ↔ oracle bit-identity at the fold. The chunk-at-a-time kernels the
+// engine runs must leave every group's row count, main state and B bootstrap
+// replicates bit-identical to the row-at-a-time oracle (tests/support/
+// row_fold.h) folding the same rows, in three pairings:
+//
+//   - the online fold: FoldTileOf per morsel (1, 3 and 7 splits), tiles
+//     merged in morsel order with MergeTile, against the oracle folding the
+//     same morsels and merging them with ReplicatedAgg::Merge in that order;
+//   - the overlay fold: AggOverlay::Update over a random selection on a
+//     4-thread pool, against the oracle cloning touched groups from the same
+//     base;
+//   - the exact aggregate: HashAggregate over the same morsels, merged in
+//     order, against the oracle without replicates.
+//
+// Covered are every aggregate block of the paper queries (over its DimJoin
+// output) and randomized group-by shapes: arity 0–3, mixed int/double/
+// string/bool keys, NULLs, every SimpleAggKind plus the generic aggregates,
+// and COUNT over string columns. End to end, exact answers are
+// bit-identical serial vs pool-4 for both; for the randomized shapes online
+// answers are too, and the final one equals ExecuteBatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <sstream>
 
 #include "common/random.h"
 #include "gola/gola.h"
+#include "storage/serde.h"
+#include "support/row_fold.h"
 #include "workload/conviva_gen.h"
 #include "workload/queries.h"
 #include "workload/tpch_gen.h"
 
 namespace gola {
 namespace {
+
+constexpr int kReplicates = 40;
+
+std::string KeyString(const GroupKey& key) {
+  std::string s;
+  for (const Value& v : key.values) s += v.ToString() + "|";
+  return s;
+}
 
 // Bitwise table comparison; NaN cells must be NaN on both sides.
 void ExpectBitIdentical(const Table& a, const Table& b, const std::string& what) {
@@ -26,8 +53,7 @@ void ExpectBitIdentical(const Table& a, const Table& b, const std::string& what)
       Value va = a.At(r, static_cast<int>(c));
       Value vb = b.At(r, static_cast<int>(c));
       if (va.is_null() || vb.is_null()) {
-        EXPECT_TRUE(va.is_null() && vb.is_null())
-            << what << " row " << r << " col " << c;
+        EXPECT_TRUE(va.is_null() && vb.is_null()) << what << " row " << r << " col " << c;
         continue;
       }
       if (va.type() == TypeId::kString) {
@@ -37,86 +63,216 @@ void ExpectBitIdentical(const Table& a, const Table& b, const std::string& what)
       double da = va.ToDouble().ValueOr(1e100);
       double db = vb.ToDouble().ValueOr(-1e100);
       if (std::isnan(da) && std::isnan(db)) continue;
-      EXPECT_EQ(da, db) << what << " row " << r << " col " << c
-                        << " (" << a.schema()->field(c).name << ")";
+      EXPECT_EQ(da, db) << what << " row " << r << " col " << c << " ("
+                        << a.schema()->field(c).name << ")";
     }
   }
 }
 
-class VectorizedEquivalenceTest : public ::testing::TestWithParam<NamedQuery> {
- protected:
-  static Engine* engine() {
-    static Engine* instance = [] {
-      auto* e = new Engine();
-      ConvivaGenOptions conviva;
-      conviva.num_rows = 5000;
-      conviva.num_ads = 12;
-      conviva.num_contents = 150;
-      GOLA_CHECK_OK(e->RegisterTable("conviva", GenerateConviva(conviva)));
-      TpchGenOptions tpch;
-      tpch.num_rows = 5000;
-      tpch.num_parts = 50;
-      tpch.num_suppliers = 12;
-      GOLA_CHECK_OK(e->RegisterTable("tpch", GenerateTpch(tpch)));
-      return e;
-    }();
-    return instance;
-  }
+/// An aggregate's whole state as bytes: the main state, then every
+/// replicate (flat arrays raw, generic states field by field).
+std::string StateBytes(const ReplicatedAgg& agg) {
+  std::ostringstream buf(std::ios::binary);
+  BinaryWriter w(&buf);
+  GOLA_CHECK_OK(agg.SaveTo(&w));
+  return buf.str();
+}
 
-  /// Drains the online engine; the returned table carries the point columns
-  /// plus their `_lo`/`_hi`/`_rsd` companions, so comparing it compares the
-  /// estimates, the bootstrap CIs and the relative errors all at once.
-  static Table DrainOnline(const NamedQuery& q, bool vectorized, ThreadPool* pool) {
-    GolaOptions opts;
-    opts.num_batches = 6;
-    opts.bootstrap_replicates = 50;
-    opts.seed = 7;
-    opts.pool = pool;
-    opts.vectorized = vectorized;
-    auto online = engine()->ExecuteOnline(q.sql, opts);
-    GOLA_CHECK_OK(online.status());
-    auto last = (*online)->Run();
-    GOLA_CHECK_OK(last.status());
-    return last->result;
-  }
-};
+/// One AggState's fields as bytes.
+std::string MainBytes(const AggState& state) {
+  std::vector<Value> vals;
+  GOLA_CHECK_OK(state.SaveState(&vals));
+  std::ostringstream buf(std::ios::binary);
+  BinaryWriter w(&buf);
+  for (const Value& v : vals) WriteValue(&w, v);
+  return buf.str();
+}
 
-TEST_P(VectorizedEquivalenceTest, OnlineBitIdenticalToReference) {
-  const NamedQuery& q = GetParam();
-  Table reference = DrainOnline(q, /*vectorized=*/false, nullptr);
-  ThreadPool four(4);
-  // Vectorized serial, vectorized parallel, reference parallel: all four
-  // (vectorized × pool) cells must coincide bitwise.
-  for (bool vec : {true, false}) {
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
-      if (!vec && pool == nullptr) continue;  // that's `reference`
-      Table t = DrainOnline(q, vec, pool);
-      ExpectBitIdentical(reference, t,
-                         q.name + (vec ? " vectorized" : " reference") +
-                             (pool ? " pool=4" : " serial"));
+void ExpectSameEntry(const GroupEntry& expect, const GroupEntry& got,
+                     const std::string& what) {
+  EXPECT_EQ(expect.rows, got.rows) << what;
+  ASSERT_EQ(expect.aggs.size(), got.aggs.size()) << what;
+  for (size_t a = 0; a < expect.aggs.size(); ++a) {
+    EXPECT_EQ(StateBytes(expect.aggs[a]), StateBytes(got.aggs[a]))
+        << what << " aggregate " << a;
+  }
+}
+
+void ExpectSameGroups(const GroupMap& expect, const GroupMap& got,
+                      const std::string& what) {
+  ASSERT_EQ(expect.size(), got.size()) << what;
+  for (const auto& [key, entry] : expect) {
+    auto it = got.find(key);
+    ASSERT_TRUE(it != got.end()) << what << ": no group " << KeyString(key);
+    ExpectSameEntry(entry, it->second, what + " group " + KeyString(key));
+  }
+}
+
+/// `input` cut into `k` contiguous morsels (the last ones may be empty).
+std::vector<Chunk> Morsels(const Chunk& input, size_t k) {
+  std::vector<Chunk> out;
+  const size_t n = input.num_rows();
+  const size_t step = (n + k - 1) / k;
+  for (size_t m = 0; m < k; ++m) {
+    const size_t begin = std::min(n, m * step);
+    out.push_back(input.Slice(begin, std::min(n, begin + step) - begin));
+  }
+  return out;
+}
+
+/// The three kernel ↔ oracle pairings over one aggregate block's fold input
+/// (which carries serials).
+void CheckBlock(const BlockDef& block, const Chunk& input, const std::string& name) {
+  SCOPED_TRACE(name);
+  const PoissonWeights weights(kReplicates, 99);
+  for (size_t k : {1, 3, 7}) {
+    const std::string what = name + " / " + std::to_string(k) + " morsels";
+    const std::vector<Chunk> morsels = Morsels(input, k);
+
+    // The online fold: every morsel's tile first, then the in-order merge.
+    OnlineAggregate kernel(&block, &weights);
+    std::vector<FoldTile> tiles(k);
+    for (size_t m = 0; m < k; ++m) {
+      ASSERT_TRUE(kernel.FoldTileOf(morsels[m], nullptr, &tiles[m]).ok()) << what;
+    }
+    for (FoldTile& tile : tiles) {
+      if (!tile.keys.empty()) kernel.MergeTile(std::move(tile));
+    }
+    GroupMap oracle;
+    for (const Chunk& morsel : morsels) {
+      GroupMap partial;
+      ASSERT_TRUE(
+          oracle::UpdateGroupMap(block, &weights, morsel, nullptr, &partial).ok())
+          << what;
+      oracle::MergeGroupMap(std::move(partial), &oracle);
+    }
+    ExpectSameGroups(oracle, kernel.groups(), what + " [fold]");
+
+    // The exact aggregate: one partial per morsel, merged in order.
+    HashAggregate exact(&block);
+    GroupMap exact_oracle;
+    for (const Chunk& morsel : morsels) {
+      HashAggregate partial(&block);
+      ASSERT_TRUE(partial.Update(morsel, nullptr).ok()) << what;
+      ASSERT_TRUE(exact.Merge(std::move(partial)).ok()) << what;
+      GroupMap oracle_partial;
+      ASSERT_TRUE(
+          oracle::UpdateGroupMap(block, nullptr, morsel, nullptr, &oracle_partial).ok())
+          << what;
+      oracle::MergeGroupMap(std::move(oracle_partial), &exact_oracle);
+    }
+    ASSERT_EQ(exact_oracle.size(), exact.groups().size()) << what << " [exact]";
+    for (auto& [key, entry] : exact_oracle) {
+      auto it = exact.groups().find(key);
+      ASSERT_TRUE(it != exact.groups().end()) << what << " [exact] " << KeyString(key);
+      for (size_t a = 0; a < entry.aggs.size(); ++a) {
+        EXPECT_EQ(MainBytes(*entry.aggs[a].main_state()), MainBytes(*it->second[a]))
+            << what << " [exact] group " << KeyString(key) << " aggregate " << a;
+      }
     }
   }
-}
 
-TEST_P(VectorizedEquivalenceTest, BatchBitIdenticalToReference) {
-  const NamedQuery& q = GetParam();
-  BatchExecOptions ref_opts;
-  ref_opts.vectorized = false;
-  auto reference = engine()->ExecuteBatch(q.sql, ref_opts);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
+  // The overlay fold: the first half is the deterministic base, and a random
+  // selection of all rows folds onto it on a pool, in small pieces.
+  const std::string what = name + " [overlay]";
+  OnlineAggregate base(&block, &weights);
+  FoldTile tile;
+  ASSERT_TRUE(base.FoldTileOf(input.Slice(0, input.num_rows() / 2), nullptr, &tile).ok());
+  base.MergeTile(std::move(tile));
+  Rng rng(5);
+  SelectionVector selected;
+  for (size_t i = 0; i < input.num_rows(); ++i) {
+    if (rng.UniformInt(0, 1) == 1) selected.push_back(static_cast<uint32_t>(i));
+  }
   ThreadPool four(4);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
-    BatchExecOptions opts;
-    opts.vectorized = true;
-    opts.pool = pool;
-    auto vec = engine()->ExecuteBatch(q.sql, opts);
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectBitIdentical(*reference, *vec, q.name);
+  ExecContext ctx;
+  ctx.pool = &four;
+  ctx.min_morsel_rows = 64;
+  AggOverlay overlay(&base);
+  ASSERT_TRUE(overlay.Update(input, selected, ctx).ok()) << what;
+  auto post = overlay.Finalize(1.0, /*with_replicates=*/false, ctx);
+  ASSERT_TRUE(post.ok()) << what << ": " << post.status().ToString();
+
+  GroupMap delta;
+  ASSERT_TRUE(oracle::UpdateGroupMap(block, &weights, input.Gather(selected), nullptr,
+                                     &delta, &base.groups())
+                  .ok())
+      << what;
+  // The merged view the overlay finalizes, in key order.
+  std::map<GroupKey, const GroupEntry*> view;
+  for (const auto& [key, entry] : base.groups()) view[key] = &entry;
+  for (const auto& [key, entry] : delta) view[key] = &entry;
+  ASSERT_EQ(post->states.size(), view.size()) << what;
+  size_t row = 0;
+  for (const auto& [key, entry] : view) {
+    for (size_t c = 0; c < key.values.size(); ++c) {
+      EXPECT_TRUE(post->point.column(c).GetValue(row) == key.values[c])
+          << what << " row " << row;
+    }
+    ExpectSameEntry(*entry, *post->states[row], what + " group " + KeyString(key));
+    ++row;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPaperQueries, VectorizedEquivalenceTest,
+/// The table's rows in one chunk with serials 0..n-1 — the mini-batch
+/// stream's positions key the replicate weights.
+Chunk WithSerials(Chunk chunk) {
+  std::vector<int64_t> serials(chunk.num_rows());
+  for (size_t i = 0; i < serials.size(); ++i) serials[i] = static_cast<int64_t>(i);
+  chunk.set_serials(std::move(serials));
+  return chunk;
+}
+
+Engine* PaperEngine() {
+  static Engine* instance = [] {
+    auto* e = new Engine();
+    ConvivaGenOptions conviva;
+    conviva.num_rows = 5000;
+    conviva.num_ads = 12;
+    conviva.num_contents = 150;
+    GOLA_CHECK_OK(e->RegisterTable("conviva", GenerateConviva(conviva)));
+    TpchGenOptions tpch;
+    tpch.num_rows = 5000;
+    tpch.num_parts = 50;
+    tpch.num_suppliers = 12;
+    GOLA_CHECK_OK(e->RegisterTable("tpch", GenerateTpch(tpch)));
+    return e;
+  }();
+  return instance;
+}
+
+class PaperQueryFoldTest : public ::testing::TestWithParam<NamedQuery> {};
+
+TEST_P(PaperQueryFoldTest, EveryAggregateBlockMatchesTheOracle) {
+  const NamedQuery& q = GetParam();
+  Engine* engine = PaperEngine();
+  auto query = engine->Compile(q.sql);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  for (const BlockDef& block : query->blocks) {
+    ASSERT_TRUE(block.is_aggregate);
+    auto table = engine->GetTable(block.table);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    auto dims = DimJoinSet::Build(block, engine->catalog());
+    ASSERT_TRUE(dims.ok()) << dims.status().ToString();
+    auto joined = dims->Apply(block, WithSerials((*table)->Combined()));
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    CheckBlock(block, *joined, q.name + " block " + std::to_string(block.id));
+  }
+}
+
+TEST_P(PaperQueryFoldTest, ExactAnswerIsPoolInvariant) {
+  const NamedQuery& q = GetParam();
+  auto serial = PaperEngine()->ExecuteBatch(q.sql);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ThreadPool four(4);
+  BatchExecOptions opts;
+  opts.pool = &four;
+  auto pooled = PaperEngine()->ExecuteBatch(q.sql, opts);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  ExpectBitIdentical(*serial, *pooled, q.name + " pool=4");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPaperQueries, PaperQueryFoldTest,
                          ::testing::ValuesIn(AllQueries()),
                          [](const ::testing::TestParamInfo<NamedQuery>& info) {
                            return info.param.name;
@@ -126,7 +282,7 @@ INSTANTIATE_TEST_SUITE_P(AllPaperQueries, VectorizedEquivalenceTest,
 
 /// A table exercising every key-column type the group-id kernel specializes:
 /// int, double, string and bool keys (all nullable) plus nullable numeric
-/// and string measure columns.
+/// and string measure columns and a string column without NULLs.
 Table RandomizedTable(uint64_t seed, int64_t rows) {
   auto schema = std::make_shared<Schema>(std::vector<Field>{
       {"ki", TypeId::kInt64},
@@ -136,6 +292,7 @@ Table RandomizedTable(uint64_t seed, int64_t rows) {
       {"v", TypeId::kFloat64},
       {"w", TypeId::kInt64},
       {"name", TypeId::kString},
+      {"tag", TypeId::kString},
   });
   TableBuilder builder(schema, 512);
   Rng rng(seed);
@@ -155,70 +312,114 @@ Table RandomizedTable(uint64_t seed, int64_t rows) {
                                              : Value::Float(rng.Normal(50, 20)));
     row.push_back(rng.UniformInt(0, 15) == 0 ? Value::Null()
                                              : Value::Int(rng.UniformInt(0, 1000)));
-    row.push_back(Value::String(std::string(1, static_cast<char>('p' + rng.UniformInt(0, 2)))));
+    row.push_back(rng.UniformInt(0, 9) == 0
+                      ? Value::Null()
+                      : Value::String(std::string(1, static_cast<char>('p' + rng.UniformInt(0, 2)))));
+    row.push_back(Value::String(i % 3 == 0 ? "x" : "y"));
     builder.AppendRow(row);
   }
   return builder.Finish();
 }
 
-TEST(VectorizedRandomizedTest, GroupByShapesBitIdentical) {
-  Engine engine;
-  GOLA_CHECK_OK(engine.RegisterTable("t", RandomizedTable(11, 3000)));
+/// Group-by arity 0–3 over mixed key types; every SimpleAggKind fast path
+/// (COUNT(*)/COUNT/SUM/AVG) plus the generic per-state aggregates
+/// (MIN/MAX/VAR/STDDEV) and COUNT over string columns with and without
+/// NULLs. The key columns lead each select list.
+struct Shape {
+  const char* sql;
+  size_t num_keys;
+};
+const Shape kShapes[] = {
+    {"SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM t", 0},
+    {"SELECT ki, COUNT(*), SUM(v), AVG(w) FROM t GROUP BY ki", 1},
+    {"SELECT kf, COUNT(v), SUM(w), VAR(v) FROM t GROUP BY kf", 1},
+    {"SELECT ks, kb, AVG(v), COUNT(*), STDDEV(v) FROM t GROUP BY ks, kb", 2},
+    {"SELECT ki, kf, ks, SUM(v), COUNT(w), MIN(w), MAX(v) FROM t GROUP BY ki, kf, ks", 3},
+    {"SELECT kb, COUNT(name), COUNT(*) FROM t GROUP BY kb", 1},
+    {"SELECT ki, COUNT(tag), AVG(v) FROM t GROUP BY ki", 1},
+};
 
-  // Group-by arity 0–3 over mixed key types; every SimpleAggKind fast path
-  // (COUNT(*)/COUNT/SUM/AVG) plus the generic per-state aggregates
-  // (MIN/MAX/VAR/STDDEV) and a string-typed aggregate argument.
-  const std::vector<std::string> queries = {
-      "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM t",
-      "SELECT ki, COUNT(*), SUM(v), AVG(w) FROM t GROUP BY ki",
-      "SELECT kf, COUNT(v), SUM(w), VAR(v) FROM t GROUP BY kf",
-      "SELECT ks, kb, AVG(v), COUNT(*), STDDEV(v) FROM t GROUP BY ks, kb",
-      "SELECT ki, kf, ks, SUM(v), COUNT(w), MIN(w), MAX(v) FROM t "
-      "GROUP BY ki, kf, ks",
-      "SELECT kb, COUNT(name), COUNT(*) FROM t GROUP BY kb",
-  };
+class RandomizedShapeTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    engine_ = new Engine();
+    GOLA_CHECK_OK(engine_->RegisterTable("t", RandomizedTable(11, 3000)));
+  }
+  static void TearDownTestSuite() {
+    delete engine_;
+    engine_ = nullptr;
+  }
 
+  static Table DrainOnline(const std::string& sql, ThreadPool* pool) {
+    GolaOptions opts;
+    opts.num_batches = 5;
+    opts.bootstrap_replicates = kReplicates;
+    opts.seed = 23;
+    opts.pool = pool;
+    auto online = engine_->ExecuteOnline(sql, opts);
+    GOLA_CHECK_OK(online.status());
+    auto last = (*online)->Run();
+    GOLA_CHECK_OK(last.status());
+    return last->result;
+  }
+
+  static Engine* engine_;
+};
+Engine* RandomizedShapeTest::engine_ = nullptr;
+
+TEST_F(RandomizedShapeTest, KernelsMatchTheOracle) {
+  auto table = engine_->GetTable("t");
+  ASSERT_TRUE(table.ok());
+  const Chunk input = WithSerials((*table)->Combined());
+  for (const Shape& shape : kShapes) {
+    auto query = engine_->Compile(shape.sql);
+    ASSERT_TRUE(query.ok()) << shape.sql << ": " << query.status().ToString();
+    CheckBlock(query->root(), input, shape.sql);
+  }
+}
+
+/// Rows of `t` keyed by their first `num_keys` columns.
+std::map<std::string, int64_t> RowsByKey(const Table& t, size_t num_keys) {
+  std::map<std::string, int64_t> rows;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    std::string key;
+    for (size_t c = 0; c < num_keys; ++c) key += t.At(r, static_cast<int>(c)).ToString() + "|";
+    rows[key] = r;
+  }
+  return rows;
+}
+
+TEST_F(RandomizedShapeTest, OnlineAnswersArePoolInvariantAndExact) {
   ThreadPool four(4);
-  for (const std::string& sql : queries) {
-    SCOPED_TRACE(sql);
-    // Online: drained result incl. CI/rsd companions, across the
-    // vectorized × pool grid.
-    Table reference;
-    bool have_reference = false;
-    for (bool vec : {false, true}) {
-      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
-        GolaOptions opts;
-        opts.num_batches = 5;
-        opts.bootstrap_replicates = 40;
-        opts.seed = 23;
-        opts.pool = pool;
-        opts.vectorized = vec;
-        auto online = engine.ExecuteOnline(sql, opts);
-        ASSERT_TRUE(online.ok()) << sql << ": " << online.status().ToString();
-        auto last = (*online)->Run();
-        ASSERT_TRUE(last.ok()) << sql << ": " << last.status().ToString();
-        if (!have_reference) {
-          reference = last->result;
-          have_reference = true;
-        } else {
-          ExpectBitIdentical(reference, last->result,
-                             sql + (vec ? " [vec" : " [ref") +
-                                 (pool ? ",pool]" : ",serial]"));
-        }
+  for (const Shape& shape : kShapes) {
+    SCOPED_TRACE(shape.sql);
+    Table serial = DrainOnline(shape.sql, nullptr);
+    ExpectBitIdentical(serial, DrainOnline(shape.sql, &four), "pool=4");
+
+    auto exact = engine_->ExecuteBatch(shape.sql);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    BatchExecOptions pooled_opts;
+    pooled_opts.pool = &four;
+    auto pooled = engine_->ExecuteBatch(shape.sql, pooled_opts);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    ExpectBitIdentical(*exact, *pooled, "exact pool=4");
+    const auto exact_rows = RowsByKey(*exact, shape.num_keys);
+    const auto online_rows = RowsByKey(serial, shape.num_keys);
+    ASSERT_EQ(exact_rows.size(), static_cast<size_t>(exact->num_rows()));
+    ASSERT_EQ(online_rows.size(), exact_rows.size());
+    for (const auto& [key, er] : exact_rows) {
+      auto it = online_rows.find(key);
+      ASSERT_TRUE(it != online_rows.end()) << "no online group " << key;
+      for (size_t c = shape.num_keys; c < exact->schema()->num_fields(); ++c) {
+        Value e = exact->At(er, static_cast<int>(c));
+        Value o = serial.At(it->second, static_cast<int>(c));
+        ASSERT_EQ(e.is_null(), o.is_null()) << key << " col " << c;
+        if (e.is_null()) continue;
+        const double ev = e.ToDouble().ValueOr(0);
+        EXPECT_NEAR(o.ToDouble().ValueOr(1e100), ev, 1e-9 * std::max(1.0, std::fabs(ev)))
+            << key << " col " << c;
       }
     }
-
-    // Batch: exact answers must also be bit-identical across the switch.
-    BatchExecOptions ref_opts;
-    ref_opts.vectorized = false;
-    auto exact_ref = engine.ExecuteBatch(sql, ref_opts);
-    ASSERT_TRUE(exact_ref.ok()) << sql << ": " << exact_ref.status().ToString();
-    BatchExecOptions vec_opts;
-    vec_opts.vectorized = true;
-    vec_opts.pool = &four;
-    auto exact_vec = engine.ExecuteBatch(sql, vec_opts);
-    ASSERT_TRUE(exact_vec.ok()) << sql << ": " << exact_vec.status().ToString();
-    ExpectBitIdentical(*exact_ref, *exact_vec, sql + " [batch]");
   }
 }
 
