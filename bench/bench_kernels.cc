@@ -114,7 +114,7 @@ void BM_KernelGroupBy(benchmark::State& state) {
       GOLA_CHECK_OK(agg.Update(chunk, nullptr));
       benchmark::DoNotOptimize(agg);
     } else {
-      GroupMap groups;
+      oracle::GroupMap groups;
       GOLA_CHECK_OK(oracle::UpdateGroupMap(block, nullptr, chunk, nullptr, &groups));
       benchmark::DoNotOptimize(groups);
     }
@@ -130,7 +130,8 @@ BENCHMARK(BM_KernelGroupBy)
 
 /// The online fold with B bootstrap replicates per aggregate — the G-OLA
 /// hot loop. Kernel path: a morsel's FoldTileOf (weight tiles + tiled
-/// flat-replicate sweeps) merged with MergeTile, as the fold stage runs it;
+/// flat-replicate sweeps into a GroupArena tile) merged into the block's
+/// arena with MergeTile, as the fold stage runs it;
 /// reference: the oracle's per-tuple WeightsFor + B-length scalar passes.
 /// B = 0 folds point states only (no replication).
 void BM_KernelReplicateUpdate(benchmark::State& state) {
@@ -150,12 +151,12 @@ void BM_KernelReplicateUpdate(benchmark::State& state) {
   for (auto _ : state) {
     if (vec) {
       OnlineAggregate agg(&block, weights.get());
-      FoldTile tile;
+      GroupArena tile;
       GOLA_CHECK_OK(agg.FoldTileOf(chunk, nullptr, &tile));
-      agg.MergeTile(std::move(tile));
+      agg.MergeTile(tile);
       benchmark::DoNotOptimize(agg.num_groups());
     } else {
-      GroupMap groups;
+      oracle::GroupMap groups;
       GOLA_CHECK_OK(oracle::UpdateGroupMap(block, weights.get(), chunk, nullptr, &groups));
       benchmark::DoNotOptimize(groups.size());
     }

@@ -75,23 +75,6 @@ void BM_PoissonWeights(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonWeights);
 
-void BM_ReplicatedAggUpdate(benchmark::State& state) {
-  PoissonWeights weights(static_cast<int>(state.range(0)), 42);
-  Expr call;
-  call.kind = ExprKind::kAggregateCall;
-  call.agg_kind = AggKind::kAvg;
-  auto fn = ResolveAggregate(call);
-  GOLA_CHECK_OK(fn.status());
-  ReplicatedAgg agg(*fn, &weights);
-  int64_t serial = 0;
-  for (auto _ : state) {
-    agg.UpdateNumeric(static_cast<double>(serial % 97), serial);
-    ++serial;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ReplicatedAggUpdate)->Arg(50)->Arg(100)->Arg(200);
-
 void BM_DimJoinProbe(benchmark::State& state) {
   // Dimension of 1k rows, probe of range(0) rows.
   Rng rng(3);

@@ -2,7 +2,7 @@
 // replay the exact floating-point op sequence of a row-at-a-time fold (read
 // accumulator, add selected rows in row order, write back), so they stay
 // bit-identical to the tests' row-at-a-time oracle even when the target
-// state already carries content (e.g. an AggOverlay clone of a base group).
+// state already carries content (e.g. an overlay row copied from its base).
 #ifndef GOLA_EXEC_KERNELS_AGG_KERNELS_H_
 #define GOLA_EXEC_KERNELS_AGG_KERNELS_H_
 

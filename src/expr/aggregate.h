@@ -72,9 +72,11 @@ class AggState {
   }
 };
 
-/// Aggregates with (weighted sum, weighted count) sufficient statistics get
-/// a flat-array fast path in ReplicatedAgg (bootstrap replicate maintenance
-/// is the hot loop of the online engine).
+/// Aggregates with (weighted sum, weighted count) sufficient statistics are
+/// flat in the online engine's GroupArena (gola/online_agg.h): a main-state
+/// slot triple and two B-double replicate rows instead of B AggStates, since
+/// bootstrap replicate maintenance is its hot loop. The arena finalizes
+/// these kinds from the slots itself, as their states' Finalize does.
 enum class SimpleAggKind { kNone, kCount, kSum, kAvg };
 
 class AggregateFunction {

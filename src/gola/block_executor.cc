@@ -635,7 +635,9 @@ Status OnlineBlockExec::EmitMembership(const PostAggChunk& post, OnlineEnv* env,
           const size_t slot = static_cast<size_t>(cls.lhs->agg_slot);
           const double s =
               block_->aggs[slot].fn->ScalesWithMultiplicity() ? post.scale : 1.0;
-          Value v = post.states[g]->aggs[slot].Finalize(s);
+          uint32_t id;
+          const GroupArena& arena = post.states->Resolve(post.ids[g], &id);
+          Value v = arena.Finalize(id, slot, s);
           if (!v.is_null()) est = v.ToDouble().ValueOr(kNaN);
           if (b > 0) std::copy_n(post.replicates[slot].data() + g * b, b, reps.data());
         } else {
@@ -746,12 +748,12 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
       rep_matrix[a].assign(selected * num_reps, kNaN);
       const double s = block_->aggs[a].fn->ScalesWithMultiplicity() ? scale : 1.0;
       for (size_t i = 0; i < selected; ++i) {
-        const GroupStates* states =
-            post_in.states[kept[static_cast<size_t>(order[i])]];
-        if (states == nullptr) continue;
-        const ReplicatedAgg& agg = states->aggs[a];
-        all_reps.resize(agg.num_replicates());
-        agg.FinalizeReplicatesInto(s, all_reps.data());
+        const uint32_t row = post_in.ids[kept[static_cast<size_t>(order[i])]];
+        if (row == PostAggChunk::kNoRow) continue;
+        uint32_t id;
+        const GroupArena& arena = post_in.states->Resolve(row, &id);
+        all_reps.resize(arena.layout()->b);
+        arena.FinalizeReplicatesInto(id, a, s, all_reps.data());
         std::copy_n(all_reps.begin(), std::min(num_reps, all_reps.size()),
                     rep_matrix[a].begin() + static_cast<std::ptrdiff_t>(i * num_reps));
       }

@@ -166,9 +166,10 @@ Status OnlineQueryExecutor::DeserializeState(std::istream* in) {
   resumed_elapsed_ = elapsed;  // time and deadline budget already consumed
   degradation_ = static_cast<Degradation>(degradation);
   stopped_early_ = stopped_early != 0;
-  // Re-apply the restored rung's side effects (materialization, replicate
-  // budget) so a resumed query degrades exactly like the original; the
-  // query clock keeps the seconds already spent.
+  // Re-apply the restored rung's side effects (the root's replicate budget;
+  // Step reads materialization off the rung itself) so a resumed query
+  // degrades exactly like the original; the query clock keeps the seconds
+  // already spent.
   if (degradation_ != Degradation::kNone) ApplyDegradationEffects();
 
   // Broadcasts (scalar ranges, membership views, the root emission) are

@@ -18,7 +18,10 @@
 //   controller state: u32 next_batch, i64 rows_through, u32 recomputes,
 //     f64 elapsed_seconds, u8 degradation rung, u8 stopped_early
 //   u32 block count, then per block (dependency order): the block's
-//     SaveState payload (aggregates + replicates, envelopes, uncertain set)
+//     SaveState payload — its GroupArena as a column dump (layout header,
+//     group count, key values, row counts, flat main sums/counts/any flags,
+//     B replicate sums and counts per flat aggregate, then every generic
+//     main and replicate AggState field by field), envelopes, uncertain set
 //   u64 FNV-1a checksum of everything above
 //
 // Version policy: any layout change bumps kCheckpointVersion; there is no
@@ -34,7 +37,7 @@ namespace gola {
 
 inline constexpr char kCheckpointMagic[8] = {'G', 'O', 'L', 'A',
                                              'C', 'K', 'P', '1'};
-inline constexpr uint32_t kCheckpointVersion = 1;
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 }  // namespace gola
 

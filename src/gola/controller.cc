@@ -223,9 +223,12 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
     update.scale = scale;
     const RootEmission& emission = blocks_.back()->root_emission();
     // Live monitors watching huge group-bys via /statusz or the
-    // convergence file can skip the per-batch result copy; the final batch
-    // always materializes so the drained answer stays complete.
-    if (options_.materialize_results || done()) {
+    // convergence file can skip the per-batch result copy, and so does the
+    // deadline ladder's first rung; the final batch always materializes so
+    // the drained answer stays complete.
+    if ((options_.materialize_results &&
+         degradation_ < Degradation::kSkipMaterialize) ||
+        done()) {
       update.result = emission.result;
     }
     if (!emission.cells.empty()) update.headline = emission.cells.front();
@@ -288,10 +291,8 @@ void OnlineQueryExecutor::ApplyDeadlinePressure(double wall_seconds) {
 }
 
 void OnlineQueryExecutor::ApplyDegradationEffects() {
-  // Each rung includes the ones below it (documented order, DESIGN.md §10).
-  if (degradation_ >= Degradation::kSkipMaterialize) {
-    options_.materialize_results = false;
-  }
+  // Each rung includes the ones below it (documented order, DESIGN.md §10);
+  // skipping materialization is read off the rung where Step materializes.
   if (degradation_ >= Degradation::kReducedReplicates) {
     blocks_.back()->set_ci_replicates(
         static_cast<size_t>(std::max(1, options_.bootstrap_replicates / 2)));

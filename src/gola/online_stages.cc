@@ -351,15 +351,15 @@ Status OnlineFoldStage::Consume(size_t morsel_index, Chunk in, const ExecContext
   // leaves no half-accumulated replicate state behind for the retry to
   // double-count.
   GOLA_FAILPOINT_RETURN("bootstrap.replicate");
-  FoldTile tile;
+  GroupArena tile;
   GOLA_RETURN_NOT_OK(agg_->FoldTileOf(in, ctx.env, &tile));
   tiles_[morsel_index] = std::move(tile);
   return Status::OK();
 }
 
 Status OnlineFoldStage::Finish() {
-  for (FoldTile& tile : tiles_) {
-    if (!tile.keys.empty()) agg_->MergeTile(std::move(tile));
+  for (GroupArena& tile : tiles_) {
+    if (tile.size() > 0) agg_->MergeTile(tile);
   }
   tiles_.clear();
   return Status::OK();

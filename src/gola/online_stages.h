@@ -126,8 +126,8 @@ class OnlineClassifyStage : public ClassifyStage {
 };
 
 /// Sink folding morsels into the block's deterministic-set states: one
-/// dense FoldTile per morsel, added into the OnlineAggregate in morsel order
-/// at the barrier (bootstrap replicate maintenance included).
+/// GroupArena tile per morsel, added into the OnlineAggregate in morsel
+/// order at the barrier (bootstrap replicate maintenance included).
 class OnlineFoldStage : public AggregateStage {
  public:
   explicit OnlineFoldStage(OnlineAggregate* agg) : agg_(agg) {}
@@ -139,7 +139,7 @@ class OnlineFoldStage : public AggregateStage {
 
  private:
   OnlineAggregate* agg_;
-  std::vector<FoldTile> tiles_;
+  std::vector<GroupArena> tiles_;
 };
 
 }  // namespace gola

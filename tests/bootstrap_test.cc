@@ -6,8 +6,8 @@
 
 #include "bootstrap/ci.h"
 #include "bootstrap/poisson.h"
-#include "bootstrap/replicated_agg.h"
 #include "common/random.h"
+#include "support/replicated_agg.h"
 
 namespace gola {
 namespace {
@@ -104,6 +104,13 @@ const AggregateFunction* ResolveKind(AggKind kind) {
   return *ResolveAggregate(call);
 }
 
+/// Folds one observation under the replicate weights of its serial.
+void Fold(ReplicatedAgg* agg, const PoissonWeights& weights, double v, int64_t serial) {
+  std::vector<int32_t> w;
+  weights.WeightsFor(serial, &w);
+  agg->UpdateNumericWeighted(v, w);
+}
+
 TEST(ReplicatedAggTest, ReplicatesMatchManualComputation) {
   // The flat fast path must reproduce exactly what per-replicate weighted
   // updates would produce.
@@ -114,7 +121,7 @@ TEST(ReplicatedAggTest, ReplicatesMatchManualComputation) {
   Rng rng(5);
   for (int64_t s = 0; s < 500; ++s) {
     double v = rng.UniformDouble(0, 10);
-    agg.UpdateNumeric(v, s);
+    Fold(&agg, weights, v, s);
     for (int j = 0; j < 32; ++j) {
       manual[static_cast<size_t>(j)] += v * weights.Weight(s, j);
       counts[static_cast<size_t>(j)] += weights.Weight(s, j);
@@ -141,9 +148,9 @@ TEST(ReplicatedAggTest, RecomputeReconstructsIdenticalState) {
   std::vector<std::pair<double, int64_t>> rows;
   Rng rng(8);
   for (int64_t s = 0; s < 300; ++s) rows.push_back({rng.Normal(5, 2), s});
-  for (const auto& [v, s] : rows) forward.UpdateNumeric(v, s);
+  for (const auto& [v, s] : rows) Fold(&forward, weights, v, s);
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-    backward.UpdateNumeric(it->first, it->second);
+    Fold(&backward, weights, it->first, it->second);
   }
   std::vector<double> f = forward.FinalizeReplicates(1.0);
   std::vector<double> b = backward.FinalizeReplicates(1.0);
@@ -157,8 +164,8 @@ TEST(ReplicatedAggTest, MergeEqualsSingleStream) {
   ReplicatedAgg right(ResolveKind(AggKind::kSum), &weights);
   for (int64_t s = 0; s < 200; ++s) {
     double v = static_cast<double>(s % 13);
-    whole.UpdateNumeric(v, s);
-    (s % 2 ? left : right).UpdateNumeric(v, s);
+    Fold(&whole, weights, v, s);
+    Fold(s % 2 ? &left : &right, weights, v, s);
   }
   left.Merge(right);
   std::vector<double> a = whole.FinalizeReplicates(1.0);
@@ -169,9 +176,9 @@ TEST(ReplicatedAggTest, MergeEqualsSingleStream) {
 TEST(ReplicatedAggTest, CloneIsIndependent) {
   PoissonWeights weights(16, 9);
   ReplicatedAgg a(ResolveKind(AggKind::kCount), &weights);
-  a.UpdateNumeric(1, 0);
+  Fold(&a, weights, 1, 0);
   ReplicatedAgg b = a.Clone();
-  b.UpdateNumeric(1, 1);
+  Fold(&b, weights, 1, 1);
   EXPECT_DOUBLE_EQ(*a.Finalize(1.0).ToDouble(), 1.0);
   EXPECT_DOUBLE_EQ(*b.Finalize(1.0).ToDouble(), 2.0);
 }
@@ -181,10 +188,13 @@ TEST(ReplicatedAggTest, RsdShrinksWithSampleSize) {
   ReplicatedAgg agg(ResolveKind(AggKind::kAvg), &weights);
   Rng rng(2);
   int64_t serial = 0;
-  for (int i = 0; i < 100; ++i) agg.UpdateNumeric(rng.Normal(100, 20), serial++);
-  double early = agg.Rsd(1.0);
-  for (int i = 0; i < 9900; ++i) agg.UpdateNumeric(rng.Normal(100, 20), serial++);
-  double late = agg.Rsd(1.0);
+  auto rsd = [&agg] {
+    return RelativeStdDev(agg.FinalizeReplicates(1.0), *agg.Finalize(1.0).ToDouble());
+  };
+  for (int i = 0; i < 100; ++i) Fold(&agg, weights, rng.Normal(100, 20), serial++);
+  double early = rsd();
+  for (int i = 0; i < 9900; ++i) Fold(&agg, weights, rng.Normal(100, 20), serial++);
+  double late = rsd();
   EXPECT_LT(late, early / 3);  // ~1/sqrt(100) shrink expected
 }
 
@@ -193,7 +203,7 @@ TEST(ReplicatedAggTest, GenericPathForMinMax) {
   PoissonWeights weights(16, 21);
   ReplicatedAgg agg(ResolveKind(AggKind::kMin), &weights);
   for (int64_t s = 0; s < 50; ++s) {
-    agg.UpdateNumeric(static_cast<double>(100 - s), s);
+    Fold(&agg, weights, static_cast<double>(100 - s), s);
   }
   EXPECT_DOUBLE_EQ(*agg.Finalize(1.0).ToDouble(), 51.0);
   std::vector<double> reps = agg.FinalizeReplicates(1.0);

@@ -18,6 +18,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "gola/checkpoint.h"
 #include "gola/gola.h"
 
 namespace gola {
@@ -80,10 +81,10 @@ class CheckpointTest : public ::testing::Test {
     return opts;
   }
 
-  /// Runs kQuery to completion from scratch, collecting every update.
-  std::vector<OnlineUpdate> RunClean(const GolaOptions& opts) {
+  /// Runs `sql` to completion from scratch, collecting every update.
+  std::vector<OnlineUpdate> RunClean(const GolaOptions& opts, const char* sql = kQuery) {
     std::vector<OnlineUpdate> updates;
-    auto online = engine_.ExecuteOnline(kQuery, opts);
+    auto online = engine_.ExecuteOnline(sql, opts);
     GOLA_CHECK_OK(online.status());
     while (!(*online)->done()) {
       auto update = (*online)->Step();
@@ -213,6 +214,91 @@ TEST_F(CheckpointTest, CheckpointAfterEveryBatchResumesFromAnyOfThem) {
     }
     ExpectTablesIdentical(last.result, clean.back().result,
                           Format("final answer resumed from batch %d", cut));
+  }
+}
+
+TEST_F(CheckpointTest, GenericAggregatesResumeBitIdentically) {
+  // COUNT/SUM/AVG live in the arena's flat columns; these aggregates keep a
+  // main and B replicate AggStates per group, which the checkpoint dumps
+  // field by field.
+  constexpr const char* kGeneric =
+      "SELECT g1, MIN(a) AS lo, MAX(a) AS hi, VAR(b) AS vb, STDDEV(a) AS sa, "
+      "QUANTILE(a, 0.5) AS med, COUNT(*) AS n FROM d d "
+      "WHERE b > 0.95 * (SELECT AVG(b) FROM d u WHERE u.g1 = d.g1) "
+      "GROUP BY g1 ORDER BY g1";
+  GolaOptions opts = BaseOptions();
+  std::vector<OnlineUpdate> clean = RunClean(opts, kGeneric);
+  constexpr int kCut = 3;
+  {
+    auto online = engine_.ExecuteOnline(kGeneric, opts);
+    GOLA_CHECK_OK(online.status());
+    for (int i = 0; i < kCut; ++i) GOLA_CHECK_OK((*online)->Step().status());
+    GOLA_CHECK_OK((*online)->Checkpoint(path_));
+  }
+  auto resumed = engine_.ResumeOnline(kGeneric, path_, opts);
+  GOLA_CHECK_OK(resumed.status());
+
+  auto same_bits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  std::vector<OnlineUpdate> tail;
+  while (!(*resumed)->done()) {
+    auto update = (*resumed)->Step();
+    GOLA_CHECK_OK(update.status());
+    tail.push_back(std::move(*update));
+  }
+  ASSERT_EQ(tail.size(), clean.size() - kCut);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    const Table& got = tail[i].result;
+    const Table& want = clean[i + kCut].result;
+    EXPECT_EQ(tail[i].uncertain_tuples, clean[i + kCut].uncertain_tuples) << i;
+    EXPECT_TRUE(same_bits(tail[i].max_rsd, clean[i + kCut].max_rsd)) << i;
+    ASSERT_EQ(got.num_rows(), want.num_rows()) << i;
+    ASSERT_EQ(got.schema()->num_fields(), want.schema()->num_fields()) << i;
+    for (int64_t r = 0; r < want.num_rows(); ++r) {
+      for (size_t c = 0; c < want.schema()->num_fields(); ++c) {
+        const Value g = got.At(r, static_cast<int>(c));
+        const Value w = want.At(r, static_cast<int>(c));
+        const std::string where = Format("update %zu row %lld col %s", i,
+                                         static_cast<long long>(r),
+                                         want.schema()->field(c).name.c_str());
+        ASSERT_EQ(g.type(), w.type()) << where;
+        if (w.type() == TypeId::kFloat64) {
+          EXPECT_TRUE(same_bits(g.AsFloat(), w.AsFloat())) << where;
+        } else {
+          EXPECT_TRUE(g == w) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(CheckpointTest, VersionOneCheckpointIsRejectedUnparsed) {
+  GolaOptions opts = BaseOptions();
+  {
+    auto online = engine_.ExecuteOnline(kQuery, opts);
+    GOLA_CHECK_OK(online.status());
+    GOLA_CHECK_OK((*online)->Step().status());
+    GOLA_CHECK_OK((*online)->Checkpoint(path_));
+  }
+  std::string bytes;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // The u32 version field follows the 8-byte magic.
+  constexpr size_t kVersionEnd = sizeof(kCheckpointMagic) + sizeof(uint32_t);
+  ASSERT_GT(bytes.size(), kVersionEnd);
+  const uint32_t v1 = 1;
+  std::memcpy(&bytes[sizeof(kCheckpointMagic)], &v1, sizeof v1);
+  // The whole file, and the file cut right after the version: a reader that
+  // parsed past the version would report the truncation instead.
+  for (const std::string& file : {bytes, bytes.substr(0, kVersionEnd)}) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(file.data(), static_cast<std::streamsize>(file.size()));
+    }
+    const Status st = engine_.ResumeOnline(kQuery, path_, opts).status();
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+    EXPECT_NE(st.message().find("version 1 "), std::string::npos) << st.ToString();
   }
 }
 

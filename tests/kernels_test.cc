@@ -1,19 +1,19 @@
 // Vectorized kernel layer: group-id computation vs the boxed oracle,
 // selection-vector predicate evaluation vs full-mask evaluation, gather,
 // whole-chunk Poisson weight matrices, tiled replicate updates, and the
-// ReplicatedAgg fast-path fixes that ride along with the kernels.
+// fast-path fixes of the oracle's ReplicatedAgg that ride along with them.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "bootstrap/poisson.h"
-#include "bootstrap/replicated_agg.h"
 #include "common/random.h"
 #include "exec/kernels/agg_kernels.h"
 #include "exec/kernels/group_ids.h"
 #include "expr/evaluator.h"
 #include "storage/chunk.h"
+#include "support/replicated_agg.h"
 
 namespace gola {
 namespace {

@@ -1,18 +1,30 @@
 // The row-at-a-time fold: the oracle the chunk-at-a-time kernels are checked
-// against. It folds one row at a time, in row order, into a GroupMap of
-// ReplicatedAgg states through their per-row Update*Weighted calls. With
-// `weights == nullptr` it makes exactly the per-row AggState calls an exact
-// aggregation over the same rows makes, so one oracle serves the online fold
-// (FoldTileOf, MergeTile, AggOverlay) and the exact HashAggregate alike.
+// against. It folds one row at a time, in row order, into a hash map of
+// per-group ReplicatedAgg states through their per-row Update*Weighted
+// calls. With `weights == nullptr` it makes exactly the per-row AggState
+// calls an exact aggregation over the same rows makes, so one oracle serves
+// the online fold (the GroupArena of FoldTileOf, MergeTile and AggOverlay)
+// and the exact HashAggregate alike.
 //
 // The engine never runs it: tests and bench_kernels link this target.
 #ifndef GOLA_TESTS_SUPPORT_ROW_FOLD_H_
 #define GOLA_TESTS_SUPPORT_ROW_FOLD_H_
 
-#include "gola/online_agg.h"
+#include <unordered_map>
+#include <vector>
+
+#include "exec/hash_aggregate.h"
+#include "support/replicated_agg.h"
 
 namespace gola {
 namespace oracle {
+
+/// One group's aggregate states, in block order, plus its raw row count.
+struct GroupEntry {
+  std::vector<ReplicatedAgg> aggs;
+  int64_t rows = 0;
+};
+using GroupMap = std::unordered_map<GroupKey, GroupEntry, GroupKeyHash>;
 
 /// Folds every row of `input` into `map`. A group missing from `map` is
 /// cloned from `clone_source` when it is there (an overlay over a base),

@@ -1,14 +1,16 @@
 // Kernel ↔ oracle bit-identity at the fold. The chunk-at-a-time kernels the
-// engine runs must leave every group's row count, main state and B bootstrap
-// replicates bit-identical to the row-at-a-time oracle (tests/support/
-// row_fold.h) folding the same rows, in three pairings:
+// engine runs must leave every group's row in the GroupArena — row count,
+// main slots, B replicate sums and counts, generic states — bit-identical to
+// the row-at-a-time oracle (tests/support/row_fold.h) folding the same rows
+// into per-group ReplicatedAggs, in three pairings:
 //
 //   - the online fold: FoldTileOf per morsel (1, 3 and 7 splits), tiles
 //     merged in morsel order with MergeTile, against the oracle folding the
 //     same morsels and merging them with ReplicatedAgg::Merge in that order;
 //   - the overlay fold: AggOverlay::Update over a random selection on a
-//     4-thread pool, against the oracle cloning touched groups from the same
-//     base;
+//     4-thread pool, against the oracle cloning touched groups from its own
+//     base; the arena base's checkpoint bytes must not change (copy on
+//     write);
 //   - the exact aggregate: HashAggregate over the same morsels, merged in
 //     order, against the oracle without replicates.
 //
@@ -22,6 +24,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -69,17 +72,8 @@ void ExpectBitIdentical(const Table& a, const Table& b, const std::string& what)
   }
 }
 
-/// An aggregate's whole state as bytes: the main state, then every
-/// replicate (flat arrays raw, generic states field by field).
-std::string StateBytes(const ReplicatedAgg& agg) {
-  std::ostringstream buf(std::ios::binary);
-  BinaryWriter w(&buf);
-  GOLA_CHECK_OK(agg.SaveTo(&w));
-  return buf.str();
-}
-
 /// One AggState's fields as bytes.
-std::string MainBytes(const AggState& state) {
+std::string StateBytes(const AggState& state) {
   std::vector<Value> vals;
   GOLA_CHECK_OK(state.SaveState(&vals));
   std::ostringstream buf(std::ios::binary);
@@ -88,23 +82,70 @@ std::string MainBytes(const AggState& state) {
   return buf.str();
 }
 
-void ExpectSameEntry(const GroupEntry& expect, const GroupEntry& got,
-                     const std::string& what) {
-  EXPECT_EQ(expect.rows, got.rows) << what;
-  ASSERT_EQ(expect.aggs.size(), got.aggs.size()) << what;
+std::string Bytes(const double* v, size_t n) {
+  return std::string(reinterpret_cast<const char*>(v), n * sizeof(double));
+}
+
+/// The deterministic state's checkpoint dump.
+std::string CheckpointBytes(const OnlineAggregate& agg) {
+  std::ostringstream buf(std::ios::binary);
+  BinaryWriter w(&buf);
+  GOLA_CHECK_OK(agg.SaveTo(&w));
+  return buf.str();
+}
+
+/// The oracle's group against arena row `id`, bit for bit: the row count,
+/// then per aggregate the main slots and B replicate sums and counts (flat)
+/// or the main and B replicate states (generic).
+void ExpectSameRow(oracle::GroupEntry& expect, const GroupArena& arena, uint32_t id,
+                   const std::string& what) {
+  const ArenaLayout& layout = *arena.layout();
+  EXPECT_EQ(expect.rows, arena.rows(id)) << what;
+  ASSERT_EQ(expect.aggs.size(), layout.flat_slot.size()) << what;
   for (size_t a = 0; a < expect.aggs.size(); ++a) {
-    EXPECT_EQ(StateBytes(expect.aggs[a]), StateBytes(got.aggs[a]))
-        << what << " aggregate " << a;
+    ReplicatedAgg& agg = expect.aggs[a];
+    const std::string at = what + " aggregate " + std::to_string(a);
+    ASSERT_EQ(agg.num_replicates(), layout.b) << at;
+    if (layout.flat_slot[a] < 0) {
+      ASSERT_FALSE(agg.has_flat_replicates()) << at;
+      const std::unique_ptr<AggState>* states =
+          arena.generic_states(id, static_cast<size_t>(layout.generic_slot[a]));
+      EXPECT_EQ(StateBytes(*agg.main_state()), StateBytes(*states[0])) << at;
+      for (size_t j = 0; j < layout.b; ++j) {
+        EXPECT_EQ(StateBytes(agg.replicate_state(j)), StateBytes(*states[1 + j]))
+            << at << " replicate " << j;
+      }
+      continue;
+    }
+    ASSERT_TRUE(agg.has_flat_replicates()) << at;
+    const size_t f = static_cast<size_t>(layout.flat_slot[a]);
+    const FlatMain& m = arena.flat_main(id, f);
+    const AggState::SimpleSlots slots = agg.main_state()->simple_slots();
+    if (slots.sum != nullptr) {
+      EXPECT_EQ(Bytes(slots.sum, 1), Bytes(&m.sum, 1)) << at << " main sum";
+    }
+    if (slots.count != nullptr) {
+      EXPECT_EQ(Bytes(slots.count, 1), Bytes(&m.count, 1)) << at << " main count";
+    }
+    if (slots.any != nullptr) {
+      EXPECT_EQ(*slots.any, m.any) << at << " main any";
+    }
+    EXPECT_EQ(Bytes(agg.flat_sum_data(), layout.b), Bytes(arena.rep_sums(id, f), layout.b))
+        << at << " replicate sums";
+    EXPECT_EQ(Bytes(agg.flat_count_data(), layout.b),
+              Bytes(arena.rep_counts(id, f), layout.b))
+        << at << " replicate counts";
   }
 }
 
-void ExpectSameGroups(const GroupMap& expect, const GroupMap& got,
+void ExpectSameGroups(oracle::GroupMap& expect, const GroupArena& got,
                       const std::string& what) {
   ASSERT_EQ(expect.size(), got.size()) << what;
-  for (const auto& [key, entry] : expect) {
-    auto it = got.find(key);
-    ASSERT_TRUE(it != got.end()) << what << ": no group " << KeyString(key);
-    ExpectSameEntry(entry, it->second, what + " group " + KeyString(key));
+  for (auto& [key, entry] : expect) {
+    const uint32_t id =
+        got.Find(key.values.data(), GroupKeyValuesHash(key.values.data(), key.values.size()));
+    ASSERT_NE(id, GroupArena::kNone) << what << ": no group " << KeyString(key);
+    ExpectSameRow(entry, got, id, what + " group " + KeyString(key));
   }
 }
 
@@ -131,31 +172,31 @@ void CheckBlock(const BlockDef& block, const Chunk& input, const std::string& na
 
     // The online fold: every morsel's tile first, then the in-order merge.
     OnlineAggregate kernel(&block, &weights);
-    std::vector<FoldTile> tiles(k);
+    std::vector<GroupArena> tiles(k);
     for (size_t m = 0; m < k; ++m) {
       ASSERT_TRUE(kernel.FoldTileOf(morsels[m], nullptr, &tiles[m]).ok()) << what;
     }
-    for (FoldTile& tile : tiles) {
-      if (!tile.keys.empty()) kernel.MergeTile(std::move(tile));
+    for (GroupArena& tile : tiles) {
+      if (tile.size() > 0) kernel.MergeTile(tile);
     }
-    GroupMap oracle;
+    oracle::GroupMap oracle;
     for (const Chunk& morsel : morsels) {
-      GroupMap partial;
+      oracle::GroupMap partial;
       ASSERT_TRUE(
           oracle::UpdateGroupMap(block, &weights, morsel, nullptr, &partial).ok())
           << what;
       oracle::MergeGroupMap(std::move(partial), &oracle);
     }
-    ExpectSameGroups(oracle, kernel.groups(), what + " [fold]");
+    ExpectSameGroups(oracle, kernel.arena(), what + " [fold]");
 
     // The exact aggregate: one partial per morsel, merged in order.
     HashAggregate exact(&block);
-    GroupMap exact_oracle;
+    oracle::GroupMap exact_oracle;
     for (const Chunk& morsel : morsels) {
       HashAggregate partial(&block);
       ASSERT_TRUE(partial.Update(morsel, nullptr).ok()) << what;
       ASSERT_TRUE(exact.Merge(std::move(partial)).ok()) << what;
-      GroupMap oracle_partial;
+      oracle::GroupMap oracle_partial;
       ASSERT_TRUE(
           oracle::UpdateGroupMap(block, nullptr, morsel, nullptr, &oracle_partial).ok())
           << what;
@@ -166,7 +207,7 @@ void CheckBlock(const BlockDef& block, const Chunk& input, const std::string& na
       auto it = exact.groups().find(key);
       ASSERT_TRUE(it != exact.groups().end()) << what << " [exact] " << KeyString(key);
       for (size_t a = 0; a < entry.aggs.size(); ++a) {
-        EXPECT_EQ(MainBytes(*entry.aggs[a].main_state()), MainBytes(*it->second[a]))
+        EXPECT_EQ(StateBytes(*entry.aggs[a].main_state()), StateBytes(*it->second[a]))
             << what << " [exact] group " << KeyString(key) << " aggregate " << a;
       }
     }
@@ -175,10 +216,17 @@ void CheckBlock(const BlockDef& block, const Chunk& input, const std::string& na
   // The overlay fold: the first half is the deterministic base, and a random
   // selection of all rows folds onto it on a pool, in small pieces.
   const std::string what = name + " [overlay]";
+  const Chunk first_half = input.Slice(0, input.num_rows() / 2);
   OnlineAggregate base(&block, &weights);
-  FoldTile tile;
-  ASSERT_TRUE(base.FoldTileOf(input.Slice(0, input.num_rows() / 2), nullptr, &tile).ok());
-  base.MergeTile(std::move(tile));
+  GroupArena tile;
+  ASSERT_TRUE(base.FoldTileOf(first_half, nullptr, &tile).ok());
+  base.MergeTile(tile);
+  oracle::GroupMap oracle_base;
+  ASSERT_TRUE(
+      oracle::UpdateGroupMap(block, &weights, first_half, nullptr, &oracle_base).ok());
+  ExpectSameGroups(oracle_base, base.arena(), what + " base");
+  const std::string base_bytes = CheckpointBytes(base);
+
   Rng rng(5);
   SelectionVector selected;
   for (size_t i = 0; i < input.num_rows(); ++i) {
@@ -192,24 +240,28 @@ void CheckBlock(const BlockDef& block, const Chunk& input, const std::string& na
   ASSERT_TRUE(overlay.Update(input, selected, ctx).ok()) << what;
   auto post = overlay.Finalize(1.0, /*with_replicates=*/false, ctx);
   ASSERT_TRUE(post.ok()) << what << ": " << post.status().ToString();
+  // Copy on write: folding and finalizing the overlay left its base as it was.
+  EXPECT_TRUE(CheckpointBytes(base) == base_bytes) << what << ": the overlay wrote its base";
 
-  GroupMap delta;
+  oracle::GroupMap delta;
   ASSERT_TRUE(oracle::UpdateGroupMap(block, &weights, input.Gather(selected), nullptr,
-                                     &delta, &base.groups())
+                                     &delta, &oracle_base)
                   .ok())
       << what;
   // The merged view the overlay finalizes, in key order.
-  std::map<GroupKey, const GroupEntry*> view;
-  for (const auto& [key, entry] : base.groups()) view[key] = &entry;
-  for (const auto& [key, entry] : delta) view[key] = &entry;
-  ASSERT_EQ(post->states.size(), view.size()) << what;
+  std::map<GroupKey, oracle::GroupEntry*> view;
+  for (auto& [key, entry] : oracle_base) view[key] = &entry;
+  for (auto& [key, entry] : delta) view[key] = &entry;
+  ASSERT_EQ(post->ids.size(), view.size()) << what;
   size_t row = 0;
   for (const auto& [key, entry] : view) {
     for (size_t c = 0; c < key.values.size(); ++c) {
       EXPECT_TRUE(post->point.column(c).GetValue(row) == key.values[c])
           << what << " row " << row;
     }
-    ExpectSameEntry(*entry, *post->states[row], what + " group " + KeyString(key));
+    uint32_t id;
+    const GroupArena& arena = post->states->Resolve(post->ids[row], &id);
+    ExpectSameRow(*entry, arena, id, what + " group " + KeyString(key));
     ++row;
   }
 }
