@@ -101,7 +101,10 @@ void BM_SegmentRleFold(benchmark::State& state) {
 
   ChunkPair chunks = ChunkPair::Make(state.range(0));
   const bool vec = state.range(1) != 0;
-  const Chunk& input = vec ? chunks.encoded : chunks.decoded;
+  // The block reads qty alone: hand it its scan layout, as a morsel gets it.
+  const Chunk& full = vec ? chunks.encoded : chunks.decoded;
+  const Chunk input =
+      full.Slice(0, full.num_rows(), block.scan_columns, block.ScanSchema());
   for (auto _ : state) {
     HashAggregate agg(&block);
     GOLA_CHECK_OK(agg.Update(input, nullptr));
@@ -162,10 +165,12 @@ void BM_SegmentZonePrunedScan(benchmark::State& state) {
   std::vector<ExprPtr> preds;
   preds.push_back(std::move(pred));
   const std::vector<ExprPtr> no_preds;
+  // Every column, so the predicate's position is the table's.
+  const std::vector<int> columns = AllColumns(*(*table)->schema());
 
   const bool vec = state.range(0) != 0;
   for (auto _ : state) {
-    auto scanned = ScanStreamedTable(**table, vec ? preds : no_preds);
+    auto scanned = ScanStreamedTable(**table, vec ? preds : no_preds, columns);
     GOLA_CHECK_OK(scanned.status());
     benchmark::DoNotOptimize(scanned->chunks);
   }

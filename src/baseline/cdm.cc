@@ -36,7 +36,8 @@ Status CdmExecutor::Prepare() {
   part_opts.num_batches = options_.num_batches;
   part_opts.row_shuffle = options_.row_shuffle;
   part_opts.seed = options_.seed;
-  partitioner_ = std::make_unique<MiniBatchPartitioner>(*table, part_opts);
+  partitioner_ =
+      std::make_unique<MiniBatchPartitioner>(*table, part_opts, query_.ScanColumns());
 
   states_.reserve(query_.blocks.size());
   for (const auto& block : query_.blocks) {
@@ -85,30 +86,30 @@ Result<CdmUpdate> CdmExecutor::Step() {
     const BlockDef& block = *state.block;
     Table result_sink;
 
-    DeltaPipeline pipeline;
+    DeltaPipeline pipeline(block);
     if (!state.join->empty()) pipeline.Add(&*state.join);
     if (!state.filter->empty()) pipeline.Add(&*state.filter);
 
     HashAggregate* agg = state.agg.get();
     std::unique_ptr<HashAggregate> rescan_agg;
-    std::vector<const Chunk*> inputs;
+    std::vector<MorselSource> sources;
     if (state.incremental) {
       // Delta update: fold only ΔD_i into the retained states.
-      inputs.push_back(seen_pins.back().get());
+      sources.push_back({seen_pins.back().get(), 0});
     } else {
       // The inner aggregate changed → the engine "has to read through D_i
       // again in order to compute the correct answer" (§3.1).
       rescan_agg = std::make_unique<HashAggregate>(&block);
       agg = rescan_agg.get();
-      inputs.reserve(seen_pins.size());
-      for (const auto& p : seen_pins) inputs.push_back(p.get());
+      sources.reserve(seen_pins.size());
+      for (const auto& p : seen_pins) sources.push_back({p.get(), 0});
     }
-    for (const Chunk* c : inputs) {
-      update.rows_scanned += static_cast<int64_t>(c->num_rows());
+    for (const MorselSource& s : sources) {
+      update.rows_scanned += static_cast<int64_t>(s.chunk->num_rows());
     }
     HashAggregateStage agg_stage(&block, agg);
     pipeline.SetSink(&agg_stage);
-    GOLA_RETURN_NOT_OK(pipeline.Run(ctx, inputs));
+    GOLA_RETURN_NOT_OK(pipeline.Run(ctx, sources));
 
     GOLA_ASSIGN_OR_RETURN(Chunk post, agg->Finalize(scale));
     GOLA_ASSIGN_OR_RETURN(post, ApplyHavingFilters(block, post, &env_));

@@ -103,35 +103,35 @@ Result<Table> BatchExecutor::Run(
   BroadcastEnv env;
   Table result;
   for (const auto& block : query.blocks) {
-    std::vector<const Chunk*> chunks;
+    std::vector<MorselSource> sources;
     auto it = overrides.find(ToLower(block.table));
     TablePtr table_holder;       // keeps catalog chunks alive
     SegmentScanResult scanned;   // owns streamed-table chunks for this block
     if (it != overrides.end()) {
-      chunks = it->second;
+      for (const Chunk* c : it->second) sources.push_back({c, 0});
     } else {
       GOLA_ASSIGN_OR_RETURN(table_holder, catalog_->GetTable(block.table));
       if (table_holder->streamed()) {
-        // Segment-backed table: decode chunk by chunk, skipping whole
-        // chunks the zone maps rule out under this block's scan predicates
-        // (the filter stage re-applies them all, so pruning is pure
-        // optimization). Decoded chunks keep their encoded sidecars for
-        // the downstream encoded-execution fast paths.
+        // Segment-backed table: decode the block's scan columns chunk by
+        // chunk, skipping whole chunks the zone maps rule out under this
+        // block's scan predicates (the filter stage re-applies them all, so
+        // pruning is pure optimization). Decoded chunks keep their encoded
+        // sidecars for the downstream encoded-execution fast paths.
         FilterStage preds = FilterStage::AllPointForms(block);
-        GOLA_ASSIGN_OR_RETURN(scanned,
-                              ScanStreamedTable(*table_holder, preds.preds()));
-        for (const auto& c : scanned.chunks) chunks.push_back(&c);
+        GOLA_ASSIGN_OR_RETURN(scanned, ScanStreamedTable(*table_holder, preds.preds(),
+                                                         block.scan_columns));
+        for (const auto& c : scanned.chunks) sources.push_back({&c, 0});
       } else {
-        for (const auto& c : table_holder->chunks()) chunks.push_back(&c);
+        for (const auto& c : table_holder->chunks()) sources.push_back({&c, 0});
       }
     }
-    GOLA_RETURN_NOT_OK(ExecuteBlock(block, chunks, opts, &env, &result));
+    GOLA_RETURN_NOT_OK(ExecuteBlock(block, sources, opts, &env, &result));
   }
   return result;
 }
 
 Status BatchExecutor::ExecuteBlock(const BlockDef& block,
-                                   const std::vector<const Chunk*>& chunks,
+                                   const std::vector<MorselSource>& sources,
                                    const BatchExecOptions& opts, BroadcastEnv* env,
                                    Table* result) {
   // One delta-pipeline per block: DimJoin → Filter → (HashAggregate | Collect).
@@ -146,7 +146,7 @@ Status BatchExecutor::ExecuteBlock(const BlockDef& block,
   ctx.scale = opts.scale;
   ctx.env = env;
 
-  DeltaPipeline pipeline;
+  DeltaPipeline pipeline(block);
   if (!join_stage.empty()) pipeline.Add(&join_stage);
   if (!filter_stage.empty()) pipeline.Add(&filter_stage);
 
@@ -154,7 +154,7 @@ Status BatchExecutor::ExecuteBlock(const BlockDef& block,
     HashAggregate merged(&block);
     HashAggregateStage agg_stage(&block, &merged);
     pipeline.SetSink(&agg_stage);
-    GOLA_RETURN_NOT_OK(pipeline.Run(ctx, chunks));
+    GOLA_RETURN_NOT_OK(pipeline.Run(ctx, sources));
     GOLA_ASSIGN_OR_RETURN(Chunk post, merged.Finalize(opts.scale));
     GOLA_ASSIGN_OR_RETURN(post, ApplyHavingFilters(block, post, env));
     return BroadcastOrEmit(block, post, env, result);
@@ -165,7 +165,7 @@ Status BatchExecutor::ExecuteBlock(const BlockDef& block,
   }
   CollectStage collect(block.input_schema);
   pipeline.SetSink(&collect);
-  GOLA_RETURN_NOT_OK(pipeline.Run(ctx, chunks));
+  GOLA_RETURN_NOT_OK(pipeline.Run(ctx, sources));
   return BroadcastOrEmit(block, collect.combined(), env, result);
 }
 

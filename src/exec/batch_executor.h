@@ -56,7 +56,7 @@ class BatchExecutor {
                         overrides,
                     const BatchExecOptions& opts);
 
-  Status ExecuteBlock(const BlockDef& block, const std::vector<const Chunk*>& chunks,
+  Status ExecuteBlock(const BlockDef& block, const std::vector<MorselSource>& sources,
                       const BatchExecOptions& opts, BroadcastEnv* env, Table* result);
 
   const Catalog* catalog_;

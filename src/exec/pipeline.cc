@@ -61,11 +61,9 @@ struct RunObs {
 
 Result<DimJoinSet> DimJoinSet::Build(const BlockDef& block, const Catalog& catalog) {
   DimJoinSet set;
-  // Layout after stage j = streamed columns + dims[0..j] columns; the final
+  // Layout after stage j = scan columns + dims[0..j] columns; the final
   // stage equals block.input_schema.
-  std::vector<Field> fields;
-  GOLA_ASSIGN_OR_RETURN(SchemaPtr streamed, catalog.GetSchema(block.table));
-  fields = streamed->fields();
+  std::vector<Field> fields = block.ScanSchema()->fields();
   for (const auto& join : block.dim_joins) {
     GOLA_ASSIGN_OR_RETURN(TablePtr dim, catalog.GetTable(join.table));
     GOLA_ASSIGN_OR_RETURN(DimHashTable table, DimHashTable::Build(*dim, *join.build_key));
@@ -209,7 +207,8 @@ std::vector<MorselPlan> PlanMorsels(const std::vector<MorselSource>& sources,
     size_t offset = 0;
     for (size_t p = 0; p < pieces; ++p) {
       size_t rows = base + (p < rem ? 1 : 0);
-      plan.push_back({s.chunk, offset, rows, s.first_stage});
+      plan.push_back({s.chunk, offset, rows, s.first_stage,
+                      static_cast<size_t>(&s - sources.data())});
       offset += rows;
     }
   }
@@ -374,11 +373,41 @@ Status ConcatSlots(const ExecContext& ctx, const std::vector<Chunk>& slots, Chun
 
 // --------------------------------------------------------- DeltaPipeline --
 
+Result<std::vector<int>> DeltaPipeline::ScanPositions(const MorselSource& source) const {
+  std::vector<int> positions;
+  const Chunk& chunk = *source.chunk;
+  if (source.first_stage > 0 || chunk.num_rows() == 0 || chunk.schema() == scan_schema_) {
+    return positions;
+  }
+  if (chunk.schema() == nullptr) return Status::Internal("pipeline source has no schema");
+  // Column names are unique within a table (Catalog::RegisterTable rejects
+  // repeats), so each name finds the one column the binder bound.
+  positions.reserve(scan_schema_->num_fields());
+  for (const Field& f : scan_schema_->fields()) {
+    Result<int> at = chunk.schema()->FieldIndex(f.name);
+    if (!at.ok()) return Status::Internal("pipeline source lacks scan column " + f.name);
+    positions.push_back(*at);
+  }
+  // Already the scan layout (a segment scan decoded just these columns).
+  bool identity = positions.size() == chunk.num_columns();
+  for (size_t k = 0; identity && k < positions.size(); ++k) {
+    identity = positions[k] == static_cast<int>(k);
+  }
+  if (identity) positions.clear();
+  return positions;
+}
+
 Status DeltaPipeline::Run(const ExecContext& ctx,
                           const std::vector<MorselSource>& sources,
                           Chunk* uncertain_out, std::vector<uint8_t>* pass_out) {
   if (classify_ != nullptr && uncertain_out == nullptr) {
     return Status::Internal("classify stage requires an uncertain sink");
+  }
+  std::vector<std::vector<int>> scan_positions;
+  scan_positions.reserve(sources.size());
+  for (const MorselSource& s : sources) {
+    GOLA_ASSIGN_OR_RETURN(std::vector<int> positions, ScanPositions(s));
+    scan_positions.push_back(std::move(positions));
   }
   std::vector<MorselPlan> morsels =
       PlanMorsels(sources, ctx.min_morsel_rows, ctx.max_morsels);
@@ -406,7 +435,10 @@ Status DeltaPipeline::Run(const ExecContext& ctx,
       obs::TraceSpan morsel_span("morsel", "rows",
                                  static_cast<int64_t>(mo.rows));
       Stopwatch morsel_timer;
-      Chunk chunk = (mo.offset == 0 && mo.rows == mo.chunk->num_rows())
+      const std::vector<int>& positions = scan_positions[mo.source];
+      Chunk chunk = !positions.empty()
+                        ? mo.chunk->Slice(mo.offset, mo.rows, positions, scan_schema_)
+                    : (mo.offset == 0 && mo.rows == mo.chunk->num_rows())
                         ? *mo.chunk
                         : mo.chunk->Slice(mo.offset, mo.rows);
       if (ctx.metrics) ctx.metrics->rows_in += static_cast<int64_t>(mo.rows);
@@ -550,14 +582,6 @@ Status DeltaPipeline::Run(const ExecContext& ctx,
     }
   }
   return Status::OK();
-}
-
-Status DeltaPipeline::Run(const ExecContext& ctx,
-                          const std::vector<const Chunk*>& chunks) {
-  std::vector<MorselSource> sources;
-  sources.reserve(chunks.size());
-  for (const Chunk* c : chunks) sources.push_back({c, 0});
-  return Run(ctx, sources, nullptr);
 }
 
 // ---------------------------------------------------------------- HAVING --

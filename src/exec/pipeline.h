@@ -232,6 +232,7 @@ struct MorselPlan {
   size_t offset = 0;
   size_t rows = 0;
   size_t first_stage = 0;
+  size_t source = 0;  // index into the planned sources
 };
 
 /// Deterministic morsel decomposition: depends only on the source sizes and
@@ -263,10 +264,18 @@ std::vector<PieceRange> PlanPieces(size_t num_items,
 Status RunPieces(const ExecContext& ctx, size_t num_pieces,
                  const std::function<Status(size_t)>& fn);
 
-/// The morsel-parallel driver. Borrows stages (callers own them; transform
-/// stages are typically long-lived, sinks per-run or per-block).
+/// The morsel-parallel driver over one block's scan. Borrows stages
+/// (callers own them; transform stages are typically long-lived, sinks
+/// per-run or per-block).
 class DeltaPipeline {
  public:
+  /// Each morsel of a first-stage source slices only `block`'s scan
+  /// columns (BlockDef::ScanSchema, found by name in the source chunk's
+  /// schema, so a source may hold every column of the table or any subset
+  /// that includes them), with the encoded sidecar's views projected
+  /// alongside: the layout every stage addresses.
+  explicit DeltaPipeline(const BlockDef& block) : scan_schema_(block.ScanSchema()) {}
+
   DeltaPipeline& Add(const TransformStage* stage) {
     transforms_.push_back(stage);
     return *this;
@@ -284,10 +293,13 @@ class DeltaPipeline {
   Status Run(const ExecContext& ctx, const std::vector<MorselSource>& sources,
              Chunk* uncertain_out = nullptr, std::vector<uint8_t>* pass_out = nullptr);
 
-  /// Convenience: all chunks from stage 0.
-  Status Run(const ExecContext& ctx, const std::vector<const Chunk*>& chunks);
-
  private:
+  /// Where the scan columns sit in `source`: one chunk position per scan
+  /// column, or empty when the chunk already has the scan layout (a later
+  /// stage's input, or a segment scan that decoded just these columns).
+  Result<std::vector<int>> ScanPositions(const MorselSource& source) const;
+
+  SchemaPtr scan_schema_;
   std::vector<const TransformStage*> transforms_;
   ClassifyStage* classify_ = nullptr;
   AggregateStage* sink_ = nullptr;

@@ -18,21 +18,22 @@ struct PrunePred {
 };
 
 /// Splits `e` into AND-leaves and keeps the column-literal comparisons over
-/// the streamed table's own columns (dim-join columns sit past num_fields in
-/// the block input schema and have no zone metadata).
+/// the streamed table's own columns, mapped to table indices through
+/// `columns` (dim-join columns sit past them in the block input schema and
+/// have no zone metadata).
 void CollectPrunable(const Expr& e, const SchemaPtr& schema,
-                     std::vector<PrunePred>* out) {
+                     const std::vector<int>& columns, std::vector<PrunePred>* out) {
   if (e.kind == ExprKind::kLogical && e.logical_op == LogicalOp::kAnd) {
-    CollectPrunable(*e.children[0], schema, out);
-    CollectPrunable(*e.children[1], schema, out);
+    CollectPrunable(*e.children[0], schema, columns, out);
+    CollectPrunable(*e.children[1], schema, columns, out);
     return;
   }
   const Expr* col = nullptr;
   const Value* lit = nullptr;
   CmpOp op = CmpOp::kEq;
-  if (!MatchColumnLiteralCmp(e, schema->num_fields(), &col, &lit, &op)) return;
+  if (!MatchColumnLiteralCmp(e, columns.size(), &col, &lit, &op)) return;
   PrunePred p;
-  p.col = static_cast<size_t>(col->column_index);
+  p.col = static_cast<size_t>(columns[static_cast<size_t>(col->column_index)]);
   p.op = op;
   p.lit = lit;
   p.type = schema->field(p.col).type;
@@ -42,12 +43,13 @@ void CollectPrunable(const Expr& e, const SchemaPtr& schema,
 }  // namespace
 
 Result<SegmentScanResult> ScanStreamedTable(const Table& table,
-                                            const std::vector<ExprPtr>& preds) {
+                                            const std::vector<ExprPtr>& preds,
+                                            const std::vector<int>& columns) {
   GOLA_CHECK(table.streamed());
   const ColumnSource& source = *table.source();
 
   std::vector<PrunePred> prunable;
-  for (const auto& p : preds) CollectPrunable(*p, table.schema(), &prunable);
+  for (const auto& p : preds) CollectPrunable(*p, table.schema(), columns, &prunable);
 
   SegmentScanResult result;
   result.chunks.reserve(source.num_chunks());
@@ -67,7 +69,7 @@ Result<SegmentScanResult> ScanStreamedTable(const Table& table,
       MarkSegmentChunkPruned();
       continue;
     }
-    GOLA_ASSIGN_OR_RETURN(Chunk chunk, source.ReadChunk(c));
+    GOLA_ASSIGN_OR_RETURN(Chunk chunk, source.ReadChunk(c, columns));
     result.chunks.push_back(std::move(chunk));
   }
   result.chunks_pruned = source.num_chunks() - result.chunks.size();

@@ -23,14 +23,18 @@ struct SegmentScanResult {
   size_t chunks_pruned = 0;
 };
 
-/// Reads every chunk of `table` (which must be streamed) that the zone maps
-/// cannot rule out under the conjunction of `preds`. Only top-level
-/// `column <op> literal` conjuncts over the streamed table's own columns
-/// participate in pruning; every other predicate shape is simply ignored
-/// here (the filter stage re-applies the full predicate set to the decoded
-/// rows, so pruning is an optimization, never a correctness dependency).
+/// Decodes `columns` (ascending table indices, a block's scan columns) of
+/// every chunk of `table` (which must be streamed) that the zone maps
+/// cannot rule out under the conjunction of `preds`. The predicates
+/// address the block's input layout, whose first positions hold
+/// `columns`. Only top-level `column <op> literal` conjuncts over the
+/// streamed table's own columns participate in pruning; every other
+/// predicate shape is simply ignored here (the filter stage re-applies the
+/// full predicate set to the decoded rows, so pruning is an optimization,
+/// never a correctness dependency).
 Result<SegmentScanResult> ScanStreamedTable(const Table& table,
-                                            const std::vector<ExprPtr>& preds);
+                                            const std::vector<ExprPtr>& preds,
+                                            const std::vector<int>& columns);
 
 }  // namespace gola
 

@@ -58,7 +58,11 @@ MembershipSource* OnlineEnv::membership(int id) const {
 OnlineBlockExec::OnlineBlockExec(const BlockDef* block, const Catalog* catalog,
                                  const GolaOptions* options,
                                  const PoissonWeights* weights)
-    : block_(block), catalog_(catalog), options_(options), weights_(weights) {}
+    : block_(block),
+      catalog_(catalog),
+      options_(options),
+      weights_(weights),
+      pipeline_(*block) {}
 
 Chunk OnlineBlockExec::EmptyUncertain() const {
   Chunk chunk(block_->input_schema, [&] {
@@ -123,7 +127,7 @@ Status OnlineBlockExec::Init() {
   agg_ = std::make_unique<OnlineAggregate>(block_, weights_);
   classify_stage_ = std::make_unique<OnlineClassifyStage>(block_, options_);
   fold_stage_ = std::make_unique<OnlineFoldStage>(agg_.get());
-  pipeline_ = DeltaPipeline();
+  pipeline_ = DeltaPipeline(*block_);
   if (!join_stage_->empty()) pipeline_.Add(&*join_stage_);
   if (!filter_stage_->empty()) pipeline_.Add(&*filter_stage_);
   pipeline_.SetClassify(classify_stage_.get());
@@ -223,8 +227,9 @@ Result<RangeFailure> OnlineBlockExec::ProcessBatch(const Chunk& batch, double sc
   }
 
   // Pipeline inputs: the cached uncertain set from batch i-1 (stored
-  // post-join/post-filter, so it re-enters at the classify stage) plus the
-  // new batch — the only tuples the delta update must touch (§3.2).
+  // post-join/post-filter in the block's layout, so it re-enters at the
+  // classify stage) plus the new batch — the only tuples the delta update
+  // must touch (§3.2).
   Chunk uncertain_prev = std::move(uncertain_);
   std::vector<uint8_t> pass_prev = std::move(uncertain_pass_);
   uncertain_ = EmptyUncertain();

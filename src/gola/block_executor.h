@@ -152,7 +152,9 @@ class OnlineBlockExec : public MembershipSource {
   PipelineMetrics metrics_;
 
   std::unique_ptr<OnlineAggregate> agg_;
-  Chunk uncertain_;  // cached lineage: full input-layout columns + serials
+  /// Cached lineage (paper §3.3): the input-layout columns the block's
+  /// predicates, keys and arguments read, plus serials.
+  Chunk uncertain_;
   /// One flag per uncertain_ row: its point-form predicate holds (the
   /// passing set Emit folds). Not checkpointed; ReEmit recomputes it.
   std::vector<uint8_t> uncertain_pass_;

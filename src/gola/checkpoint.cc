@@ -43,6 +43,8 @@ std::string Fingerprint(const GolaOptions& options, const CompiledQuery& query,
   w.U32(static_cast<uint32_t>(query.blocks.size()));
   for (const auto& block : query.blocks) {
     w.U8(static_cast<uint8_t>(block.kind));
+    w.U32(static_cast<uint32_t>(block.scan_columns.size()));
+    for (int col : block.scan_columns) w.U32(static_cast<uint32_t>(col));
     w.U32(static_cast<uint32_t>(block.input_schema->num_fields()));
     w.U32(static_cast<uint32_t>(block.group_by.size()));
     w.U32(static_cast<uint32_t>(block.aggs.size()));

@@ -12,7 +12,8 @@
 //   u32 format version (kCheckpointVersion; readers reject mismatches)
 //   u32 fingerprint length + fingerprint bytes — a serialized digest of
 //     every determinism-affecting knob (seed, batching, replicates, ε, CI
-//     level, shuffle flag, streamed table, row count, block shapes). Resume
+//     level, shuffle flag, streamed table, row count, block shapes and
+//     scan columns). Resume
 //     recomputes the digest locally and requires byte equality, so a
 //     checkpoint can never be restored into a different query or options.
 //   controller state: u32 next_batch, i64 rows_through, u32 recomputes,
@@ -22,6 +23,7 @@
 //     group count, key values, row counts, flat main sums/counts/any flags,
 //     B replicate sums and counts per flat aggregate, then every generic
 //     main and replicate AggState field by field), envelopes, uncertain set
+//     (the block's input layout: its scan columns, then any dim columns)
 //   u64 FNV-1a checksum of everything above
 //
 // Version policy: any layout change bumps kCheckpointVersion; there is no
@@ -37,7 +39,7 @@ namespace gola {
 
 inline constexpr char kCheckpointMagic[8] = {'G', 'O', 'L', 'A',
                                              'C', 'K', 'P', '1'};
-inline constexpr uint32_t kCheckpointVersion = 2;
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 }  // namespace gola
 

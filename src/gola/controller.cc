@@ -97,10 +97,12 @@ Status OnlineQueryExecutor::Prepare(
 
   weights_ = std::make_unique<PoissonWeights>(options_.bootstrap_replicates,
                                               SplitMix64(options_.seed ^ 0xB00757AAULL));
-  // Attach to a shared mini-batch scan when the session layer provides one
-  // and it demonstrably partitions *this* table under *these* options;
-  // anything off falls back to a private partitioner (correctness never
-  // rides on the cache being right).
+  // Batches carry only the columns some block reads. Attach to a shared
+  // mini-batch scan when the session layer provides one and it
+  // demonstrably partitions *this* table under *these* options (widening
+  // it to those columns); anything off falls back to a private partitioner
+  // (correctness never rides on the cache being right).
+  std::vector<int> scan_columns = query_.ScanColumns();
   if (shared_scan != nullptr &&
       shared_scan->total_rows() == table->num_rows() &&
       (shared_scan->num_batches() == options_.num_batches ||
@@ -109,6 +111,7 @@ Status OnlineQueryExecutor::Prepare(
        (table->num_rows() < options_.num_batches &&
         shared_scan->num_batches() ==
             static_cast<int>(std::max<int64_t>(1, table->num_rows()))))) {
+    shared_scan->Widen(scan_columns);
     partitioner_ = std::move(shared_scan);
     scan_shared_ = true;
   } else {
@@ -120,7 +123,8 @@ Status OnlineQueryExecutor::Prepare(
     part_opts.num_batches = options_.num_batches;
     part_opts.row_shuffle = options_.row_shuffle;
     part_opts.seed = options_.seed;
-    partitioner_ = std::make_shared<MiniBatchPartitioner>(*table, part_opts);
+    partitioner_ = std::make_shared<MiniBatchPartitioner>(*table, part_opts,
+                                                          std::move(scan_columns));
   }
 
   blocks_.reserve(query_.blocks.size());

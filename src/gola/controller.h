@@ -74,10 +74,12 @@ class OnlineQueryExecutor {
   /// table produced by the scan-share layer (server/scan_share.h): N
   /// queries over the same table attach to one partitioner instead of each
   /// paying the shuffle + batch-gather cost. The partitioner is validated
-  /// against the table and options (batch count, row count); on mismatch
-  /// the executor silently builds its own — sharing is an optimization,
-  /// never a correctness dependency. A shared scan is bit-identical to a
-  /// private one: the partitioning is a pure function of (table, options).
+  /// against the table and options (batch count, row count) and widened to
+  /// the columns the query reads (MiniBatchPartitioner::Widen); on mismatch
+  /// the executor silently builds its own, which gathers only those
+  /// columns — sharing is an optimization, never a correctness dependency.
+  /// A shared scan is bit-identical to a private one: the partitioning is
+  /// a pure function of (table, options).
   static Result<std::unique_ptr<OnlineQueryExecutor>> Create(
       const Catalog* catalog, CompiledQuery query, const GolaOptions& options,
       std::shared_ptr<const MiniBatchPartitioner> shared_scan = nullptr);

@@ -66,15 +66,16 @@ Status Engine::RegisterTable(const std::string& name, Table table) {
 
 Status Engine::RegisterTable(const std::string& name, TablePtr table) {
   if (table == nullptr) return Status::InvalidArgument("null table");
-  catalog_.RegisterTable(name, MaybeSegmentBacked(name, std::move(table)));
-  return Status::OK();
+  // The catalog refuses repeated column names; refuse them before a spill
+  // writes the table out.
+  if (table->schema() != nullptr) GOLA_RETURN_NOT_OK(table->schema()->CheckUniqueNames());
+  return catalog_.RegisterTable(name, MaybeSegmentBacked(name, std::move(table)));
 }
 
 Status Engine::RegisterSegmentTable(const std::string& name,
                                     const std::string& path) {
   GOLA_ASSIGN_OR_RETURN(TablePtr table, OpenSegmentTable(path));
-  catalog_.RegisterTable(name, std::move(table));
-  return Status::OK();
+  return catalog_.RegisterTable(name, std::move(table));
 }
 
 TablePtr Engine::MaybeSegmentBacked(const std::string& name,

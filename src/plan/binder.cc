@@ -13,10 +13,16 @@ namespace gola {
 
 // ------------------------------------------------------------- Catalog --
 
-void Catalog::RegisterTable(const std::string& name, TablePtr table) {
+Status Catalog::RegisterTable(const std::string& name, TablePtr table) {
+  if (table == nullptr) return Status::InvalidArgument("null table");
+  if (table->schema() != nullptr) {
+    Status names = table->schema()->CheckUniqueNames();
+    if (!names.ok()) return Status::InvalidArgument("table '" + name + "': " + names.message());
+  }
   std::unique_lock lock(mu_);
   ++version_;
   tables_[ToLower(name)] = std::move(table);
+  return Status::OK();
 }
 
 Result<TablePtr> Catalog::GetTable(const std::string& name) const {
@@ -405,6 +411,8 @@ class Binder {
     deps.erase(-1);
     block.depends_on.assign(deps.begin(), deps.end());
     std::sort(block.depends_on.begin(), block.depends_on.end());
+
+    PruneScanColumns(*streamed_schema, &block);
 
     block.id = kind == BlockKind::kRoot ? CompiledQuery::kRootBlockId : next_block_id_++;
     int id = block.id;
@@ -931,6 +939,91 @@ class Binder {
       if (child) {
         GOLA_ASSIGN_OR_RETURN(child, RewritePostAgg(child, block));
       }
+    }
+    return out;
+  }
+
+  // ------------------------------------------------------ scan pruning --
+  // Narrows the block's input layout, bound as the full streamed layout
+  // followed by the dim columns, to the streamed-table columns its
+  // input-space expressions read. Post-aggregation trees address the
+  // post-agg chunk and are left alone; the input-space trees are replaced by
+  // remapped copies, so a node one of them shares with any other tree keeps
+  // its original position.
+  static void PruneScanColumns(const Schema& streamed, BlockDef* block) {
+    std::vector<ExprPtr*> roots;
+    auto add = [&roots](ExprPtr& e) {
+      if (e) roots.push_back(&e);
+    };
+    for (auto& join : block->dim_joins) add(join.probe_key);
+    for (auto& c : block->certain_conjuncts) add(c);
+    for (auto& uc : block->uncertain_conjuncts) {
+      add(uc.lhs);
+      add(uc.outer_key);
+      add(uc.opaque);
+    }
+    for (auto& g : block->group_by) add(g);
+    for (auto& agg : block->aggs) add(agg.call);
+    add(block->corr_key);
+    if (!block->is_aggregate) {
+      // A plain SPJ block projects and sorts its input rows directly.
+      for (auto& e : block->output_exprs) add(e);
+      for (auto& key : block->order_by) add(key.expr);
+    }
+
+    const size_t width = streamed.num_fields();
+    std::vector<bool> read(width, false);
+    for (ExprPtr* root : roots) MarkStreamedColumns(**root, &read);
+    for (size_t i = 0; i < width; ++i) {
+      if (read[i]) block->scan_columns.push_back(static_cast<int>(i));
+    }
+    if (block->scan_columns.empty() && width > 0) {
+      // COUNT(*)-only blocks: keep one column, the first fixed-width one, so
+      // every chunk still knows its row count.
+      size_t keep = 0;
+      for (size_t i = width; i-- > 0;) {
+        if (streamed.field(i).type != TypeId::kString) keep = i;
+      }
+      block->scan_columns.push_back(static_cast<int>(keep));
+    }
+
+    // Old position → new: scan columns first, then the dim columns, shifted.
+    const auto& old_fields = block->input_schema->fields();
+    std::vector<int> to(old_fields.size(), -1);
+    std::vector<Field> fields;
+    fields.reserve(block->scan_columns.size() + old_fields.size() - width);
+    for (int col : block->scan_columns) {
+      to[static_cast<size_t>(col)] = static_cast<int>(fields.size());
+      fields.push_back(old_fields[static_cast<size_t>(col)]);
+    }
+    for (size_t i = width; i < old_fields.size(); ++i) {
+      to[i] = static_cast<int>(fields.size());
+      fields.push_back(old_fields[i]);
+    }
+    block->input_schema = std::make_shared<Schema>(std::move(fields));
+    for (ExprPtr* root : roots) *root = Remapped(**root, to);
+  }
+
+  /// Marks the streamed columns `e` reads; dim columns sit past the mask.
+  static void MarkStreamedColumns(const Expr& e, std::vector<bool>* read) {
+    if (e.kind == ExprKind::kColumnRef && !e.from_outer_scope && e.column_index >= 0 &&
+        static_cast<size_t>(e.column_index) < read->size()) {
+      (*read)[static_cast<size_t>(e.column_index)] = true;
+    }
+    for (const auto& c : e.children) {
+      if (c) MarkStreamedColumns(*c, read);
+    }
+  }
+
+  /// A copy of `e` whose local column references address positions `to`.
+  static ExprPtr Remapped(const Expr& e, const std::vector<int>& to) {
+    auto out = std::make_shared<Expr>(e);
+    if (out->kind == ExprKind::kColumnRef && !out->from_outer_scope &&
+        out->column_index >= 0 && static_cast<size_t>(out->column_index) < to.size()) {
+      out->column_index = to[static_cast<size_t>(out->column_index)];
+    }
+    for (auto& c : out->children) {
+      if (c) c = Remapped(*c, to);
     }
     return out;
   }

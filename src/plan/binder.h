@@ -33,7 +33,10 @@ namespace gola {
 /// so sessions over the old and the new version never mix batch streams.
 class Catalog {
  public:
-  void RegisterTable(const std::string& name, TablePtr table);
+  /// Binds `name` to `table`, replacing any earlier binding. Fails when two
+  /// column names of the table repeat (Schema::CheckUniqueNames): the
+  /// binder and the scan resolve columns by name.
+  Status RegisterTable(const std::string& name, TablePtr table);
   Result<TablePtr> GetTable(const std::string& name) const;
   Result<SchemaPtr> GetSchema(const std::string& name) const;
   bool HasTable(const std::string& name) const;

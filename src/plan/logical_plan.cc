@@ -1,5 +1,6 @@
 #include "plan/logical_plan.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -50,13 +51,32 @@ const BlockDef* CompiledQuery::FindBlock(int id) const {
   return nullptr;
 }
 
+SchemaPtr BlockDef::ScanSchema() const {
+  if (dim_joins.empty()) return input_schema;
+  const auto& fields = input_schema->fields();
+  return std::make_shared<Schema>(std::vector<Field>(
+      fields.begin(), fields.begin() + static_cast<std::ptrdiff_t>(scan_columns.size())));
+}
+
+std::vector<int> CompiledQuery::ScanColumns() const {
+  std::vector<int> out;
+  for (const auto& b : blocks) out.insert(out.end(), b.scan_columns.begin(), b.scan_columns.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 std::string BlockDef::ToString() const {
   std::ostringstream out;
   const char* kind_name = kind == BlockKind::kRoot ? "root"
                           : kind == BlockKind::kScalar ? "scalar"
                                                        : "membership";
+  std::vector<std::string> scanned;
+  for (size_t i = 0; i < scan_columns.size(); ++i) {
+    scanned.push_back(input_schema->field(i).name);
+  }
   out << "block " << (kind == BlockKind::kRoot ? std::string("root") : std::to_string(id))
-      << " [" << kind_name << "] scan=" << table;
+      << " [" << kind_name << "] scan=" << table << "(" << Join(scanned, ", ") << ")";
   for (const auto& j : dim_joins) {
     out << " join=" << j.table << " on " << j.probe_key->ToString() << "="
         << j.build_key->ToString();

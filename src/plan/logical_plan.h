@@ -83,8 +83,14 @@ struct BlockDef {
   BlockKind kind = BlockKind::kRoot;
 
   std::string table;  // streamed input table
+  /// The streamed-table columns the block's input-space expressions read
+  /// (table indices, ascending; one column when they read none, so chunks
+  /// keep their row count). Only these are gathered, sliced and cached.
+  std::vector<int> scan_columns;
   std::vector<DimJoin> dim_joins;
-  SchemaPtr input_schema;  // streamed columns followed by dim columns
+  /// The scan columns' fields followed by the dim tables' columns: the
+  /// layout every input-space column reference addresses.
+  SchemaPtr input_schema;
 
   // WHERE split into certain conjuncts (no subquery refs) and uncertain ones.
   std::vector<ExprPtr> certain_conjuncts;
@@ -121,6 +127,10 @@ struct BlockDef {
   // Subquery ids whose broadcast values this block reads.
   std::vector<int> depends_on;
 
+  /// The streamed part of input_schema, one field per scan column (the
+  /// whole input_schema when the block joins no dimension table).
+  SchemaPtr ScanSchema() const;
+
   std::string ToString() const;
 };
 
@@ -133,6 +143,10 @@ struct CompiledQuery {
 
   const BlockDef& root() const { return blocks.back(); }
   const BlockDef* FindBlock(int id) const;
+
+  /// The union of every block's scan columns, ascending: what an engine
+  /// that streams one table for all blocks needs to gather.
+  std::vector<int> ScanColumns() const;
 
   /// EXPLAIN-style rendering of the block DAG.
   std::string ToString() const;

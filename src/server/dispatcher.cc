@@ -178,7 +178,8 @@ void Dispatcher::Promote(std::unique_lock<std::mutex>& lock) {
     if (session->options().share_scan) {
       auto table = catalog_->GetTable(session->table());
       if (table.ok()) {
-        shared_scan = scan_share_.GetOrCreate(*table, session->options().gola);
+        shared_scan = scan_share_.GetOrCreate(*table, session->options().gola,
+                                              session->query_.ScanColumns());
       }
     }
     session->Start(catalog_, std::move(shared_scan));

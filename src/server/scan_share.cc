@@ -6,7 +6,7 @@ namespace gola {
 namespace server {
 
 std::shared_ptr<const MiniBatchPartitioner> ScanShare::GetOrCreate(
-    const TablePtr& table, const GolaOptions& options) {
+    const TablePtr& table, const GolaOptions& options, const std::vector<int>& columns) {
   Key key;
   key.table = table.get();
   key.num_batches = options.num_batches;
@@ -53,7 +53,7 @@ std::shared_ptr<const MiniBatchPartitioner> ScanShare::GetOrCreate(
   part_opts.num_batches = options.num_batches;
   part_opts.row_shuffle = options.row_shuffle;
   part_opts.seed = options.seed;
-  scan = std::make_shared<const MiniBatchPartitioner>(*table, part_opts);
+  scan = std::make_shared<const MiniBatchPartitioner>(*table, part_opts, columns);
   slot->table = table;
   slot->scan = scan;
   {

@@ -17,9 +17,10 @@
 //
 // Sharing is bit-transparent: every batch a partitioner hands out is
 // deterministic in its inputs (its cache only decides whether a batch is
-// gathered again), so a query run against a shared scan produces results
-// bit-identical to a solo run with the same options (server_session_test
-// asserts this under TSan).
+// gathered again, and with which columns), so a query run against a shared
+// scan produces results bit-identical to a solo run with the same options
+// (server_session_test asserts this under TSan). A shared scan gathers the
+// union of the columns its attached queries read, not the whole table.
 #ifndef GOLA_SERVER_SCAN_SHARE_H_
 #define GOLA_SERVER_SCAN_SHARE_H_
 
@@ -50,9 +51,13 @@ class ScanShare {
   /// partition-relevant fields of `options` (num_batches, row_shuffle,
   /// seed), building it on first use. Concurrent callers with the same key
   /// block on the build instead of duplicating it; different keys build
-  /// independently.
+  /// independently. A new scan gathers only `columns` (ascending table
+  /// indices, the first caller's CompiledQuery::ScanColumns()); each
+  /// executor that attaches widens it to its own
+  /// (OnlineQueryExecutor::Create).
   std::shared_ptr<const MiniBatchPartitioner> GetOrCreate(
-      const TablePtr& table, const GolaOptions& options);
+      const TablePtr& table, const GolaOptions& options,
+      const std::vector<int>& columns);
 
   ScanShareStats stats() const;
 

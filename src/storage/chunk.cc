@@ -80,6 +80,43 @@ Chunk Chunk::Slice(size_t offset, size_t length) const {
   return out;
 }
 
+Chunk Chunk::Slice(size_t offset, size_t length, const std::vector<int>& columns,
+                   SchemaPtr schema) const {
+  std::vector<Column> cols;
+  cols.reserve(columns.size());
+  for (int c : columns) cols.push_back(columns_[static_cast<size_t>(c)].Slice(offset, length));
+  Chunk out(std::move(schema), std::move(cols));
+  if (!serials_.empty()) {
+    out.serials_.assign(serials_.begin() + offset, serials_.begin() + offset + length);
+  }
+  if (encoded_ != nullptr) {
+    auto e = std::make_shared<EncodedChunk>();
+    e->owner = encoded_->owner;
+    e->row_offset = encoded_->row_offset + offset;
+    e->columns.reserve(columns.size());
+    for (int c : columns) {
+      const auto col = static_cast<size_t>(c);
+      e->columns.push_back(col < encoded_->columns.size() ? encoded_->columns[col]
+                                                          : std::nullopt);
+    }
+    out.encoded_ = std::move(e);
+  }
+  return out;
+}
+
+Chunk Chunk::Take(const std::vector<int64_t>& indices, const std::vector<int>& columns,
+                  SchemaPtr schema) const {
+  std::vector<Column> cols;
+  cols.reserve(columns.size());
+  for (int c : columns) cols.push_back(columns_[static_cast<size_t>(c)].Take(indices));
+  Chunk out(std::move(schema), std::move(cols));
+  if (!serials_.empty()) {
+    out.serials_.reserve(indices.size());
+    for (int64_t idx : indices) out.serials_.push_back(serials_[static_cast<size_t>(idx)]);
+  }
+  return out;
+}
+
 Status Chunk::Append(const Chunk& other) {
   if (columns_.empty()) {
     *this = other;

@@ -43,6 +43,13 @@ class Chunk {
   /// Gather by a selection vector; serials gathered alongside.
   Chunk Gather(const std::vector<uint32_t>& indices) const;
   Chunk Slice(size_t offset, size_t length) const;
+  /// Slice and Take narrowed to `columns` (positions, in the order given)
+  /// under `schema`. Serials come along; the slice's sidecar keeps the
+  /// views of the kept columns, in the same order.
+  Chunk Slice(size_t offset, size_t length, const std::vector<int>& columns,
+              SchemaPtr schema) const;
+  Chunk Take(const std::vector<int64_t>& indices, const std::vector<int>& columns,
+             SchemaPtr schema) const;
 
   /// Appends all rows of `other` (schemas must match).
   Status Append(const Chunk& other);

@@ -2,7 +2,8 @@
 // other than resident std::vector columns — today the mmap'ed compressed
 // segment files in storage/segment/. Chunk granularity mirrors the
 // in-memory Table: a source exposes N chunks, each decodable in full
-// (ReadChunk) or selectively by row list (GatherRows). Implementations must
+// (ReadChunk) or selectively by row list (GatherRows), either of them for
+// a subset of the columns (a query's scan columns). Implementations must
 // be thread-safe for concurrent reads: the mini-batch partitioner overlaps
 // a background prefetch of batch i+1 with estimation of batch i.
 #ifndef GOLA_STORAGE_COLUMN_SOURCE_H_
@@ -36,15 +37,19 @@ class ColumnSource {
   virtual int64_t chunk_rows(size_t c) const = 0;
   virtual int64_t num_rows() const = 0;
 
-  /// Decodes chunk `c` in full. Implementations may attach an encoded
-  /// sidecar (Chunk::encoded()) so predicates can run on encoded data.
-  virtual Result<Chunk> ReadChunk(size_t c) const = 0;
+  /// Decodes `columns` (ascending table indices) of chunk `c`, in that
+  /// order. Implementations may attach an encoded sidecar
+  /// (Chunk::encoded()), one view per decoded column, so predicates can
+  /// run on encoded data.
+  virtual Result<Chunk> ReadChunk(size_t c, const std::vector<int>& columns) const = 0;
+  /// Every column of chunk `c`.
+  Result<Chunk> ReadChunk(size_t c) const { return ReadChunk(c, AllColumns(*schema())); }
 
   /// Decodes only `rows` (chunk-local indices, any order, duplicates
-  /// allowed) of chunk `c` — must be bit-identical to
-  /// ReadChunk(c)->Take(rows) minus the sidecar.
-  virtual Result<Chunk> GatherRows(size_t c,
-                                   const std::vector<int64_t>& rows) const = 0;
+  /// allowed) of `columns` (as for ReadChunk) of chunk `c` — must be
+  /// bit-identical to ReadChunk(c, columns)->Take(rows) minus the sidecar.
+  virtual Result<Chunk> GatherRows(size_t c, const std::vector<int64_t>& rows,
+                                   const std::vector<int>& columns) const = 0;
 
   /// Zone-map metadata, or nullopt when the source has none.
   virtual std::optional<ColumnZone> zone(size_t c, size_t col) const {

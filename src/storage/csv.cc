@@ -198,6 +198,9 @@ Result<Table> ReadCsv(const std::string& path, SchemaPtr schema, const CsvOption
       fields.push_back({std::move(name), type});
     }
     schema = std::make_shared<Schema>(std::move(fields));
+    // A query could not tell two equal header names apart.
+    Status names = schema->CheckUniqueNames();
+    if (!names.ok()) return Status::ParseError("CSV header of " + path + ": " + names.message());
   }
 
   TableBuilder builder(schema);

@@ -24,7 +24,8 @@ Status WriteCsv(const Table& table, const std::string& path,
                 const CsvOptions& options = {});
 
 /// Reads `path`; when `schema` is null, column names come from the header
-/// and types are inferred from the data.
+/// (two names equal but for case are a ParseError) and types are inferred
+/// from the data.
 Result<Table> ReadCsv(const std::string& path, SchemaPtr schema = nullptr,
                       const CsvOptions& options = {});
 

@@ -1,6 +1,8 @@
 #include "storage/partitioner.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <numeric>
 
 #include "common/logging.h"
@@ -60,8 +62,16 @@ constexpr int kRetainBatches = 3;
 
 MiniBatchPartitioner::MiniBatchPartitioner(const Table& table,
                                            const MiniBatchOptions& options)
-    : table_(table) {
+    : MiniBatchPartitioner(table, options, AllColumns(*table.schema())) {}
+
+MiniBatchPartitioner::MiniBatchPartitioner(const Table& table,
+                                           const MiniBatchOptions& options,
+                                           std::vector<int> columns)
+    : table_(table), columns_(std::move(columns)) {
   GOLA_CHECK(options.num_batches > 0);
+  GOLA_CHECK(std::adjacent_find(columns_.begin(), columns_.end(),
+                                std::greater_equal<int>()) == columns_.end())
+      << "partitioner columns must be strictly ascending";
   const int64_t total_rows = table_.num_rows();
   size_t nchunks = table_.num_chunks();
   if (options.row_shuffle) {
@@ -105,7 +115,28 @@ MiniBatchPartitioner::~MiniBatchPartitioner() {
   worker_.join();
 }
 
-std::shared_ptr<const Chunk> MiniBatchPartitioner::Gather(int i) const {
+std::vector<int> MiniBatchPartitioner::columns() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return columns_;
+}
+
+void MiniBatchPartitioner::Widen(const std::vector<int>& columns) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<int> merged;
+  std::set_union(columns_.begin(), columns_.end(), columns.begin(), columns.end(),
+                 std::back_inserter(merged));
+  columns_ = std::move(merged);
+}
+
+bool MiniBatchPartitioner::CachedLocked(int i) const {
+  auto it = cache_.find(i);
+  // columns_ only grows, so an entry holds every current column iff it was
+  // gathered with the current list.
+  return it != cache_.end() && it->second.columns == columns_;
+}
+
+std::shared_ptr<const Chunk> MiniBatchPartitioner::Gather(
+    int i, const std::vector<int>& columns) const {
   int64_t begin = batch_starts_[static_cast<size_t>(i)];
   int64_t end = batch_starts_[static_cast<size_t>(i) + 1];
   // Per reordered chunk, the local rows this batch draws from it. Rows
@@ -123,7 +154,7 @@ std::shared_ptr<const Chunk> MiniBatchPartitioner::Gather(int i) const {
   auto batch = std::make_shared<Chunk>();
   for (size_t c = 0; c < local.size(); ++c) {
     if (local[c].empty()) continue;
-    auto piece = table_.GatherRows(chunk_order_[c], local[c]);
+    auto piece = table_.GatherRows(chunk_order_[c], local[c], columns);
     GOLA_CHECK(piece.ok()) << "gathering mini-batch: " << piece.status().ToString();
     GOLA_CHECK_OK(batch->Append(std::move(*piece)));
   }
@@ -137,31 +168,37 @@ std::shared_ptr<const Chunk> MiniBatchPartitioner::FetchBatch(int i,
                                                               bool cursor) const {
   GOLA_CHECK(i >= 0 && i < num_batches());
   std::shared_ptr<const Chunk> chunk;
+  std::vector<int> columns;
   bool was_prefetched = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     // Rather than gather a duplicate, wait for a prefetch of this batch.
     cv_.wait(lock, [&] { return prefetching_ != i; });
-    auto it = cache_.find(i);
-    if (it != cache_.end()) {
-      chunk = it->second.chunk;
-      was_prefetched = it->second.from_prefetch && !it->second.consumed;
-      it->second.consumed = true;
+    columns = columns_;
+    if (CachedLocked(i)) {
+      Entry& e = cache_[i];
+      chunk = e.chunk;
+      was_prefetched = e.from_prefetch && !e.consumed;
+      e.consumed = true;
     }
   }
-  if (chunk == nullptr) chunk = Gather(i);
+  if (chunk == nullptr) chunk = Gather(i, columns);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto& e = cache_[i];
-    // The prefetch thread may have cached this batch meanwhile: hand out
-    // that object, so every caller of batch i shares one chunk.
-    if (e.chunk == nullptr) e.chunk = chunk;
+    // The prefetch thread may have cached this batch, at least as wide,
+    // meanwhile: hand out that object, so every caller of batch i shares
+    // one chunk. Column lists only grow, so the longer holds the shorter.
+    if (e.chunk == nullptr || columns.size() > e.columns.size()) {
+      e.chunk = chunk;
+      e.columns = columns;
+    }
     chunk = e.chunk;
     e.consumed = true;
     // Drop batches well behind this fetch; callers' pins keep theirs alive.
     cache_.erase(cache_.begin(), cache_.lower_bound(i - kRetainBatches));
     // Overlap the next batch's gather with the caller's estimation.
-    if (cursor && i + 1 < num_batches() && cache_.find(i + 1) == cache_.end()) {
+    if (cursor && i + 1 < num_batches() && !CachedLocked(i + 1)) {
       want_ = i + 1;
       cv_.notify_all();
     }
@@ -176,22 +213,26 @@ std::shared_ptr<const Chunk> MiniBatchPartitioner::FetchBatch(int i,
 void MiniBatchPartitioner::PrefetchLoop() {
   for (;;) {
     int target = -1;
+    std::vector<int> columns;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] { return stop_ || want_ >= 0; });
       if (stop_) return;
       target = want_;
       want_ = -1;
-      if (cache_.find(target) != cache_.end()) continue;
+      if (CachedLocked(target)) continue;
       prefetching_ = target;
+      columns = columns_;
     }
-    std::shared_ptr<const Chunk> chunk = Gather(target);
+    std::shared_ptr<const Chunk> chunk = Gather(target, columns);
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto& e = cache_[target];
-      if (e.chunk == nullptr) {
+      if (e.chunk == nullptr || columns.size() > e.columns.size()) {
         e.chunk = std::move(chunk);
+        e.columns = std::move(columns);
         e.from_prefetch = true;
+        e.consumed = false;
       }
       prefetching_ = -1;
     }

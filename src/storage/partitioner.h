@@ -10,8 +10,9 @@
 //
 // Construction computes only the permutation, the chunk order and the batch
 // bounds. Each batch is gathered on demand through Table::GatherRows, from
-// resident chunks and from a segment's ColumnSource alike, and only the
-// last few gathered batches stay cached, so memory is the current batch
+// resident chunks and from a segment's ColumnSource alike — every column,
+// or only the columns a query reads — and only the last few gathered
+// batches stay cached, so memory is the current batch
 // plus estimator state, not a second copy of the table. A background
 // prefetch thread gathers batch i+1 while the caller estimates batch i
 // (PF-OLA's I/O–estimation overlap), with hit/miss counters exported
@@ -50,7 +51,13 @@ struct MiniBatchOptions {
 /// copy is replaced or destroyed.
 class MiniBatchPartitioner {
  public:
+  /// Batches hold every column of the table.
   MiniBatchPartitioner(const Table& table, const MiniBatchOptions& options);
+  /// Batches hold only `columns` (ascending table indices), in that order,
+  /// until Widen adds more; the partitioning itself is the full-width
+  /// one's, row for row.
+  MiniBatchPartitioner(const Table& table, const MiniBatchOptions& options,
+                       std::vector<int> columns);
   ~MiniBatchPartitioner();
 
   MiniBatchPartitioner(const MiniBatchPartitioner&) = delete;
@@ -58,6 +65,13 @@ class MiniBatchPartitioner {
 
   int num_batches() const { return static_cast<int>(batch_starts_.size()) - 1; }
   int64_t total_rows() const { return batch_starts_.back(); }
+  /// The table columns batches hold, ascending. A batch chunk names its
+  /// columns in its schema.
+  std::vector<int> columns() const;
+  /// Adds `columns` (ascending table indices) to what batches hold, for a
+  /// shared scan that serves one more query: every batch fetched from now
+  /// on holds them, and a cached batch that lacks them is gathered again.
+  void Widen(const std::vector<int>& columns) const;
 
   /// The i-th mini-batch (serials attached). The chunk stays alive as long
   /// as the returned pointer does, whatever the cache retains.
@@ -70,11 +84,15 @@ class MiniBatchPartitioner {
  private:
   struct Entry {
     std::shared_ptr<const Chunk> chunk;
+    std::vector<int> columns;  // what `chunk` holds, as columns_
     bool from_prefetch = false;
     bool consumed = false;
   };
 
-  std::shared_ptr<const Chunk> Gather(int i) const;
+  std::shared_ptr<const Chunk> Gather(int i, const std::vector<int>& columns) const;
+  /// True when batch i is cached with every column batches hold now.
+  /// Caller holds mu_.
+  bool CachedLocked(int i) const;
   /// Batch i from the cache, else gathered here. A `cursor` fetch (the
   /// sweep's next batch) counts a prefetch hit or miss and prefetches i+1;
   /// a rescan of seen batches does neither.
@@ -89,6 +107,7 @@ class MiniBatchPartitioner {
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
+  mutable std::vector<int> columns_;  // ascending, only grows
   mutable std::map<int, Entry> cache_;
   mutable int want_ = -1;        // next batch for the prefetch thread
   mutable int prefetching_ = -1;  // batch the prefetch thread is gathering

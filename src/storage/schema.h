@@ -30,6 +30,11 @@ class Schema {
   Result<int> FieldIndex(const std::string& name) const;
   bool HasField(const std::string& name) const;
 
+  /// OK when no two field names are equal compared case-insensitively (as
+  /// FieldIndex and the binder resolve them); otherwise InvalidArgument
+  /// naming the first repeat. Tables must pass it to be registered.
+  Status CheckUniqueNames() const;
+
   /// "name:TYPE, name:TYPE, ..."
   std::string ToString() const;
 
@@ -41,6 +46,13 @@ class Schema {
 };
 
 using SchemaPtr = std::shared_ptr<const Schema>;
+
+/// 0, 1, ..., num_fields - 1: the column list naming every field.
+std::vector<int> AllColumns(const Schema& schema);
+
+/// The fields of `schema` at `columns` (positions, in the order given);
+/// `schema` itself when `columns` is AllColumns(*schema).
+SchemaPtr ProjectSchema(const SchemaPtr& schema, const std::vector<int>& columns);
 
 }  // namespace gola
 

@@ -336,38 +336,38 @@ void SegmentFile::Advise(size_t c, bool willneed) const {
 SegmentSource::SegmentSource(std::shared_ptr<const SegmentFile> file)
     : file_(std::move(file)) {}
 
-Result<Chunk> SegmentSource::ReadChunk(size_t c) const {
-  size_t width = file_->schema()->num_fields();
+Result<Chunk> SegmentSource::ReadChunk(size_t c, const std::vector<int>& columns) const {
   auto sidecar = std::make_shared<EncodedChunk>();
   sidecar->owner = file_;
-  sidecar->columns.resize(width);
+  sidecar->columns.resize(columns.size());
   std::vector<Column> cols;
-  cols.reserve(width);
+  cols.reserve(columns.size());
   uint64_t bytes = 0;
-  for (size_t i = 0; i < width; ++i) {
+  for (size_t k = 0; k < columns.size(); ++k) {
+    const auto i = static_cast<size_t>(columns[k]);
     GOLA_ASSIGN_OR_RETURN(EncodedColumnView view, file_->View(c, i));
     GOLA_ASSIGN_OR_RETURN(Column col, DecodeColumn(view));
     cols.push_back(std::move(col));
-    sidecar->columns[i] = view;
+    sidecar->columns[k] = view;
     bytes += file_->meta(c, i).size;
   }
   if (obs::MetricsEnabled()) {
     Obs().bytes_read->Add(static_cast<int64_t>(bytes));
     Obs().chunks_decoded->Increment();
   }
-  Chunk out(file_->schema(), std::move(cols));
+  Chunk out(ProjectSchema(file_->schema(), columns), std::move(cols));
   out.set_encoded(std::move(sidecar));
   return out;
 }
 
-Result<Chunk> SegmentSource::GatherRows(size_t c,
-                                        const std::vector<int64_t>& rows) const {
-  size_t width = file_->schema()->num_fields();
+Result<Chunk> SegmentSource::GatherRows(size_t c, const std::vector<int64_t>& rows,
+                                        const std::vector<int>& columns) const {
   std::vector<Column> cols;
-  cols.reserve(width);
+  cols.reserve(columns.size());
   uint64_t bytes = 0;
   int64_t chunk_n = file_->chunk_rows(c);
-  for (size_t i = 0; i < width; ++i) {
+  for (int index : columns) {
+    const auto i = static_cast<size_t>(index);
     GOLA_ASSIGN_OR_RETURN(EncodedColumnView view, file_->View(c, i));
     GOLA_ASSIGN_OR_RETURN(Column col, GatherDecoded(view, rows));
     cols.push_back(std::move(col));
@@ -379,7 +379,7 @@ Result<Chunk> SegmentSource::GatherRows(size_t c,
     Obs().bytes_read->Add(static_cast<int64_t>(bytes));
     Obs().rows_gathered->Add(static_cast<int64_t>(rows.size()));
   }
-  return Chunk(file_->schema(), std::move(cols));
+  return Chunk(ProjectSchema(file_->schema(), columns), std::move(cols));
 }
 
 std::optional<ColumnZone> SegmentSource::zone(size_t c, size_t col) const {

@@ -106,9 +106,10 @@ class SegmentSource : public ColumnSource {
   size_t num_chunks() const override { return file_->num_chunks(); }
   int64_t chunk_rows(size_t c) const override { return file_->chunk_rows(c); }
   int64_t num_rows() const override { return file_->total_rows(); }
-  Result<Chunk> ReadChunk(size_t c) const override;
-  Result<Chunk> GatherRows(size_t c,
-                           const std::vector<int64_t>& rows) const override;
+  using ColumnSource::ReadChunk;
+  Result<Chunk> ReadChunk(size_t c, const std::vector<int>& columns) const override;
+  Result<Chunk> GatherRows(size_t c, const std::vector<int64_t>& rows,
+                           const std::vector<int>& columns) const override;
   std::optional<ColumnZone> zone(size_t c, size_t col) const override;
   void Prefetch(size_t c) const override { file_->Advise(c, true); }
   void Evict(size_t c) const override { file_->Advise(c, false); }

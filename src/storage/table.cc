@@ -58,9 +58,10 @@ int64_t Table::chunk_rows(size_t c) const {
   return static_cast<int64_t>(chunk(c).num_rows());
 }
 
-Result<Chunk> Table::GatherRows(size_t c, const std::vector<int64_t>& rows) const {
-  if (source_ != nullptr) return source_->GatherRows(c, rows);
-  return chunk(c).Take(rows);
+Result<Chunk> Table::GatherRows(size_t c, const std::vector<int64_t>& rows,
+                                const std::vector<int>& columns) const {
+  if (source_ != nullptr) return source_->GatherRows(c, rows, columns);
+  return chunk(c).Take(rows, columns, ProjectSchema(schema_, columns));
 }
 
 void Table::AppendChunk(Chunk chunk) {

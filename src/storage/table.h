@@ -41,9 +41,11 @@ class Table {
 
   /// Rows in chunk `c`, without decoding a streamed chunk.
   int64_t chunk_rows(size_t c) const;
-  /// Rows `rows` (chunk-local, any order) of chunk `c`: a Take of the
-  /// resident chunk, or a selective decode from the ColumnSource.
-  Result<Chunk> GatherRows(size_t c, const std::vector<int64_t>& rows) const;
+  /// Rows `rows` (chunk-local, any order) of `columns` (ascending column
+  /// indices) of chunk `c`: a Take of the resident chunk, or a selective
+  /// decode from the ColumnSource.
+  Result<Chunk> GatherRows(size_t c, const std::vector<int64_t>& rows,
+                           const std::vector<int>& columns) const;
 
   /// Copy-on-write: copies of a table share their chunks until one appends.
   void AppendChunk(Chunk chunk);

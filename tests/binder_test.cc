@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "parser/parser.h"
+#include "workload/conviva_gen.h"
+#include "workload/queries.h"
+#include "workload/tpch_gen.h"
 
 namespace gola {
 namespace {
@@ -162,9 +165,85 @@ TEST_F(BinderTest, DimensionJoinPlanned) {
   const BlockDef& root = q->root();
   ASSERT_EQ(root.dim_joins.size(), 1u);
   EXPECT_EQ(root.dim_joins[0].table, "dim");
-  // Input layout = fact columns then dim columns.
-  EXPECT_EQ(root.input_schema->num_fields(), 7u);
-  EXPECT_EQ(root.certain_conjuncts.size(), 1u);  // the label filter
+  // Input layout = the fact columns the block reads (k, x), then every dim
+  // column (dk, label); each reference addresses its new position.
+  EXPECT_EQ(root.scan_columns, (std::vector<int>{0, 2}));
+  ASSERT_EQ(root.input_schema->num_fields(), 4u);
+  EXPECT_EQ(root.input_schema->field(1).name, "x");
+  EXPECT_EQ(root.input_schema->field(3).name, "label");
+  EXPECT_EQ(root.dim_joins[0].probe_key->column_index, 0);
+  EXPECT_EQ(root.dim_joins[0].build_key->column_index, 0);
+  ASSERT_EQ(root.certain_conjuncts.size(), 1u);  // the label filter
+  EXPECT_EQ(root.certain_conjuncts[0]->children[0]->column_index, 3);
+  EXPECT_EQ(root.aggs[0].call->children[0]->column_index, 1);
+}
+
+TEST_F(BinderTest, BlockThatReadsNoColumnKeepsOne) {
+  // COUNT(*) reads nothing, but its chunks must keep their row count: the
+  // first fixed-width column stays.
+  auto q = Bind("SELECT COUNT(*) FROM fact WHERE x > (SELECT COUNT(*) FROM fact)");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->blocks[0].scan_columns, std::vector<int>{0});
+  EXPECT_EQ(q->root().scan_columns, std::vector<int>{2});
+  auto names = std::make_shared<Schema>(std::vector<Field>{
+      {"s", TypeId::kString}, {"t", TypeId::kString}, {"n", TypeId::kInt64}});
+  catalog_.RegisterTable("names", std::make_shared<Table>(Table(names)));
+  auto s = Bind("SELECT COUNT(*) FROM names");
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(s->root().scan_columns, std::vector<int>{2});
+}
+
+TEST_F(BinderTest, PostAggregationTreesKeepTheirPositions) {
+  // The select item, ORDER BY and HAVING address the post-aggregation
+  // chunk ([grp, agg0, agg1]); pruning the input layout leaves them alone.
+  auto q = Bind(
+      "SELECT grp, SUM(y) AS s FROM fact WHERE name = 'a' GROUP BY grp "
+      "HAVING AVG(y) > 1 ORDER BY s DESC");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const BlockDef& root = q->root();
+  EXPECT_EQ(root.scan_columns, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(root.group_by[0]->column_index, 0);              // grp
+  EXPECT_EQ(root.aggs[0].call->children[0]->column_index, 1);  // y
+  EXPECT_EQ(root.certain_conjuncts[0]->children[0]->column_index, 2);  // name
+  EXPECT_EQ(root.output_exprs[1]->column_index, 1);          // agg0 slot
+  EXPECT_EQ(root.order_by[0].expr->column_index, 1);
+  EXPECT_EQ(root.having_certain[0]->children[0]->column_index, 2);  // agg1 slot
+}
+
+TEST_F(BinderTest, LibraryBlocksScanOnlyTheColumnsTheyRead) {
+  ConvivaGenOptions conviva;
+  conviva.num_rows = 16;
+  catalog_.RegisterTable("conviva", std::make_shared<Table>(GenerateConviva(conviva)));
+  TpchGenOptions tpch;
+  tpch.num_rows = 16;
+  catalog_.RegisterTable("tpch", std::make_shared<Table>(GenerateTpch(tpch)));
+  // EXPLAIN's "scan=table(columns...)" of every block, inner blocks first.
+  auto scans = [this](const std::string& sql) {
+    std::vector<std::string> out;
+    auto q = Bind(sql);
+    if (!q.ok()) {
+      ADD_FAILURE() << sql << ": " << q.status().ToString();
+      return out;
+    }
+    for (const BlockDef& block : q->blocks) {
+      const std::string text = block.ToString();
+      const size_t begin = text.find("scan=");
+      out.push_back(text.substr(begin, text.find(')', begin) + 1 - begin));
+    }
+    return out;
+  };
+  using Scans = std::vector<std::string>;
+  EXPECT_EQ(scans(SbiQuery()),
+            (Scans{"scan=conviva(buffer_time)", "scan=conviva(buffer_time, play_time)"}));
+  EXPECT_EQ(scans(C3Query()), (Scans{"scan=conviva(ad_id, buffer_time)",
+                                     "scan=conviva(ad_id, buffer_time, play_time)"}));
+  EXPECT_EQ(scans(Q17Query()),
+            (Scans{"scan=tpch(partkey, quantity)",
+                   "scan=tpch(partkey, quantity, extendedprice, container)"}));
+  EXPECT_EQ(scans(Q18Query()), (Scans{"scan=tpch(quantity)", "scan=tpch(custkey, quantity)",
+                                      "scan=tpch(custkey, quantity)"}));
+  EXPECT_EQ(scans(Q20Query()), (Scans{"scan=tpch(partkey, quantity)",
+                                      "scan=tpch(partkey, suppkey, availqty, shipdate)"}));
 }
 
 TEST_F(BinderTest, OrderByOrdinalAndAlias) {

@@ -271,35 +271,47 @@ TEST_F(CheckpointTest, GenericAggregatesResumeBitIdentically) {
   }
 }
 
-TEST_F(CheckpointTest, VersionOneCheckpointIsRejectedUnparsed) {
-  GolaOptions opts = BaseOptions();
+/// Rewrites a fresh checkpoint's version field to `version` and expects a
+/// resume to reject it on the version alone, before parsing anything else.
+void ExpectOlderVersionRejectedUnparsed(Engine* engine, const GolaOptions& opts,
+                                        const std::string& path, uint32_t version) {
   {
-    auto online = engine_.ExecuteOnline(kQuery, opts);
+    auto online = engine->ExecuteOnline(kQuery, opts);
     GOLA_CHECK_OK(online.status());
     GOLA_CHECK_OK((*online)->Step().status());
-    GOLA_CHECK_OK((*online)->Checkpoint(path_));
+    GOLA_CHECK_OK((*online)->Checkpoint(path));
   }
   std::string bytes;
   {
-    std::ifstream in(path_, std::ios::binary);
+    std::ifstream in(path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
   // The u32 version field follows the 8-byte magic.
   constexpr size_t kVersionEnd = sizeof(kCheckpointMagic) + sizeof(uint32_t);
   ASSERT_GT(bytes.size(), kVersionEnd);
-  const uint32_t v1 = 1;
-  std::memcpy(&bytes[sizeof(kCheckpointMagic)], &v1, sizeof v1);
+  std::memcpy(&bytes[sizeof(kCheckpointMagic)], &version, sizeof version);
   // The whole file, and the file cut right after the version: a reader that
   // parsed past the version would report the truncation instead.
   for (const std::string& file : {bytes, bytes.substr(0, kVersionEnd)}) {
     {
-      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(file.data(), static_cast<std::streamsize>(file.size()));
     }
-    const Status st = engine_.ResumeOnline(kQuery, path_, opts).status();
+    const Status st = engine->ResumeOnline(kQuery, path, opts).status();
     EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
-    EXPECT_NE(st.message().find("version 1 "), std::string::npos) << st.ToString();
+    EXPECT_NE(st.message().find(Format("version %u ", version)), std::string::npos)
+        << st.ToString();
   }
+}
+
+TEST_F(CheckpointTest, VersionOneCheckpointIsRejectedUnparsed) {
+  ExpectOlderVersionRejectedUnparsed(&engine_, BaseOptions(), path_, 1);
+}
+
+// Version 2 held every streamed column in the uncertain set; version 3 holds
+// the block's scan columns only.
+TEST_F(CheckpointTest, VersionTwoCheckpointIsRejectedUnparsed) {
+  ExpectOlderVersionRejectedUnparsed(&engine_, BaseOptions(), path_, 2);
 }
 
 TEST_F(CheckpointTest, FingerprintMismatchIsRejectedBeforeAnyStateChanges) {

@@ -204,6 +204,64 @@ TEST_P(PartitionerTest, BatchesStayReadableAfterTheSourceTableIsGone) {
   EXPECT_EQ(ids.size(), 300u);
 }
 
+TEST_P(PartitionerTest, ColumnListGathersThoseColumnsOfTheSameRows) {
+  // A query's partitioner gathers only its columns: row for row and serial
+  // for serial the full-width batches, minus the other columns.
+  Table t = MakeSequential(500);
+  for (bool shuffle : {true, false}) {
+    MiniBatchOptions opts;
+    opts.num_batches = 6;
+    opts.row_shuffle = shuffle;
+    MiniBatchPartitioner full(t, opts);
+    MiniBatchPartitioner narrow(t, opts, {1});
+    EXPECT_EQ(narrow.columns(), std::vector<int>{1});
+    ASSERT_EQ(narrow.num_batches(), full.num_batches());
+    for (int b = 0; b < full.num_batches(); ++b) {
+      auto want = full.BatchShared(b);
+      auto got = narrow.BatchShared(b);
+      ASSERT_EQ(got->num_columns(), 1u);
+      EXPECT_EQ(got->schema()->field(0).name, "v");
+      ASSERT_EQ(got->num_rows(), want->num_rows());
+      EXPECT_EQ(got->serials(), want->serials());
+      for (size_t i = 0; i < want->num_rows(); ++i) {
+        ASSERT_EQ(got->column(0).floats()[i], want->column(1).floats()[i])
+            << "batch " << b << " row " << i;
+      }
+    }
+  }
+  // Without a list, batches hold every column.
+  MiniBatchPartitioner all(t, MiniBatchOptions{});
+  EXPECT_EQ(all.columns(), (std::vector<int>{0, 1}));
+  EXPECT_EQ(all.BatchShared(0)->num_columns(), 2u);
+}
+
+TEST_P(PartitionerTest, WidenedBatchesHoldTheNewColumnsToo) {
+  // A shared scan widens when a query that reads more columns attaches: a
+  // batch cached before that is gathered again, with the same rows.
+  Table t = MakeSequential(500);
+  MiniBatchOptions opts;
+  opts.num_batches = 5;
+  MiniBatchPartitioner full(t, opts);
+  MiniBatchPartitioner p(t, opts, {1});
+  auto before = p.BatchShared(0);
+  ASSERT_EQ(before->num_columns(), 1u);
+  p.Widen({1});
+  EXPECT_EQ(p.columns(), std::vector<int>{1});
+  EXPECT_EQ(p.BatchShared(0), before);  // nothing new: the cached batch
+  p.Widen({0});
+  EXPECT_EQ(p.columns(), (std::vector<int>{0, 1}));
+  for (int b = 0; b < p.num_batches(); ++b) {
+    auto got = p.BatchShared(b);
+    auto want = full.BatchShared(b);
+    ASSERT_EQ(got->num_columns(), 2u) << "batch " << b;
+    EXPECT_EQ(got->serials(), want->serials());
+    EXPECT_EQ(got->column(0).ints(), want->column(0).ints()) << "batch " << b;
+    EXPECT_EQ(got->column(1).floats(), want->column(1).floats()) << "batch " << b;
+  }
+  // The batch pinned before widening is unchanged.
+  EXPECT_EQ(before->num_columns(), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backings, PartitionerTest,
                          ::testing::Values(Backing::kResident, Backing::kSegment),
                          [](const ::testing::TestParamInfo<Backing>& info) {

@@ -254,7 +254,7 @@ TEST_F(SegmentTest, GatherRowsMatchesDecodeThenTake) {
   for (int i = 0; i < 120; ++i) {
     rows.push_back(static_cast<int64_t>(pick.NextBelow(200)));
   }
-  auto gathered = source.GatherRows(0, rows);
+  auto gathered = source.GatherRows(0, rows, {0, 1});
   ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
   auto full = source.ReadChunk(0);
   ASSERT_TRUE(full.ok());

@@ -101,7 +101,8 @@ void RunFleetAndCompare(int m, bool share_scan) {
   if (share_scan) {
     auto table = engine.catalog().GetTable("d");
     GOLA_CHECK_OK(table.status());
-    pinned = engine.sessions().scan_share().GetOrCreate(*table, opts);
+    pinned = engine.sessions().scan_share().GetOrCreate(*table, opts,
+                                                        AllColumns(*(*table)->schema()));
   }
 
   std::vector<SessionPtr> fleet;
