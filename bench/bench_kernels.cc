@@ -129,11 +129,12 @@ BENCHMARK(BM_KernelGroupBy)
     ->Repetitions(3);
 
 /// The online fold with B bootstrap replicates per aggregate — the G-OLA
-/// hot loop. Kernel path: a morsel's FoldTileOf (weight tiles + tiled
-/// flat-replicate sweeps into a GroupArena tile) merged into the block's
-/// arena with MergeTile, as the fold stage runs it;
+/// hot loop. Kernel path: a morsel's FoldTileOf (each group's weights drawn
+/// and summed into a GroupArena tile by FoldReplicates) merged into the
+/// block's arena with MergeTile, as the fold stage runs it;
 /// reference: the oracle's per-tuple WeightsFor + B-length scalar passes.
-/// B = 0 folds point states only (no replication).
+/// B = 0 folds point states only (no replication); B = 80 is the dashboard
+/// panels' replicate count, B = 100 the library queries'.
 void BM_KernelReplicateUpdate(benchmark::State& state) {
   constexpr int64_t kRows = 1 << 14;
   Engine engine;
@@ -164,7 +165,7 @@ void BM_KernelReplicateUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_KernelReplicateUpdate)
-    ->ArgsProduct({{0, 100, 200}, {0, 1}})
+    ->ArgsProduct({{0, 80, 100, 200}, {0, 1}})
     ->ArgNames({"B", "vec"})
     ->Repetitions(3);
 

@@ -36,26 +36,10 @@ class PoissonWeights {
     return quad[replicate % 4];
   }
 
-  /// Fills a whole morsel's weight matrix: `out` must hold
-  /// n × num_replicates() int32 slots and receives row-major weights —
-  /// out[i * B + j] is tuple serials[i]'s weight in replicate j. The values
-  /// are exactly what WeightsFor would produce per row, but computed by
-  /// counting the inverse-CDF jump points below each 16-bit uniform instead
-  /// of looking them up: a few branch-free compares per weight that the
-  /// compiler vectorizes across replicates, leaving the weight tables out
-  /// of the cache entirely. WeightsFor keeps the table-lookup path, so the
-  /// two implementations cross-check each other in the kernel tests.
-  /// When `col_sums` is non-null it receives the matrix's num_replicates()
-  /// column sums (col_sums[j] = Σ_i out[i * B + j]), accumulated while the
-  /// counts are still in registers — callers that need them (the tiled
-  /// replicate-update kernel) then avoid a second pass over the matrix.
-  /// Defined out of line (poisson.cc) so the hot loops pick up the kernel
-  /// translation units' vectorization flags.
-  void FillMatrix(const int64_t* serials, size_t n, int32_t* out,
-                  int32_t* col_sums = nullptr) const;
-
   /// All replicate weights of one tuple, written into `out` (resized to B).
-  /// One hash serves four replicates (16 bits of uniform each).
+  /// One hash serves four replicates (16 bits of uniform each). This is the
+  /// table-lookup reference: the fold kernel (kernels::FoldReplicates)
+  /// counts inverse-CDF jump points instead and must match it exactly.
   void WeightsFor(int64_t serial, std::vector<int32_t>* out) const {
     out->resize(static_cast<size_t>(num_replicates_));
     int32_t quad[4];
@@ -75,12 +59,15 @@ class PoissonWeights {
     }
   }
 
- private:
+  /// The key of tuple `serial`'s quad `quad`: SplitMix64 of it holds the
+  /// 16-bit uniforms of replicates 4 * quad .. 4 * quad + 3, lowest bits
+  /// first.
   uint64_t QuadKey(int64_t serial, int quad) const {
     return seed_ ^ (static_cast<uint64_t>(serial) * 0x9E3779B97F4A7C15ULL) ^
            (static_cast<uint64_t>(quad) * 0xC2B2AE3D27D4EB4FULL);
   }
 
+ private:
   int num_replicates_;
   uint64_t seed_;
 };

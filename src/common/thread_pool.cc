@@ -188,11 +188,16 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   // The calling thread participates too, then waits for every helper task
   // to exit before the shared state (and `fn`) can go away.
   state->RunBody();
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->cv.wait(lock, [&] { return state->tasks_remaining == 0; });
+    // Take the exception out of the shared state: a helper task may still
+    // hold the last reference to the state, and must not be the thread that
+    // drops the exception while the caller handles it.
+    error = std::move(state->first_error);
   }
-  if (state->first_error) std::rethrow_exception(state->first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::Default() {

@@ -1,6 +1,11 @@
 #include "exec/kernels/agg_kernels.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+
+#include "common/logging.h"
+#include "common/random.h"
 
 namespace gola {
 namespace kernels {
@@ -23,175 +28,133 @@ void AccumulateSimpleMain(AggState::SimpleSlots slots, const double* values,
 
 namespace {
 
-// Column sums of the selected weight rows, accumulated in int32. Weights are
-// small Poisson counts, so a tile's column sum fits easily; the caller folds
-// the result into double accumulators with ApplyWeightColumnSums.
-void WeightColumnSums(const uint32_t* wrows, size_t num_rows,
-                      const int32_t* wtile, size_t stride, size_t jn,
-                      int32_t* __restrict dcount) {
-  std::memset(dcount, 0, jn * sizeof(int32_t));
-  for (size_t i = 0; i < num_rows; ++i) {
-    const int32_t* __restrict w =
-        wtile + (wrows != nullptr ? wrows[i] : i) * stride;
-    for (size_t j = 0; j < jn; ++j) dcount[j] += w[j];
-  }
-}
+// Rows drawn per block, and replicates per chunk (a multiple of four, so a
+// quad never straddles chunks). A block's staged hashes and counted weights
+// take 8 KiB of stack each.
+constexpr size_t kBlockRows = 8;
+constexpr size_t kChunk = 512;
 
-void ApplyWeightColumnSums(const int32_t* dcount, double* __restrict acc,
-                           size_t b) {
-  for (size_t j = 0; j < b; ++j) acc[j] += static_cast<double>(dcount[j]);
-}
+// The table's weights never exceed 8 (P(Poisson(1) > 8) is below the
+// 16-bit uniforms' resolution), so it has at most eight jump points.
+constexpr int kMaxJumps = 8;
 
-// Per-row sum sweeps for 1..4 value streams. Each variant names its
-// accumulator rows individually so __restrict proves them disjoint and the
-// replicate loop vectorizes. Per accumulator, rows are added in ascending
-// row order — the reference op sequence.
-void SumSweep1(const ReplicateTarget& t0, const uint32_t* vrows,
-               const uint32_t* wrows, size_t num_rows, const int32_t* wtile,
-               size_t stride, size_t jn) {
-  double* __restrict s0 = t0.sums;
-  for (size_t i = 0; i < num_rows; ++i) {
-    double v0 = t0.values != nullptr ? t0.values[vrows[i]] : t0.constant_value;
-    const int32_t* __restrict w =
-        wtile + (wrows != nullptr ? wrows[i] : i) * stride;
-    for (size_t j = 0; j < jn; ++j) s0[j] += v0 * static_cast<double>(w[j]);
-  }
-}
+// Uniform k of a quad is bits [16k, 16k + 16) of its hash (WeightsFor's
+// order), which is the k-th 16-bit word in memory only on little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "DrawBlock reads a hash's 16-bit uniforms in memory order");
 
-void SumSweep2(const ReplicateTarget& t0, const ReplicateTarget& t1,
-               const uint32_t* vrows, const uint32_t* wrows, size_t num_rows,
-               const int32_t* wtile, size_t stride, size_t jn) {
-  double* __restrict s0 = t0.sums;
-  double* __restrict s1 = t1.sums;
-  for (size_t i = 0; i < num_rows; ++i) {
-    double v0 = t0.values != nullptr ? t0.values[vrows[i]] : t0.constant_value;
-    double v1 = t1.values != nullptr ? t1.values[vrows[i]] : t1.constant_value;
-    const int32_t* __restrict w =
-        wtile + (wrows != nullptr ? wrows[i] : i) * stride;
-    for (size_t j = 0; j < jn; ++j) {
-      double wd = static_cast<double>(w[j]);
-      s0[j] += v0 * wd;
-      s1[j] += v1 * wd;
+// Draws the Poisson(1) weights of rows[0, rn) in the chunk's quads
+// [q0, q0 + qn) into w[r * 4 * qn + t] (replicate 4 * q0 + t). Two passes
+// over the block: every row's hashes are stored whole, then read back as
+// 16-bit uniforms, each weight being the number of inverse-CDF jump points
+// at or below its uniform — the table lookup of WeightsFor, as eight
+// compares the compiler vectorizes. Staging the whole block first keeps the
+// counting loads clear of the hash stores still in flight.
+void DrawBlock(const PoissonWeights& weights, const int64_t* serials,
+               const uint32_t* rows, size_t rn, size_t q0, size_t qn,
+               uint16_t* __restrict w) {
+  alignas(64) unsigned char hashes[kBlockRows * kChunk * sizeof(uint16_t)];
+  for (size_t r = 0; r < rn; ++r) {
+    const int64_t serial = serials[rows[r]];
+    unsigned char* __restrict out = hashes + r * qn * sizeof(uint64_t);
+    for (size_t q = 0; q < qn; ++q) {
+      const uint64_t h = SplitMix64(weights.QuadKey(serial, static_cast<int>(q0 + q)));
+      std::memcpy(out + q * sizeof h, &h, sizeof h);
     }
   }
-}
-
-void SumSweep3(const ReplicateTarget& t0, const ReplicateTarget& t1,
-               const ReplicateTarget& t2, const uint32_t* vrows,
-               const uint32_t* wrows, size_t num_rows, const int32_t* wtile,
-               size_t stride, size_t jn) {
-  double* __restrict s0 = t0.sums;
-  double* __restrict s1 = t1.sums;
-  double* __restrict s2 = t2.sums;
-  for (size_t i = 0; i < num_rows; ++i) {
-    double v0 = t0.values != nullptr ? t0.values[vrows[i]] : t0.constant_value;
-    double v1 = t1.values != nullptr ? t1.values[vrows[i]] : t1.constant_value;
-    double v2 = t2.values != nullptr ? t2.values[vrows[i]] : t2.constant_value;
-    const int32_t* __restrict w =
-        wtile + (wrows != nullptr ? wrows[i] : i) * stride;
-    for (size_t j = 0; j < jn; ++j) {
-      double wd = static_cast<double>(w[j]);
-      s0[j] += v0 * wd;
-      s1[j] += v1 * wd;
-      s2[j] += v2 * wd;
-    }
+  // Missing jump points are 0, which every uniform reaches; `pad` takes
+  // their counts back out.
+  const auto& jumps = internal_random::GetPoisson1Jumps();
+  GOLA_CHECK(jumps.n <= kMaxJumps);
+  uint16_t jump[kMaxJumps] = {};
+  for (int k = 0; k < jumps.n; ++k) jump[k] = static_cast<uint16_t>(jumps.jump[k]);
+  const int pad = kMaxJumps - jumps.n;
+  const size_t m = rn * qn * 4;
+  for (size_t t = 0; t < m; ++t) {
+    uint16_t u;
+    std::memcpy(&u, hashes + t * sizeof u, sizeof u);
+    int count = -pad;
+    for (int k = 0; k < kMaxJumps; ++k) count += u >= jump[k] ? 1 : 0;
+    w[t] = static_cast<uint16_t>(count);
   }
 }
 
-void SumSweep4(const ReplicateTarget& t0, const ReplicateTarget& t1,
-               const ReplicateTarget& t2, const ReplicateTarget& t3,
-               const uint32_t* vrows, const uint32_t* wrows, size_t num_rows,
-               const int32_t* wtile, size_t stride, size_t jn) {
-  double* __restrict s0 = t0.sums;
-  double* __restrict s1 = t1.sums;
-  double* __restrict s2 = t2.sums;
-  double* __restrict s3 = t3.sums;
-  for (size_t i = 0; i < num_rows; ++i) {
-    double v0 = t0.values != nullptr ? t0.values[vrows[i]] : t0.constant_value;
-    double v1 = t1.values != nullptr ? t1.values[vrows[i]] : t1.constant_value;
-    double v2 = t2.values != nullptr ? t2.values[vrows[i]] : t2.constant_value;
-    double v3 = t3.values != nullptr ? t3.values[vrows[i]] : t3.constant_value;
-    const int32_t* __restrict w =
-        wtile + (wrows != nullptr ? wrows[i] : i) * stride;
-    for (size_t j = 0; j < jn; ++j) {
-      double wd = static_cast<double>(w[j]);
-      s0[j] += v0 * wd;
-      s1[j] += v1 * wd;
-      s2[j] += v2 * wd;
-      s3[j] += v3 * wd;
-    }
-  }
+void AddTo(const uint16_t* __restrict w, double* __restrict acc, size_t n) {
+  for (size_t t = 0; t < n; ++t) acc[t] += static_cast<double>(w[t]);
 }
 
-// A target whose every per-row contribution is exactly the weight itself:
-// COUNT(*) contributes 1.0 * w to its sum and w to its count, so both
-// streams collapse into the shared column-sum application.
-bool IsCountLike(const ReplicateTarget& t) {
-  return t.values == nullptr && t.constant_value == 1.0;
+void AddScaledTo(double v, const uint16_t* __restrict w, double* __restrict acc, size_t n) {
+  for (size_t t = 0; t < n; ++t) acc[t] += v * static_cast<double>(w[t]);
+}
+
+// A generic aggregate's replicates j0 + t at the row's positive weights w[t].
+void UpdateGeneric(const ReplicateTarget& target, uint32_t row, const uint16_t* w,
+                   size_t j0, size_t jn) {
+  std::unique_ptr<AggState>* states = target.states + j0;
+  if (target.values != nullptr) {
+    const double v = target.values[row];
+    for (size_t t = 0; t < jn; ++t) {
+      if (w[t] > 0) states[t]->UpdateNumeric(v, static_cast<double>(w[t]));
+    }
+    return;
+  }
+  const Value v = target.column != nullptr ? target.column->GetValue(row) : Value::Int(1);
+  for (size_t t = 0; t < jn; ++t) {
+    if (w[t] > 0) states[t]->UpdateValue(v, static_cast<double>(w[t]));
+  }
 }
 
 }  // namespace
 
-void TiledReplicateUpdate(const ReplicateTarget* targets, size_t num_targets,
-                          const uint32_t* vrows, const uint32_t* wrows,
-                          size_t num_rows, const int32_t* wtile, size_t b,
-                          const int32_t* col_sums) {
-  if (num_rows == 0 || b == 0 || num_targets == 0) return;
-  if (wrows != nullptr) col_sums = nullptr;  // precomputed sums cover rows 0..n-1
-  constexpr size_t kChunk = 512;  // replicate block: dcount stays on the stack
-  int32_t dcount[kChunk];
+void FoldReplicates(const PoissonWeights& weights, const int64_t* serials,
+                    const uint32_t* rows, size_t num_rows,
+                    const ReplicateTarget* targets, size_t num_targets) {
+  const auto b = static_cast<size_t>(weights.num_replicates());
+  if (num_rows == 0 || num_targets == 0 || b == 0) return;
+  alignas(64) uint16_t w[kBlockRows * kChunk];
+  alignas(64) uint16_t block_sum[kChunk];  // at most kBlockRows * kMaxJumps
+  alignas(64) double wsum[kChunk];         // the weights of every row so far
   for (size_t j0 = 0; j0 < b; j0 += kChunk) {
-    const size_t jn = b - j0 < kChunk ? b - j0 : kChunk;
-    const int32_t* dc = dcount;
-    if (col_sums != nullptr) {
-      dc = col_sums + j0;
-    } else {
-      WeightColumnSums(wrows, num_rows, wtile + j0, b, jn, dcount);
-    }
-    // Per-row sum sweeps for the value-carrying targets, in blocks of up to
-    // four streams. Count-like targets have no per-row work at all.
-    const ReplicateTarget* vt[4];
-    size_t nv = 0;
-    auto flush = [&]() {
-      auto off = [&](const ReplicateTarget* t) {
-        ReplicateTarget shifted = *t;
-        shifted.sums += j0;
-        return shifted;
-      };
-      switch (nv) {
-        case 1:
-          SumSweep1(off(vt[0]), vrows, wrows, num_rows, wtile + j0, b, jn);
-          break;
-        case 2:
-          SumSweep2(off(vt[0]), off(vt[1]), vrows, wrows, num_rows, wtile + j0,
-                    b, jn);
-          break;
-        case 3:
-          SumSweep3(off(vt[0]), off(vt[1]), off(vt[2]), vrows, wrows, num_rows,
-                    wtile + j0, b, jn);
-          break;
-        case 4:
-          SumSweep4(off(vt[0]), off(vt[1]), off(vt[2]), off(vt[3]), vrows,
-                    wrows, num_rows, wtile + j0, b, jn);
-          break;
-        default:
-          break;
+    const size_t jn = std::min(b - j0, kChunk);
+    const size_t stride = 4 * ((jn + 3) / 4);  // uniforms drawn per row
+    std::fill(wsum, wsum + jn, 0.0);
+    for (size_t i0 = 0; i0 < num_rows; i0 += kBlockRows) {
+      const size_t rn = std::min(num_rows - i0, kBlockRows);
+      DrawBlock(weights, serials, rows + i0, rn, j0 / 4, stride / 4, w);
+      std::copy(w, w + jn, block_sum);
+      for (size_t r = 1; r < rn; ++r) {
+        const uint16_t* __restrict wr = w + r * stride;
+        for (size_t t = 0; t < jn; ++t) block_sum[t] = static_cast<uint16_t>(block_sum[t] + wr[t]);
       }
-      nv = 0;
-    };
-    for (size_t a = 0; a < num_targets; ++a) {
-      if (IsCountLike(targets[a])) continue;
-      vt[nv++] = &targets[a];
-      if (nv == 4) flush();
+      AddTo(block_sum, wsum, jn);
+      for (size_t r = 0; r < rn; ++r) {
+        const uint32_t row = rows[i0 + r];
+        const uint16_t* wr = w + r * stride;
+        for (size_t a = 0; a < num_targets; ++a) {
+          const ReplicateTarget& target = targets[a];
+          if (target.nulls != nullptr && target.nulls[row] != 0) continue;
+          if (target.sums == nullptr) {
+            UpdateGeneric(target, row, wr, j0, jn);
+            continue;
+          }
+          if (target.values != nullptr) {
+            AddScaledTo(target.values[row], wr, target.sums + j0, jn);
+          }
+          if (target.nulls != nullptr) {
+            AddTo(wr, target.counts + j0, jn);
+            if (target.values == nullptr) AddTo(wr, target.sums + j0, jn);
+          }
+        }
+      }
     }
-    flush();
-    // Every target's count stream — and a count-like target's sum stream —
-    // receives exactly the integer column sums, folded in with one add per
-    // replicate (see the header for why this is bit-exact).
+    // The null-free flat targets' count streams, and a count-like target's
+    // sum stream, receive the integer weight sums in one add each.
     for (size_t a = 0; a < num_targets; ++a) {
-      ApplyWeightColumnSums(dc, targets[a].counts + j0, jn);
-      if (IsCountLike(targets[a])) {
-        ApplyWeightColumnSums(dc, targets[a].sums + j0, jn);
+      const ReplicateTarget& target = targets[a];
+      if (target.sums == nullptr || target.nulls != nullptr) continue;
+      for (size_t t = 0; t < jn; ++t) target.counts[j0 + t] += wsum[t];
+      if (target.values == nullptr) {
+        for (size_t t = 0; t < jn; ++t) target.sums[j0 + t] += wsum[t];
       }
     }
   }

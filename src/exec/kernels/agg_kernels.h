@@ -1,15 +1,19 @@
-// Flat accumulation kernels for the SimpleAggKind fast paths. Both kernels
-// replay the exact floating-point op sequence of a row-at-a-time fold (read
-// accumulator, add selected rows in row order, write back), so they stay
-// bit-identical to the tests' row-at-a-time oracle even when the target
-// state already carries content (e.g. an overlay row copied from its base).
+// Flat accumulation kernels: the point states' fast path and the fused
+// bootstrap-replicate fold. Both replay the exact floating-point op sequence
+// of a row-at-a-time fold (read accumulator, add rows in row order, write
+// back), so they stay bit-identical to the tests' row-at-a-time oracle even
+// when the target state already carries content (e.g. an overlay row copied
+// from its base).
 #ifndef GOLA_EXEC_KERNELS_AGG_KERNELS_H_
 #define GOLA_EXEC_KERNELS_AGG_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
+#include "bootstrap/poisson.h"
 #include "expr/aggregate.h"
+#include "storage/column.h"
 
 namespace gola {
 namespace kernels {
@@ -23,48 +27,46 @@ void AccumulateSimpleMain(AggState::SimpleSlots slots, const double* values,
                           double constant_value, const uint32_t* rows,
                           size_t num_rows);
 
-/// One flat replicate-accumulator pair fed by the fused sweep below. The
-/// value of entry i is values[vrows[i]], or `constant_value` when values is
-/// nullptr (COUNT(*) uses 1.0).
+/// One aggregate's B replicates, fed by FoldReplicates. Every pointer
+/// indexed by row is indexed by chunk row id. Row r's argument is
+/// values[r] when `values` is set, else column->GetValue(r) when `column` is
+/// set (a generic aggregate whose argument does not widen to double), else
+/// the constant 1 (COUNT(*), and COUNT over a column that does not widen).
+/// Rows with nulls[r] != 0 are skipped.
 struct ReplicateTarget {
   const double* values = nullptr;
-  double constant_value = 0.0;
-  double* sums = nullptr;    // B-length flat replicate sums
-  double* counts = nullptr;  // B-length flat replicate counts
+  const Column* column = nullptr;
+  const uint8_t* nulls = nullptr;
+  /// A flat (COUNT/SUM/AVG) aggregate's B weighted sums and counts.
+  double* sums = nullptr;
+  double* counts = nullptr;
+  /// A generic aggregate's B replicate states (used when sums is nullptr);
+  /// replicate j is updated at weight w when w > 0.
+  std::unique_ptr<AggState>* states = nullptr;
 };
 
-/// Fused tiled bootstrap-replicate update for one group: for each selected
-/// entry i (in row order), every replicate j and every target a,
-///   sums_a[j]   += v_{a,i} * w
-///   counts_a[j] += w          where w = (double)wtile[wrow_i * b + j]
-/// Entry i's weight row is wrows[i], or i itself when wrows is nullptr.
+/// Folds one group's rows into the replicates of every target: for each row
+/// i (ascending), each replicate j and each target a,
+///   sums_a[j] += v_{a,i} * w   and   counts_a[j] += w,
+/// where w is tuple serials[rows[i]]'s Poisson(1) weight in replicate j —
+/// exactly PoissonWeights::WeightsFor's. Generic targets take the same
+/// weights through their replicate states.
 ///
-/// The result is bitwise what repeated UpdateNumericWeighted calls produce,
-/// via two observations:
-///  - The sum streams replay the reference op sequence per accumulator:
-///    rows are added in ascending row order, and interleaving across
-///    replicates and targets touches disjoint accumulators.
-///  - The count streams only ever accumulate small integer weights, so every
-///    partial sum is an integer far below 2^53 and each IEEE add is *exact*
-///    — associativity holds bitwise. The kernel therefore folds the weight
-///    tile's integer column sums (one int32 pass shared by all targets) into
-///    each count stream with a single add per replicate instead of one per
-///    row. A count-like target (COUNT(*): no value column, constant 1.0)
-///    has a sum stream equal to its count stream, which collapses the same
-///    way, leaving no per-row work at all.
-/// Value-carrying sum streams are swept per row in blocks of up to four
-/// (specialized inner loops); the caller keeps `wtile` small enough to stay
-/// cache-resident.
-///
-/// `col_sums`, when non-null, must hold the b column sums of the first
-/// num_rows weight rows of `wtile` (what FillMatrix's col_sums output
-/// yields); it is consulted only when wrows == nullptr — i.e. when the
-/// entry list covers exactly those rows — and saves the kernel its own
-/// pass over the tile.
-void TiledReplicateUpdate(const ReplicateTarget* targets, size_t num_targets,
-                          const uint32_t* vrows, const uint32_t* wrows,
-                          size_t num_rows, const int32_t* wtile, size_t b,
-                          const int32_t* col_sums = nullptr);
+/// The weights are drawn in blocks of rows into a stack buffer and summed
+/// from there at once; no weight matrix is written to memory. The result is
+/// bitwise what per-row ReplicatedAgg updates produce, because
+///  - each value stream adds v * w per row in ascending row order, the
+///    oracle's op sequence (interleaving across replicates and targets
+///    touches disjoint accumulators), and
+///  - count streams only ever add small integer weights, so every partial
+///    sum is an integer far below 2^53 and each IEEE add is exact:
+///    associativity holds bitwise. Null-free targets therefore share one sum
+///    of the rows' weights, added once per call; a count-like target (no
+///    value: its sum stream equals its count stream) has no per-row work at
+///    all. A null-bearing target adds its non-null rows' weights itself.
+void FoldReplicates(const PoissonWeights& weights, const int64_t* serials,
+                    const uint32_t* rows, size_t num_rows,
+                    const ReplicateTarget* targets, size_t num_targets);
 
 }  // namespace kernels
 }  // namespace gola

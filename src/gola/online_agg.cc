@@ -143,22 +143,6 @@ void TargetsOf(GroupArena* arena, uint32_t id, FoldTarget* out) {
   }
 }
 
-// A generic aggregate's per-row update: the main state at weight 1, each
-// replicate at its Poisson weight when that is positive.
-void UpdateGenericNumeric(const FoldTarget& t, double v, const int32_t* w, size_t b) {
-  t.states[0]->UpdateNumeric(v, 1.0);
-  for (size_t j = 0; j < b; ++j) {
-    if (w[j] > 0) t.states[1 + j]->UpdateNumeric(v, static_cast<double>(w[j]));
-  }
-}
-
-void UpdateGenericValue(const FoldTarget& t, const Value& v, const int32_t* w, size_t b) {
-  t.states[0]->UpdateValue(v, 1.0);
-  for (size_t j = 0; j < b; ++j) {
-    if (w[j] > 0) t.states[1 + j]->UpdateValue(v, static_cast<double>(w[j]));
-  }
-}
-
 // The key values of fold-batch group g (read at its first row).
 void KeyOf(const FoldBatch& in, size_t g, std::vector<Value>* key) {
   for (size_t k = 0; k < key->size(); ++k) {
@@ -168,122 +152,69 @@ void KeyOf(const FoldBatch& in, size_t g, std::vector<Value>* key) {
 
 // Per-thread scratch of the group fold.
 struct FoldScratch {
-  std::vector<int64_t> tile_serials;
-  std::vector<int32_t> wtile;
-  std::vector<int32_t> wcol_sums;  // per-tile weight column sums (int-exact)
-  std::vector<uint32_t> nn_rows;   // null-filtered row list (chunk row ids)
-  std::vector<uint32_t> nn_wrows;  // parallel: their weight-tile row indices
-  std::vector<kernels::ReplicateTarget> fused;  // unfiltered flat targets per tile
+  std::vector<uint32_t> nn_rows;  // null-filtered row list (chunk row ids)
+  std::vector<kernels::ReplicateTarget> reps;
 };
 
-// Poisson weights are generated per row TILE, not for the whole chunk: a
-// kRowTile x b matrix (<= ~100 KiB at B = 200) stays cache-resident across
-// the fused replicate sweep, where a chunk-wide matrix would stream from
-// memory. Tile row i equals WeightsFor(serial of the i-th selected row)
-// element-for-element.
-constexpr size_t kRowTile = 128;
-
-// Folds one group's rows (ascending) into its targets, one per aggregate.
-// Touches only the group's own states, so distinct groups fold concurrently.
+// Folds one group's rows (ascending) into its targets, one per aggregate:
+// the main states here, every replicate in one FoldReplicates call. Touches
+// only the group's own states, so distinct groups fold concurrently.
 void FoldGroup(const FoldBatch& in, const PoissonWeights* weights, size_t g,
-               FoldTarget* targets, FoldScratch* scratch) {
-  const size_t b =
-      weights != nullptr ? static_cast<size_t>(weights->num_replicates()) : 0;
-  if (b > 0 && scratch->wtile.size() != kRowTile * b) {
-    scratch->tile_serials.resize(kRowTile);
-    scratch->wtile.resize(kRowTile * b);
-    scratch->wcol_sums.resize(b);
-  }
+               const FoldTarget* targets, FoldScratch* scratch) {
   const uint32_t* rows = in.rows_of(g);
   const size_t cnt = in.group_rows(g);
-  const size_t num_aggs = in.arg_cols.size();
-  int32_t* wtile = scratch->wtile.data();
-  for (size_t t0 = 0; t0 < cnt; t0 += kRowTile) {
-    const size_t tn = std::min(cnt - t0, kRowTile);
-    const uint32_t* trows = rows + t0;
-    if (b > 0) {
-      for (size_t i = 0; i < tn; ++i) scratch->tile_serials[i] = in.serials[trows[i]];
-      weights->FillMatrix(scratch->tile_serials.data(), tn, wtile,
-                          scratch->wcol_sums.data());
+  scratch->reps.clear();
+  for (size_t a = 0; a < in.arg_cols.size(); ++a) {
+    const FoldTarget& t = targets[a];
+    kernels::ReplicateTarget rep;
+    rep.sums = t.rep_sum;
+    rep.counts = t.rep_count;
+    rep.states = t.flat ? nullptr : t.states + 1;
+    if (!in.has_arg[a]) {
+      // COUNT(*): every row contributes v = 1.0.
+      if (t.flat) {
+        kernels::AccumulateSimpleMain(t.slots, nullptr, 1.0, rows, cnt);
+      } else {
+        for (size_t i = 0; i < cnt; ++i) t.states[0]->UpdateValue(Value::Int(1), 1.0);
+      }
+      scratch->reps.push_back(rep);
+      continue;
     }
-    auto weight_row = [&](size_t tile_i) -> const int32_t* {
-      return b > 0 ? wtile + tile_i * b : nullptr;
-    };
-    // Fast-path aggregates whose row set is the whole tile are collected
-    // into one fused sweep over the weight tile; null-filtered ones sweep
-    // individually with their own selection. Interleavings across
-    // aggregates touch disjoint accumulators, so both keep each
-    // accumulator's per-row add order.
-    std::vector<kernels::ReplicateTarget>& fused = scratch->fused;
-    fused.clear();
-    for (size_t a = 0; a < num_aggs; ++a) {
-      const FoldTarget& t = targets[a];
-      const bool fast = t.flat && t.slots.usable();
-      if (!in.has_arg[a]) {
-        // COUNT(*): every row contributes v = 1.0.
-        if (fast) {
-          kernels::AccumulateSimpleMain(t.slots, nullptr, 1.0, trows, tn);
-          fused.push_back({nullptr, 1.0, t.rep_sum, t.rep_count});
-        } else {
-          for (size_t i = 0; i < tn; ++i) {
-            UpdateGenericValue(t, Value::Int(1), weight_row(i), b);
-          }
-        }
-        continue;
-      }
-      const Column& col = in.arg_cols[a];
-      if (!in.numeric[a] && !t.flat) {
-        for (size_t i = 0; i < tn; ++i) {
-          uint32_t r = trows[i];
-          if (col.IsNull(r)) continue;
-          UpdateGenericValue(t, col.GetValue(r), weight_row(i), b);
-        }
-        continue;
-      }
+    const Column& col = in.arg_cols[a];
+    if (col.has_nulls()) rep.nulls = col.nulls().data();
+    if (in.numeric[a]) {
+      rep.values = in.widened[a].data();
+    } else if (!t.flat) {
+      rep.column = &col;
+    } else if (t.kind != SimpleAggKind::kCount) {
       // A string argument does not widen: COUNT counts each non-null value
       // as 1.0, as COUNT(*) counts a row, and SUM/AVG skip it.
-      if (!in.numeric[a] && t.kind != SimpleAggKind::kCount) continue;
-      const double* values = in.numeric[a] ? in.widened[a].data() : nullptr;
-      const uint32_t* sel = trows;
-      const uint32_t* wsel = nullptr;  // identity: tile row i
-      size_t sel_n = tn;
-      if (col.has_nulls()) {
-        scratch->nn_rows.clear();
-        scratch->nn_wrows.clear();
-        for (size_t i = 0; i < tn; ++i) {
-          if (!col.IsNull(trows[i])) {
-            scratch->nn_rows.push_back(trows[i]);
-            scratch->nn_wrows.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        sel = scratch->nn_rows.data();
-        wsel = scratch->nn_wrows.data();
-        sel_n = scratch->nn_rows.size();
-      }
-      if (fast) {
-        kernels::AccumulateSimpleMain(t.slots, values, 1.0, sel, sel_n);
-        if (wsel == nullptr) {
-          fused.push_back({values, 1.0, t.rep_sum, t.rep_count});
-        } else {
-          kernels::ReplicateTarget one{values, 1.0, t.rep_sum, t.rep_count};
-          kernels::TiledReplicateUpdate(&one, 1, sel, wsel, sel_n, wtile, b);
-        }
-      } else {
-        for (size_t i = 0; i < sel_n; ++i) {
-          size_t tile_i = wsel != nullptr ? wsel[i] : i;
-          UpdateGenericNumeric(t, values != nullptr ? values[sel[i]] : 1.0,
-                               weight_row(tile_i), b);
-        }
-      }
+      continue;
     }
-    if (!fused.empty() && b > 0) {
-      kernels::TiledReplicateUpdate(fused.data(), fused.size(), trows,
-                                    /*wrows=*/nullptr, tn, wtile, b,
-                                    scratch->wcol_sums.data());
+    const uint32_t* sel = rows;
+    size_t sel_n = cnt;
+    if (rep.nulls != nullptr) {
+      scratch->nn_rows.clear();
+      for (size_t i = 0; i < cnt; ++i) {
+        if (rep.nulls[rows[i]] == 0) scratch->nn_rows.push_back(rows[i]);
+      }
+      sel = scratch->nn_rows.data();
+      sel_n = scratch->nn_rows.size();
     }
+    if (t.flat) {
+      kernels::AccumulateSimpleMain(t.slots, rep.values, 1.0, sel, sel_n);
+    } else if (rep.values != nullptr) {
+      for (size_t i = 0; i < sel_n; ++i) t.states[0]->UpdateNumeric(rep.values[sel[i]], 1.0);
+    } else {
+      for (size_t i = 0; i < sel_n; ++i) t.states[0]->UpdateValue(col.GetValue(sel[i]), 1.0);
+    }
+    scratch->reps.push_back(rep);
+  }
+  if (weights != nullptr) {
+    kernels::FoldReplicates(*weights, in.serials, rows, cnt, scratch->reps.data(),
+                            scratch->reps.size());
   }
 }
-
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 

@@ -1,10 +1,12 @@
 // Vectorized kernel layer: group-id computation vs the boxed oracle,
 // selection-vector predicate evaluation vs full-mask evaluation, gather,
-// whole-chunk Poisson weight matrices, tiled replicate updates, and the
-// fast-path fixes of the oracle's ReplicatedAgg that ride along with them.
+// the fused weight-and-fold replicate kernel vs WeightsFor plus per-row
+// oracle updates, and the fast-path fixes of the oracle's ReplicatedAgg that
+// ride along with them.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "bootstrap/poisson.h"
@@ -116,55 +118,6 @@ TEST(GroupIdsTest, CsrIsSortedAndComplete) {
     }
   }
   EXPECT_EQ(total, n);
-}
-
-TEST(PoissonMatrixTest, FillMatrixMatchesWeightsFor) {
-  for (int b : {1, 3, 7, 100, 700}) {
-    PoissonWeights weights(b, 42);
-    std::vector<int64_t> serials = {0, 1, 17, 999999, 123456789};
-    std::vector<int32_t> matrix(serials.size() * static_cast<size_t>(b));
-    std::vector<int32_t> col_sums(static_cast<size_t>(b), -1);
-    weights.FillMatrix(serials.data(), serials.size(), matrix.data(),
-                       col_sums.data());
-    std::vector<int32_t> row;
-    for (size_t i = 0; i < serials.size(); ++i) {
-      weights.WeightsFor(serials[i], &row);
-      for (int j = 0; j < b; ++j) {
-        EXPECT_EQ(matrix[i * static_cast<size_t>(b) + static_cast<size_t>(j)],
-                  row[static_cast<size_t>(j)])
-            << "serial " << serials[i] << " replicate " << j;
-      }
-    }
-    for (int j = 0; j < b; ++j) {
-      int32_t expect = 0;
-      for (size_t i = 0; i < serials.size(); ++i) {
-        expect += matrix[i * static_cast<size_t>(b) + static_cast<size_t>(j)];
-      }
-      EXPECT_EQ(col_sums[static_cast<size_t>(j)], expect) << "replicate " << j;
-    }
-  }
-}
-
-TEST(PoissonMatrixTest, FillMatrixSpansManyRowBlocks) {
-  // 67 rows crosses the internal row-block boundary (blocks of 16) with a
-  // ragged tail; every row must still match the per-tuple path.
-  const int b = 33;
-  PoissonWeights weights(b, 7);
-  std::vector<int64_t> serials(67);
-  for (size_t i = 0; i < serials.size(); ++i) {
-    serials[i] = static_cast<int64_t>(i * i) + 5;
-  }
-  std::vector<int32_t> matrix(serials.size() * b);
-  weights.FillMatrix(serials.data(), serials.size(), matrix.data());
-  std::vector<int32_t> row;
-  for (size_t i = 0; i < serials.size(); ++i) {
-    weights.WeightsFor(serials[i], &row);
-    for (int j = 0; j < b; ++j) {
-      ASSERT_EQ(matrix[i * b + static_cast<size_t>(j)],
-                row[static_cast<size_t>(j)])
-          << "serial " << serials[i] << " replicate " << j;
-    }
-  }
 }
 
 TEST(GatherTest, MatchesTake) {
@@ -288,134 +241,185 @@ TEST_F(PredicateIntoTest, RefinesOnlyGivenCandidates) {
   EXPECT_EQ(sel, (SelectionVector{1, 4}));
 }
 
-TEST(TiledReplicateUpdateTest, BitIdenticalToRowAtATimeFastPath) {
-  // Three fused targets — AVG and SUM over distinct value columns plus a
-  // COUNT(*)-style constant — swept in one pass, against per-row
-  // UpdateNumericWeighted references.
-  const int b = 100;
-  const AggKind kinds[3] = {AggKind::kAvg, AggKind::kSum, AggKind::kCount};
-  PoissonWeights weights(b, 42);
-  std::vector<ReplicatedAgg> reference;
-  std::vector<ReplicatedAgg> tiled;
-  for (AggKind kind : kinds) {
-    reference.emplace_back(ResolveKind(kind), &weights);
-    tiled.emplace_back(ResolveKind(kind), &weights);
-    ASSERT_TRUE(tiled.back().has_flat_replicates());
-  }
+// One aggregate of a FoldReplicates case and the argument it reads.
+enum class FoldArg { kStar, kString, kX, kXNulls, kY, kYNulls };
 
-  const size_t n = 257;  // not a multiple of the kernel's row tile
-  std::vector<int64_t> serials;
-  std::vector<double> avg_vals;
-  std::vector<double> sum_vals;
-  Rng rng(5);
-  for (size_t i = 0; i < n; ++i) {
-    serials.push_back(static_cast<int64_t>(i * 3 + 1));
-    avg_vals.push_back(rng.Normal(10, 4));
-    sum_vals.push_back(rng.Exponential(3));
-  }
+struct FoldSpec {
+  AggKind kind;
+  FoldArg arg;
+};
 
-  std::vector<int32_t> matrix(n * b);
-  weights.FillMatrix(serials.data(), n, matrix.data());
-  std::vector<uint32_t> rows(n);
-  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
+// COUNT(*), COUNT over a string column with nulls, SUM and AVG with and
+// without nulls, and two generic aggregates: VAR over a numeric argument and
+// MIN over the string one.
+constexpr FoldSpec kFoldSpecs[] = {
+    {AggKind::kCountStar, FoldArg::kStar}, {AggKind::kCount, FoldArg::kString},
+    {AggKind::kSum, FoldArg::kX},          {AggKind::kAvg, FoldArg::kYNulls},
+    {AggKind::kVar, FoldArg::kXNulls},     {AggKind::kSum, FoldArg::kXNulls},
+    {AggKind::kAvg, FoldArg::kY},          {AggKind::kMin, FoldArg::kString},
+};
+constexpr size_t kNumFoldSpecs = sizeof(kFoldSpecs) / sizeof(kFoldSpecs[0]);
 
-  for (size_t i = 0; i < n; ++i) {
-    reference[0].UpdateNumericWeighted(avg_vals[i], matrix.data() + i * b, b);
-    reference[1].UpdateNumericWeighted(sum_vals[i], matrix.data() + i * b, b);
-    reference[2].UpdateNumericWeighted(1.0, matrix.data() + i * b, b);
-  }
-  kernels::AccumulateSimpleMain(tiled[0].main_state()->simple_slots(),
-                                avg_vals.data(), 0.0, rows.data(), n);
-  kernels::AccumulateSimpleMain(tiled[1].main_state()->simple_slots(),
-                                sum_vals.data(), 0.0, rows.data(), n);
-  kernels::AccumulateSimpleMain(tiled[2].main_state()->simple_slots(), nullptr, 1.0,
-                                rows.data(), n);
-  kernels::ReplicateTarget targets[3] = {
-      {avg_vals.data(), 0.0, tiled[0].flat_sum_data(), tiled[0].flat_count_data()},
-      {sum_vals.data(), 0.0, tiled[1].flat_sum_data(), tiled[1].flat_count_data()},
-      {nullptr, 1.0, tiled[2].flat_sum_data(), tiled[2].flat_count_data()},
-  };
-  kernels::TiledReplicateUpdate(targets, 3, rows.data(), /*wrows=*/nullptr, n,
-                                matrix.data(), b);
-
-  // Same update through the precomputed-column-sums entry point.
-  std::vector<ReplicatedAgg> tiled_cs;
-  for (AggKind kind : kinds) tiled_cs.emplace_back(ResolveKind(kind), &weights);
-  std::vector<int32_t> col_sums(b);
-  weights.FillMatrix(serials.data(), n, matrix.data(), col_sums.data());
-  kernels::ReplicateTarget targets_cs[3] = {
-      {avg_vals.data(), 0.0, tiled_cs[0].flat_sum_data(),
-       tiled_cs[0].flat_count_data()},
-      {sum_vals.data(), 0.0, tiled_cs[1].flat_sum_data(),
-       tiled_cs[1].flat_count_data()},
-      {nullptr, 1.0, tiled_cs[2].flat_sum_data(), tiled_cs[2].flat_count_data()},
-  };
-  for (size_t t = 0; t < 3; ++t) {
-    kernels::AccumulateSimpleMain(tiled_cs[t].main_state()->simple_slots(),
-                                  targets_cs[t].values,
-                                  targets_cs[t].constant_value, rows.data(), n);
-  }
-  kernels::TiledReplicateUpdate(targets_cs, 3, rows.data(), /*wrows=*/nullptr, n,
-                                matrix.data(), b, col_sums.data());
-
-  // Bitwise equality, not approximate: the kernel replays the reference's
-  // exact floating-point op sequence for every sum stream, and the count
-  // streams are pure small-integer arithmetic, which is exact under any
-  // summation order.
-  for (size_t t = 0; t < 3; ++t) {
-    EXPECT_EQ(*reference[t].Finalize(1.0).ToDouble(), *tiled[t].Finalize(1.0).ToDouble())
-        << "agg " << t;
-    std::vector<double> a = reference[t].FinalizeReplicates(1.5);
-    std::vector<double> c = tiled[t].FinalizeReplicates(1.5);
-    std::vector<double> cs = tiled_cs[t].FinalizeReplicates(1.5);
-    ASSERT_EQ(a.size(), c.size());
-    ASSERT_EQ(a.size(), cs.size());
-    for (size_t j = 0; j < a.size(); ++j) {
-      if (!(std::isnan(a[j]) && std::isnan(c[j]))) {
-        EXPECT_EQ(a[j], c[j]) << "agg " << t << " replicate " << j;
+// A chunk's worth of argument columns, indexed by row id, and row serials.
+struct FoldColumns {
+  explicit FoldColumns(size_t n, uint64_t seed) : s(TypeId::kString) {
+    Rng rng(seed);
+    for (size_t r = 0; r < n; ++r) {
+      serials.push_back(rng.UniformInt(0, int64_t{1} << 40));
+      x.push_back(rng.Normal(10, 40));
+      y.push_back(rng.Exponential(3));
+      x_nulls.push_back(rng.UniformInt(0, 3) == 0 ? 1 : 0);
+      y_nulls.push_back(rng.UniformInt(0, 4) == 0 ? 1 : 0);
+      if (rng.UniformInt(0, 3) == 0) {
+        s.AppendNull();
+      } else {
+        s.AppendString(std::string(1, static_cast<char>('a' + rng.UniformInt(0, 9))));
       }
-      if (!(std::isnan(a[j]) && std::isnan(cs[j]))) {
-        EXPECT_EQ(a[j], cs[j]) << "agg " << t << " replicate " << j
-                               << " (col_sums path)";
+    }
+  }
+
+  // Whether the oracle skips row r: SQL aggregates skip a null argument.
+  bool Skips(FoldArg arg, uint32_t r) const {
+    switch (arg) {
+      case FoldArg::kString: return s.IsNull(r);
+      case FoldArg::kXNulls: return x_nulls[r] != 0;
+      case FoldArg::kYNulls: return y_nulls[r] != 0;
+      default: return false;
+    }
+  }
+  void Fold(FoldArg arg, uint32_t r, const std::vector<int32_t>& w,
+            ReplicatedAgg* agg) const {
+    if (Skips(arg, r)) return;
+    switch (arg) {
+      case FoldArg::kStar: agg->UpdateValueWeighted(Value::Int(1), w); break;
+      case FoldArg::kString: agg->UpdateValueWeighted(s.GetValue(r), w); break;
+      case FoldArg::kX:
+      case FoldArg::kXNulls: agg->UpdateNumericWeighted(x[r], w); break;
+      case FoldArg::kY:
+      case FoldArg::kYNulls: agg->UpdateNumericWeighted(y[r], w); break;
+    }
+  }
+  // The kernel's view of the same argument, as FoldGroup builds it.
+  kernels::ReplicateTarget Target(FoldArg arg, ReplicatedAgg* agg) const {
+    kernels::ReplicateTarget t;
+    switch (arg) {
+      case FoldArg::kStar: break;
+      case FoldArg::kString:
+        t.nulls = s.nulls().data();
+        if (!agg->has_flat_replicates()) t.column = &s;
+        break;
+      case FoldArg::kX: t.values = x.data(); break;
+      case FoldArg::kXNulls: t.values = x.data(); t.nulls = x_nulls.data(); break;
+      case FoldArg::kY: t.values = y.data(); break;
+      case FoldArg::kYNulls: t.values = y.data(); t.nulls = y_nulls.data(); break;
+    }
+    if (agg->has_flat_replicates()) {
+      t.sums = agg->flat_sum_data();
+      t.counts = agg->flat_count_data();
+    } else {
+      t.states = agg->replicate_states();
+    }
+    return t;
+  }
+
+  std::vector<int64_t> serials;
+  std::vector<double> x, y;
+  std::vector<uint8_t> x_nulls, y_nulls;
+  Column s;
+};
+
+// Bitwise equality of two doubles arrays (NaN payloads included).
+void ExpectSameBits(const double* a, const double* b, size_t n, const std::string& what) {
+  for (size_t j = 0; j < n; ++j) {
+    uint64_t ba, bb;
+    std::memcpy(&ba, &a[j], sizeof ba);
+    std::memcpy(&bb, &b[j], sizeof bb);
+    ASSERT_EQ(ba, bb) << what << " replicate " << j << ": " << a[j] << " vs " << b[j];
+  }
+}
+
+// The fused kernel against WeightsFor plus per-row oracle updates, bit for
+// bit, over every replicate count that exercises a distinct chunking (B not
+// a multiple of four, one chunk, a 512-replicate chunk plus a 1-replicate
+// tail), group sizes around the 8-row draw block, and 1-6 aggregates. Every
+// state starts from a base folded through the oracle, as an overlay row
+// copied from its base does.
+TEST(FoldReplicatesTest, BitIdenticalToWeightsForAndRowUpdates) {
+  const size_t kMaxRows = 500;
+  FoldColumns cols(2 * kMaxRows + 2, 17);
+  FoldColumns base_cols(40, 99);
+  for (int b : {2, 3, 5, 80, 100, 513}) {
+    PoissonWeights weights(b, 1234 + static_cast<uint64_t>(b));
+    std::vector<int32_t> w;
+    for (size_t n : {1, 7, 8, 9, 128, 129, 500}) {
+      // Ascending, non-contiguous row ids.
+      std::vector<uint32_t> rows(n);
+      for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(2 * i + (i % 3 == 0));
+      for (size_t num_targets = 1; num_targets <= 6; ++num_targets) {
+        const size_t first = (n + num_targets + static_cast<size_t>(b)) % kNumFoldSpecs;
+        std::vector<FoldSpec> specs;
+        for (size_t a = 0; a < num_targets; ++a) {
+          specs.push_back(kFoldSpecs[(first + a) % kNumFoldSpecs]);
+        }
+        std::vector<ReplicatedAgg> expect, got;
+        for (const FoldSpec& spec : specs) {
+          ReplicatedAgg base(ResolveKind(spec.kind), &weights);
+          for (uint32_t r = 0; r < base_cols.serials.size(); ++r) {
+            weights.WeightsFor(base_cols.serials[r], &w);
+            base_cols.Fold(spec.arg, r, w, &base);
+          }
+          expect.push_back(base.Clone());
+          got.push_back(base.Clone());
+        }
+        for (uint32_t r : rows) {
+          weights.WeightsFor(cols.serials[r], &w);
+          for (size_t a = 0; a < num_targets; ++a) cols.Fold(specs[a].arg, r, w, &expect[a]);
+        }
+        std::vector<kernels::ReplicateTarget> targets;
+        for (size_t a = 0; a < num_targets; ++a) {
+          targets.push_back(cols.Target(specs[a].arg, &got[a]));
+        }
+        kernels::FoldReplicates(weights, cols.serials.data(), rows.data(), n,
+                                targets.data(), targets.size());
+
+        for (size_t a = 0; a < num_targets; ++a) {
+          const std::string what = "B=" + std::to_string(b) + " rows=" + std::to_string(n) +
+                                   " targets=" + std::to_string(num_targets) + " agg " +
+                                   std::to_string(a) + " (" + AggKindName(specs[a].kind) + ")";
+          const auto ub = static_cast<size_t>(b);
+          if (expect[a].has_flat_replicates()) {
+            ExpectSameBits(expect[a].flat_sum_data(), got[a].flat_sum_data(), ub, what + " sum");
+            ExpectSameBits(expect[a].flat_count_data(), got[a].flat_count_data(), ub,
+                           what + " count");
+          } else {
+            std::vector<double> e = expect[a].FinalizeReplicates(1.0);
+            std::vector<double> g = got[a].FinalizeReplicates(1.0);
+            ExpectSameBits(e.data(), g.data(), ub, what);
+          }
+        }
       }
     }
   }
 }
 
-// A null-filtered selection uses its own (value-row, weight-row) index
-// pair; the sweep must read weight row wrows[i], not the value row.
-TEST(TiledReplicateUpdateTest, FilteredSelectionUsesWeightRowIndices) {
-  const int b = 37;  // not a multiple of the generator's quad width
-  PoissonWeights weights(b, 11);
-  ReplicatedAgg reference(ResolveKind(AggKind::kSum), &weights);
-  ReplicatedAgg tiled(ResolveKind(AggKind::kSum), &weights);
-
-  const size_t n = 9;
-  std::vector<int64_t> serials = {3, 8, 15, 21, 22, 40, 41, 57, 90};
-  std::vector<double> values = {1.5, -2.0, 0.25, 7.0, 3.5, -1.0, 2.0, 4.0, 8.0};
-  std::vector<int32_t> matrix(n * b);
-  weights.FillMatrix(serials.data(), n, matrix.data());
-
-  // Keep every other row, as a null filter would.
-  std::vector<uint32_t> vrows = {0, 2, 4, 6, 8};
-  std::vector<uint32_t> wrows = {0, 2, 4, 6, 8};
-  for (uint32_t r : vrows) {
-    reference.UpdateNumericWeighted(values[r], matrix.data() + r * b, b);
-  }
-  kernels::AccumulateSimpleMain(tiled.main_state()->simple_slots(), values.data(),
-                                0.0, vrows.data(), vrows.size());
-  kernels::ReplicateTarget one{values.data(), 0.0, tiled.flat_sum_data(),
-                               tiled.flat_count_data()};
-  kernels::TiledReplicateUpdate(&one, 1, vrows.data(), wrows.data(), vrows.size(),
-                                matrix.data(), b);
-
-  EXPECT_EQ(*reference.Finalize(1.0).ToDouble(), *tiled.Finalize(1.0).ToDouble());
-  std::vector<double> a = reference.FinalizeReplicates(2.0);
-  std::vector<double> c = tiled.FinalizeReplicates(2.0);
-  ASSERT_EQ(a.size(), c.size());
-  for (size_t j = 0; j < a.size(); ++j) {
-    if (std::isnan(a[j]) && std::isnan(c[j])) continue;
-    EXPECT_EQ(a[j], c[j]) << "replicate " << j;
+// The kernel draws exactly WeightsFor's weights: a lone COUNT(*) row's
+// replicate counts are its weights, for any replicate count.
+TEST(FoldReplicatesTest, SingleCountRowReceivesItsWeights) {
+  for (int b : {1, 4, 511, 512, 513, 1030}) {
+    PoissonWeights weights(b, 7);
+    const std::vector<int64_t> serials = {0, 123456789};
+    const uint32_t row = 1;
+    std::vector<double> sums(static_cast<size_t>(b)), counts(static_cast<size_t>(b));
+    kernels::ReplicateTarget target;
+    target.sums = sums.data();
+    target.counts = counts.data();
+    kernels::FoldReplicates(weights, serials.data(), &row, 1, &target, 1);
+    std::vector<int32_t> w;
+    weights.WeightsFor(serials[1], &w);
+    for (size_t j = 0; j < w.size(); ++j) {
+      ASSERT_EQ(counts[j], static_cast<double>(w[j])) << "B=" << b << " replicate " << j;
+      ASSERT_EQ(sums[j], static_cast<double>(w[j])) << "B=" << b << " replicate " << j;
+    }
   }
 }
 

@@ -54,7 +54,7 @@ class ReplicatedAgg {
   }
 
   // State access for kernels and comparisons. The flat arrays and the main
-  // state's SimpleSlots are what the tiled kernels accumulate into.
+  // state's SimpleSlots are what the fold kernels accumulate into.
   bool has_flat_replicates() const { return simple_ != SimpleAggKind::kNone; }
   double* flat_sum_data() { return flat_sum_.data(); }
   double* flat_count_data() { return flat_count_.data(); }
@@ -63,6 +63,9 @@ class ReplicatedAgg {
   AggState* main_state() const { return main_.get(); }
   /// Replicate j's state (generic aggregates only).
   const AggState& replicate_state(size_t j) const { return *replicates_[j]; }
+  /// The B replicate states (generic aggregates only), for kernels that
+  /// update them in place.
+  std::unique_ptr<AggState>* replicate_states() { return replicates_.data(); }
 
  private:
   const AggregateFunction* fn_;
