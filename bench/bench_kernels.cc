@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "exec/hash_aggregate.h"
-#include "gola/online_agg.h"
+#include "exec/group_arena.h"
+#include "exec/pipeline.h"
 #include "support/row_fold.h"
 
 namespace gola {
@@ -96,9 +96,10 @@ BENCHMARK(BM_KernelFilter)
     ->ArgsProduct({{1 << 16}, {0, 1}})
     ->ArgNames({"rows", "vec"});
 
-/// Grouped COUNT(*)/SUM/AVG through the exact batch aggregate: dense group
-/// ids + flat slot accumulation vs the oracle's per-row Value-boxed map
-/// probes (no replicates, so it makes the exact aggregate's per-row calls).
+/// Grouped COUNT(*)/SUM/AVG through the exact engine's fold, as its sink
+/// (FoldStage) runs it: one GroupArena tile per morsel at B = 0, the tiles
+/// merged in morsel order; vs the oracle's per-row Value-boxed map probes
+/// (no replicates, so it makes the exact aggregate's per-row calls).
 void BM_KernelGroupBy(benchmark::State& state) {
   Engine engine;
   GOLA_CHECK_OK(engine.RegisterTable("t", MakeGroupedTable(state.range(0))));
@@ -107,12 +108,21 @@ void BM_KernelGroupBy(benchmark::State& state) {
   Table t = *(*engine.GetTable("t"));
   Chunk chunk = t.Combined();
   const BlockDef& block = query->root();
+  const ExecContext ctx;
+  std::vector<Chunk> morsels;
+  for (const MorselPlan& m : PlanMorsels({{&chunk, 0}}, ctx.min_morsel_rows, ctx.max_morsels)) {
+    morsels.push_back(chunk.Slice(m.offset, m.rows));
+  }
   const bool vec = state.range(1) != 0;
   for (auto _ : state) {
     if (vec) {
-      HashAggregate agg(&block);
-      GOLA_CHECK_OK(agg.Update(chunk, nullptr));
-      benchmark::DoNotOptimize(agg);
+      GroupAggregate agg(&block, /*weights=*/nullptr);
+      std::vector<GroupArena> tiles(morsels.size());
+      for (size_t m = 0; m < morsels.size(); ++m) {
+        GOLA_CHECK_OK(agg.FoldTileOf(morsels[m], nullptr, &tiles[m]));
+      }
+      for (const GroupArena& tile : tiles) agg.MergeTile(tile);
+      benchmark::DoNotOptimize(agg.num_groups());
     } else {
       oracle::GroupMap groups;
       GOLA_CHECK_OK(oracle::UpdateGroupMap(block, nullptr, chunk, nullptr, &groups));
@@ -133,8 +143,8 @@ BENCHMARK(BM_KernelGroupBy)
 /// and summed into a GroupArena tile by FoldReplicates) merged into the
 /// block's arena with MergeTile, as the fold stage runs it;
 /// reference: the oracle's per-tuple WeightsFor + B-length scalar passes.
-/// B = 0 folds point states only (no replication); B = 80 is the dashboard
-/// panels' replicate count, B = 100 the library queries'.
+/// B = 80 is the dashboard panels' replicate count, B = 100 the library
+/// queries'. The fold without replicates is BM_KernelGroupBy's.
 void BM_KernelReplicateUpdate(benchmark::State& state) {
   constexpr int64_t kRows = 1 << 14;
   Engine engine;
@@ -147,25 +157,24 @@ void BM_KernelReplicateUpdate(benchmark::State& state) {
 
   const int b = static_cast<int>(state.range(0));
   const bool vec = state.range(1) != 0;
-  std::unique_ptr<PoissonWeights> weights;
-  if (b > 0) weights = std::make_unique<PoissonWeights>(b, 42);
+  const PoissonWeights weights(b, 42);
   for (auto _ : state) {
     if (vec) {
-      OnlineAggregate agg(&block, weights.get());
+      GroupAggregate agg(&block, &weights);
       GroupArena tile;
       GOLA_CHECK_OK(agg.FoldTileOf(chunk, nullptr, &tile));
       agg.MergeTile(tile);
       benchmark::DoNotOptimize(agg.num_groups());
     } else {
       oracle::GroupMap groups;
-      GOLA_CHECK_OK(oracle::UpdateGroupMap(block, weights.get(), chunk, nullptr, &groups));
+      GOLA_CHECK_OK(oracle::UpdateGroupMap(block, &weights, chunk, nullptr, &groups));
       benchmark::DoNotOptimize(groups.size());
     }
   }
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_KernelReplicateUpdate)
-    ->ArgsProduct({{0, 80, 100, 200}, {0, 1}})
+    ->ArgsProduct({{80, 100, 200}, {0, 1}})
     ->ArgNames({"B", "vec"})
     ->Repetitions(3);
 

@@ -1,5 +1,5 @@
 // Operator microbenchmarks (google-benchmark): the building blocks whose
-// costs compose into the macro numbers — expression evaluation, hash
+// costs compose into the macro numbers — expression evaluation, group
 // aggregation, dimension hash join, poissonized replicate maintenance,
 // partitioning, and query compilation.
 #include <benchmark/benchmark.h>
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "exec/hash_aggregate.h"
+#include "exec/group_arena.h"
 #include "exec/hash_join.h"
 #include "parser/parser.h"
 #include "storage/partitioner.h"
@@ -45,7 +45,9 @@ void BM_FilterEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterEvaluate)->Arg(1 << 14)->Arg(1 << 18);
 
-void BM_HashAggregate(benchmark::State& state) {
+/// The exact aggregate at B = 0: one morsel's tile folded, merged and
+/// finalized in key order.
+void BM_GroupAggregate(benchmark::State& state) {
   Engine engine;
   GOLA_CHECK_OK(engine.RegisterTable("t", MakeNumericTable(state.range(0))));
   auto query = engine.Compile("SELECT k, SUM(x), AVG(y) FROM t GROUP BY k");
@@ -54,14 +56,16 @@ void BM_HashAggregate(benchmark::State& state) {
   Chunk chunk = t.Combined();
   const BlockDef& block = query->root();
   for (auto _ : state) {
-    HashAggregate agg(&block);
-    GOLA_CHECK_OK(agg.Update(chunk, nullptr));
-    auto post = agg.Finalize(1.0);
+    GroupAggregate agg(&block, /*weights=*/nullptr);
+    GroupArena tile;
+    GOLA_CHECK_OK(agg.FoldTileOf(chunk, nullptr, &tile));
+    agg.MergeTile(tile);
+    Chunk post = agg.Finalize(1.0);
     benchmark::DoNotOptimize(post);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HashAggregate)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_GroupAggregate)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_PoissonWeights(benchmark::State& state) {
   PoissonWeights weights(100, 42);

@@ -24,7 +24,9 @@ int Main(int argc, char** argv) {
 
   std::printf("%6s %12s %14s %22s %12s\n", "B", "total(s)", "overhead", "CI @25% data",
               "recomputes");
-  for (int b : {10, 25, 50, 100, 200}) {
+  const std::vector<int> budgets = {10, 25, 50, 100, 200};
+  std::vector<double> totals;
+  for (int b : budgets) {
     GolaOptions opts;
     opts.num_batches = kBatches;
     opts.bootstrap_replicates = b;
@@ -46,9 +48,11 @@ int Main(int argc, char** argv) {
     }
     std::printf("%6d %12.3f %+13.0f%% %22.3f %12d\n", b, total,
                 100 * (total / batch_seconds - 1.0), ci_width, recomputes);
+    totals.push_back(total);
   }
-  std::printf("\nshape: time grows ~linearly with B; CI estimates stabilize by "
-              "B~=50-100 (more replicates stop paying)\n");
+  std::printf("\nB = %d takes %.2fx the time of B = %d (%.0fx the replicates)\n",
+              budgets.back(), totals.back() / totals.front(), budgets.front(),
+              static_cast<double>(budgets.back()) / budgets.front());
   bench::WriteMetricsArtifact("replicates");
   return 0;
 }

@@ -16,7 +16,7 @@
 #include <string>
 
 #include "bench_util.h"
-#include "exec/hash_aggregate.h"
+#include "exec/group_arena.h"
 #include "exec/segment_scan.h"
 #include "expr/evaluator.h"
 #include "storage/segment/segment.h"
@@ -106,9 +106,11 @@ void BM_SegmentRleFold(benchmark::State& state) {
   const Chunk input =
       full.Slice(0, full.num_rows(), block.scan_columns, block.ScanSchema());
   for (auto _ : state) {
-    HashAggregate agg(&block);
-    GOLA_CHECK_OK(agg.Update(input, nullptr));
-    benchmark::DoNotOptimize(agg);
+    GroupAggregate agg(&block, /*weights=*/nullptr);
+    GroupArena tile;
+    GOLA_CHECK_OK(agg.FoldTileOf(input, nullptr, &tile));
+    agg.MergeTile(tile);
+    benchmark::DoNotOptimize(agg.num_groups());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

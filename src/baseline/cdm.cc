@@ -52,7 +52,7 @@ Status CdmExecutor::Prepare() {
     state.join.emplace(&block, std::move(dims));
     state.filter.emplace(FilterStage::AllPointForms(block));
     if (state.incremental) {
-      state.agg = std::make_unique<HashAggregate>(&block);
+      state.agg = std::make_unique<GroupAggregate>(&block, /*weights=*/nullptr);
     }
     states_.push_back(std::move(state));
   }
@@ -90,8 +90,8 @@ Result<CdmUpdate> CdmExecutor::Step() {
     if (!state.join->empty()) pipeline.Add(&*state.join);
     if (!state.filter->empty()) pipeline.Add(&*state.filter);
 
-    HashAggregate* agg = state.agg.get();
-    std::unique_ptr<HashAggregate> rescan_agg;
+    GroupAggregate* agg = state.agg.get();
+    std::unique_ptr<GroupAggregate> rescan_agg;
     std::vector<MorselSource> sources;
     if (state.incremental) {
       // Delta update: fold only ΔD_i into the retained states.
@@ -99,7 +99,7 @@ Result<CdmUpdate> CdmExecutor::Step() {
     } else {
       // The inner aggregate changed → the engine "has to read through D_i
       // again in order to compute the correct answer" (§3.1).
-      rescan_agg = std::make_unique<HashAggregate>(&block);
+      rescan_agg = std::make_unique<GroupAggregate>(&block, /*weights=*/nullptr);
       agg = rescan_agg.get();
       sources.reserve(seen_pins.size());
       for (const auto& p : seen_pins) sources.push_back({p.get(), 0});
@@ -107,12 +107,12 @@ Result<CdmUpdate> CdmExecutor::Step() {
     for (const MorselSource& s : sources) {
       update.rows_scanned += static_cast<int64_t>(s.chunk->num_rows());
     }
-    HashAggregateStage agg_stage(&block, agg);
-    pipeline.SetSink(&agg_stage);
+    FoldStage fold_stage(agg);
+    pipeline.SetSink(&fold_stage);
     GOLA_RETURN_NOT_OK(pipeline.Run(ctx, sources));
 
-    GOLA_ASSIGN_OR_RETURN(Chunk post, agg->Finalize(scale));
-    GOLA_ASSIGN_OR_RETURN(post, ApplyHavingFilters(block, post, &env_));
+    GOLA_ASSIGN_OR_RETURN(Chunk post,
+                          ApplyHavingFilters(block, agg->Finalize(scale), &env_));
     GOLA_RETURN_NOT_OK(BroadcastOrEmit(block, post, &env_, &result_sink));
     if (block.kind == BlockKind::kRoot) update.result = std::move(result_sink);
   }

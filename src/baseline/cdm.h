@@ -10,8 +10,9 @@
 // which is precisely what G-OLA's uncertain sets avoid.
 //
 // Physical execution goes through the shared delta-pipeline layer
-// (exec/pipeline.h): each block runs DimJoin → Filter → HashAggregate
-// morsel-parallel when a pool is supplied.
+// (exec/pipeline.h): each block runs DimJoin → Filter → Fold
+// morsel-parallel when a pool is supplied, into the same GroupArena state
+// G-OLA keeps (without replicates).
 #ifndef GOLA_BASELINE_CDM_H_
 #define GOLA_BASELINE_CDM_H_
 
@@ -21,7 +22,7 @@
 
 #include "common/thread_pool.h"
 #include "exec/batch_executor.h"
-#include "exec/hash_aggregate.h"
+#include "exec/group_arena.h"
 #include "plan/binder.h"
 #include "storage/partitioner.h"
 
@@ -68,7 +69,7 @@ class CdmExecutor {
     bool incremental = false;  // no nested-aggregate dependence
     std::optional<DimJoinStage> join;
     std::optional<FilterStage> filter;
-    std::unique_ptr<HashAggregate> agg;  // incremental blocks only
+    std::unique_ptr<GroupAggregate> agg;  // incremental blocks only
   };
   std::vector<BlockState> states_;
   BroadcastEnv env_;

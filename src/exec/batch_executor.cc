@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "exec/hash_aggregate.h"
 #include "exec/segment_scan.h"
 #include "exec/sort.h"
 
@@ -134,7 +133,7 @@ Status BatchExecutor::ExecuteBlock(const BlockDef& block,
                                    const std::vector<MorselSource>& sources,
                                    const BatchExecOptions& opts, BroadcastEnv* env,
                                    Table* result) {
-  // One delta-pipeline per block: DimJoin → Filter → (HashAggregate | Collect).
+  // One delta-pipeline per block: DimJoin → Filter → (Fold | Collect).
   // Subquery values are exact here, so the uncertain conjuncts filter in
   // point form and no classify stage is needed.
   GOLA_ASSIGN_OR_RETURN(DimJoinSet dims, DimJoinSet::Build(block, *catalog_));
@@ -151,12 +150,12 @@ Status BatchExecutor::ExecuteBlock(const BlockDef& block,
   if (!filter_stage.empty()) pipeline.Add(&filter_stage);
 
   if (block.is_aggregate) {
-    HashAggregate merged(&block);
-    HashAggregateStage agg_stage(&block, &merged);
-    pipeline.SetSink(&agg_stage);
+    GroupAggregate merged(&block, /*weights=*/nullptr);
+    FoldStage fold_stage(&merged);
+    pipeline.SetSink(&fold_stage);
     GOLA_RETURN_NOT_OK(pipeline.Run(ctx, sources));
-    GOLA_ASSIGN_OR_RETURN(Chunk post, merged.Finalize(opts.scale));
-    GOLA_ASSIGN_OR_RETURN(post, ApplyHavingFilters(block, post, env));
+    GOLA_ASSIGN_OR_RETURN(Chunk post,
+                          ApplyHavingFilters(block, merged.Finalize(opts.scale), env));
     return BroadcastOrEmit(block, post, env, result);
   }
 

@@ -6,8 +6,10 @@
 //      over growing chunk prefixes.
 //
 // Physical execution goes through the shared delta-pipeline layer
-// (exec/pipeline.h): per block, DimJoin → Filter → HashAggregate|Collect,
-// morsel-parallel when a pool is supplied.
+// (exec/pipeline.h): per block, DimJoin → Filter → Fold|Collect,
+// morsel-parallel when a pool is supplied. Aggregate blocks fold into the
+// GroupArena every engine shares, without replicates, and emit their groups
+// in key order.
 #ifndef GOLA_EXEC_BATCH_EXECUTOR_H_
 #define GOLA_EXEC_BATCH_EXECUTOR_H_
 

@@ -100,6 +100,14 @@ size_t NextPow2(size_t x) {
   return p;
 }
 
+// The boxed key of row `row`.
+GroupKey GroupKeyAt(const std::vector<Column>& key_cols, uint32_t row) {
+  GroupKey key;
+  key.values.reserve(key_cols.size());
+  for (const auto& c : key_cols) key.values.push_back(c.GetValue(row));
+  return key;
+}
+
 // Boxed fallback: identical ids/first-occurrence order via an unordered_map
 // keyed on GroupKey. Used for exotic column types and as the test oracle for
 // the typed table.
@@ -125,13 +133,6 @@ void ComputeGeneric(const std::vector<Column>& key_cols, size_t n, GroupIds* out
 }
 
 }  // namespace
-
-GroupKey GroupKeyAt(const std::vector<Column>& key_cols, uint32_t row) {
-  GroupKey key;
-  key.values.reserve(key_cols.size());
-  for (const auto& c : key_cols) key.values.push_back(c.GetValue(row));
-  return key;
-}
 
 Status ComputeGroupIds(const std::vector<Column>& key_cols, size_t n,
                        bool force_generic, GroupIds* out) {

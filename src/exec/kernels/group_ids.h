@@ -3,7 +3,7 @@
 // unordered_map per tuple, the key columns are hashed once per morsel
 // through a flat open-addressing table into dense uint32 group ids.
 // Downstream kernels then address flat SoA accumulator arrays by id and only
-// touch the map-based group stores once per (group, morsel).
+// touch the GroupArena's key dictionary once per (group, morsel).
 //
 // Equality is Value::operator== elementwise, so the grouping is exactly what
 // the row-at-a-time maps produce: NULLs form a single group per key column,
@@ -12,14 +12,38 @@
 #ifndef GOLA_EXEC_KERNELS_GROUP_IDS_H_
 #define GOLA_EXEC_KERNELS_GROUP_IDS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/status.h"
-#include "exec/hash_aggregate.h"
 #include "storage/column.h"
 
 namespace gola {
+
+/// A boxed group key: the tuple of group-by values for one group. The
+/// generic group-id path and the tests' row-at-a-time oracle key their maps
+/// on it.
+struct GroupKey {
+  std::vector<Value> values;
+
+  bool operator==(const GroupKey& other) const { return values == other.values; }
+  /// Lexicographic over Value's total ordering (NULL first), the key order
+  /// aggregate emission uses.
+  bool operator<(const GroupKey& other) const {
+    return std::lexicographical_compare(values.begin(), values.end(),
+                                        other.values.begin(), other.values.end());
+  }
+};
+
+struct GroupKeyHash {
+  size_t operator()(const GroupKey& k) const {
+    size_t h = 0x9e3779b97f4a7c15ULL;
+    for (const auto& v : k.values) h = h * 1099511628211ULL ^ v.Hash();
+    return h;
+  }
+};
+
 namespace kernels {
 
 struct GroupIds {
@@ -47,10 +71,6 @@ Status ComputeGroupIds(const std::vector<Column>& key_cols, size_t n,
 /// Fills the CSR (group_offsets/group_rows) from ids — one counting pass and
 /// one scatter pass, both in row order, so per-group row lists stay sorted.
 void BuildGroupRows(GroupIds* g);
-
-/// Canonical boxed key of the group whose first row is `row` — built once
-/// per group when exporting into the map-based aggregate stores.
-GroupKey GroupKeyAt(const std::vector<Column>& key_cols, uint32_t row);
 
 }  // namespace kernels
 }  // namespace gola

@@ -127,30 +127,29 @@ Result<Chunk> FilterStage::Apply(Chunk in, const ExecContext& ctx) const {
   return out;
 }
 
-// ---------------------------------------------------- HashAggregateStage --
+// ------------------------------------------------------------- FoldStage --
 
-void HashAggregateStage::BeginBatch(size_t num_morsels) {
-  partials_.clear();
-  partials_.resize(num_morsels);
+void FoldStage::BeginBatch(size_t num_morsels) {
+  tiles_.clear();
+  tiles_.resize(num_morsels);
 }
 
-Status HashAggregateStage::Consume(size_t morsel_index, Chunk in,
-                                   const ExecContext& ctx) {
-  // Overwrite (never accumulate into) the morsel's slot so a retried morsel
-  // replaces any partial left by a failed earlier attempt.
-  partials_[morsel_index].reset();
-  if (in.num_rows() == 0) return Status::OK();
-  partials_[morsel_index] = std::make_unique<HashAggregate>(block_);
-  return partials_[morsel_index]->Update(in, ctx.env);
+Status FoldStage::Consume(size_t morsel_index, Chunk in, const ExecContext& ctx) {
+  // Retry idempotency: fold into a local tile and only then publish it into
+  // the morsel's slot, so a fold that fails (or trips the failpoint) partway
+  // leaves no half-accumulated state behind for the retry to double-count.
+  GOLA_FAILPOINT_RETURN("bootstrap.replicate");
+  GroupArena tile;
+  GOLA_RETURN_NOT_OK(agg_->FoldTileOf(in, ctx.env, &tile));
+  tiles_[morsel_index] = std::move(tile);
+  return Status::OK();
 }
 
-Status HashAggregateStage::Finish() {
-  for (auto& partial : partials_) {
-    if (partial) {
-      GOLA_RETURN_NOT_OK(target_->Merge(std::move(*partial)));
-    }
+Status FoldStage::Finish() {
+  for (GroupArena& tile : tiles_) {
+    if (tile.size() > 0) agg_->MergeTile(tile);
   }
-  partials_.clear();
+  tiles_.clear();
   return Status::OK();
 }
 
@@ -163,7 +162,7 @@ void CollectStage::BeginBatch(size_t num_morsels) {
 
 Status CollectStage::Consume(size_t morsel_index, Chunk in, const ExecContext& ctx) {
   (void)ctx;
-  // Unconditional slot overwrite — see HashAggregateStage::Consume.
+  // Unconditional slot overwrite — see FoldStage::Consume.
   outputs_[morsel_index] = std::move(in);
   return Status::OK();
 }

@@ -3,7 +3,7 @@
 //
 // Every consumer builds the same chain per lineage block —
 //
-//   Scan → DimJoin → Filter → [Classify] → Aggregate
+//   Scan → DimJoin → Filter → [Classify] → Fold | Collect
 //
 // — and hands it to DeltaPipeline::Run, which splits the input chunks into
 // deterministic morsels, dispatches them over ThreadPool::ParallelFor, and
@@ -24,7 +24,7 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "exec/hash_aggregate.h"
+#include "exec/group_arena.h"
 #include "exec/hash_join.h"
 #include "expr/evaluator.h"
 #include "plan/binder.h"
@@ -178,23 +178,23 @@ class AggregateStage {
   virtual Status Finish() = 0;
 };
 
-/// Hash aggregation sink: per-morsel HashAggregate partials merged into
-/// `target` in morsel order. `target` may carry state across batches (the
-/// CDM incremental path) or be fresh per run (the batch engine).
-class HashAggregateStage : public AggregateStage {
+/// Aggregation sink of every engine: folds each morsel into a GroupArena
+/// tile of its own, then adds the tiles into `agg` in morsel order at the
+/// barrier (bootstrap replicate maintenance included when `agg` has
+/// weights). `agg` may carry state across runs (the online deterministic
+/// set, the CDM incremental path) or be fresh per run (the batch engine).
+class FoldStage : public AggregateStage {
  public:
-  HashAggregateStage(const BlockDef* block, HashAggregate* target)
-      : block_(block), target_(target) {}
+  explicit FoldStage(GroupAggregate* agg) : agg_(agg) {}
 
-  const char* name() const override { return "hash_agg"; }
+  const char* name() const override { return "fold"; }
   void BeginBatch(size_t num_morsels) override;
   Status Consume(size_t morsel_index, Chunk in, const ExecContext& ctx) override;
   Status Finish() override;
 
  private:
-  const BlockDef* block_;
-  HashAggregate* target_;
-  std::vector<std::unique_ptr<HashAggregate>> partials_;
+  GroupAggregate* agg_;
+  std::vector<GroupArena> tiles_;
 };
 
 /// Pass-through sink for non-aggregating (root SPJ) blocks: concatenates the

@@ -4,7 +4,7 @@
 // per-batch broadcasting of running results to downstream blocks.
 //
 // Physical execution goes through the shared delta-pipeline layer: each
-// batch runs DimJoin → Filter → OnlineClassify → OnlineFold morsel-parallel
+// batch runs DimJoin → Filter → OnlineClassify → Fold morsel-parallel
 // (gola/online_stages.h documents the determinism contract), with the
 // cached uncertain set re-entering the pipeline at the classify stage.
 #ifndef GOLA_GOLA_BLOCK_EXECUTOR_H_
@@ -147,11 +147,11 @@ class OnlineBlockExec : public MembershipSource {
   std::optional<DimJoinStage> join_stage_;
   std::optional<FilterStage> filter_stage_;  // certain conjuncts only
   std::unique_ptr<OnlineClassifyStage> classify_stage_;
-  std::unique_ptr<OnlineFoldStage> fold_stage_;
+  std::unique_ptr<FoldStage> fold_stage_;
   DeltaPipeline pipeline_;
   PipelineMetrics metrics_;
 
-  std::unique_ptr<OnlineAggregate> agg_;
+  std::unique_ptr<GroupAggregate> agg_;
   /// Cached lineage (paper §3.3): the input-layout columns the block's
   /// predicates, keys and arguments read, plus serials.
   Chunk uncertain_;

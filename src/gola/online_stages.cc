@@ -1,6 +1,5 @@
 #include "gola/online_stages.h"
 
-#include "common/failpoint.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "storage/serde.h"
@@ -335,33 +334,6 @@ Status OnlineClassifyStage::LoadState(BinaryReader* r) {
       cs.member_decisions.emplace(std::move(key), MemberDecision{is_member != 0});
     }
   }
-  return Status::OK();
-}
-
-// ------------------------------------------------------- OnlineFoldStage --
-
-void OnlineFoldStage::BeginBatch(size_t num_morsels) {
-  tiles_.clear();
-  tiles_.resize(num_morsels);
-}
-
-Status OnlineFoldStage::Consume(size_t morsel_index, Chunk in, const ExecContext& ctx) {
-  // Retry idempotency: fold into a local tile and only then publish it into
-  // the morsel's slot, so a fold that fails (or trips the failpoint) partway
-  // leaves no half-accumulated replicate state behind for the retry to
-  // double-count.
-  GOLA_FAILPOINT_RETURN("bootstrap.replicate");
-  GroupArena tile;
-  GOLA_RETURN_NOT_OK(agg_->FoldTileOf(in, ctx.env, &tile));
-  tiles_[morsel_index] = std::move(tile);
-  return Status::OK();
-}
-
-Status OnlineFoldStage::Finish() {
-  for (GroupArena& tile : tiles_) {
-    if (tile.size() > 0) agg_->MergeTile(tile);
-  }
-  tiles_.clear();
   return Status::OK();
 }
 

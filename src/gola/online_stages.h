@@ -1,6 +1,6 @@
-// The online engine's stages for the shared delta-pipeline layer
-// (exec/pipeline.h): deterministic/uncertain classification and the
-// replicated-aggregate fold.
+// The online engine's stage for the shared delta-pipeline layer
+// (exec/pipeline.h): deterministic/uncertain classification. The fold is
+// every engine's FoldStage, with the block's bootstrap weights.
 //
 // Concurrency/determinism contract: during one batch, upstream broadcasts
 // and this block's classification envelopes are frozen, so every row's
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "exec/pipeline.h"
-#include "gola/online_agg.h"
 #include "gola/online_env.h"
 #include "gola/uncertain.h"
 #include "plan/logical_plan.h"
@@ -123,23 +122,6 @@ class OnlineClassifyStage : public ClassifyStage {
   std::vector<ExprPtr> point_exprs_;  // point forms of the uncertain conjuncts
   std::vector<ConjunctState> conj_states_;       // one per uncertain conjunct
   std::vector<std::vector<ConjInstalls>> pending_;  // [morsel][conjunct]
-};
-
-/// Sink folding morsels into the block's deterministic-set states: one
-/// GroupArena tile per morsel, added into the OnlineAggregate in morsel
-/// order at the barrier (bootstrap replicate maintenance included).
-class OnlineFoldStage : public AggregateStage {
- public:
-  explicit OnlineFoldStage(OnlineAggregate* agg) : agg_(agg) {}
-
-  const char* name() const override { return "online_fold"; }
-  void BeginBatch(size_t num_morsels) override;
-  Status Consume(size_t morsel_index, Chunk in, const ExecContext& ctx) override;
-  Status Finish() override;
-
- private:
-  OnlineAggregate* agg_;
-  std::vector<GroupArena> tiles_;
 };
 
 }  // namespace gola

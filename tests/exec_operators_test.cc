@@ -1,9 +1,9 @@
-// Physical operator units: dimension hash join, hash aggregation
-// (update/merge/finalize), and sorting.
+// Physical operator units: dimension hash join, group aggregation (fold,
+// merge, finalize), and sorting.
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "exec/hash_aggregate.h"
+#include "exec/group_arena.h"
 #include "exec/hash_join.h"
 #include "exec/sort.h"
 #include "parser/parser.h"
@@ -68,7 +68,7 @@ TEST(HashJoinTest, NullKeysNeverMatch) {
   EXPECT_EQ(table->num_keys(), 1u);
 }
 
-class HashAggTest : public ::testing::Test {
+class GroupAggregateTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto schema = std::make_shared<Schema>(
@@ -92,17 +92,27 @@ class HashAggTest : public ::testing::Test {
   SchemaPtr schema_;
 };
 
-TEST_F(HashAggTest, GroupsAndScale) {
-  HashAggregate agg(&query_->root());
-  ASSERT_TRUE(agg.Update(MakeChunk({1, 2, 1, 1}, {10, 20, 30, 40}), nullptr).ok());
+/// Folds `chunk` into `agg` as one morsel: a tile, then the merge.
+void Fold(GroupAggregate* agg, const Chunk& chunk) {
+  GroupArena tile;
+  ASSERT_TRUE(agg->FoldTileOf(chunk, nullptr, &tile).ok());
+  agg->MergeTile(tile);
+}
+
+TEST_F(GroupAggregateTest, GroupsAndScale) {
+  GroupAggregate agg(&query_->root(), /*weights=*/nullptr);
+  // Group 2 occurs first.
+  Fold(&agg, MakeChunk({2, 1, 1, 1}, {20, 10, 30, 40}));
   EXPECT_EQ(agg.num_groups(), 2u);
-  auto post = agg.Finalize(2.0);
-  ASSERT_TRUE(post.ok());
-  ASSERT_EQ(post->num_rows(), 2u);
+  Chunk post = agg.Finalize(2.0);
+  ASSERT_EQ(post.num_rows(), 2u);
+  // Groups come out in key order, not first-occurrence order.
+  EXPECT_EQ(post.column(0).GetValue(0).AsInt(), 1);
+  EXPECT_EQ(post.column(0).GetValue(1).AsInt(), 2);
   for (size_t i = 0; i < 2; ++i) {
-    int64_t g = post->column(0).GetValue(i).AsInt();
-    double sum = post->column(1).NumericAt(i);
-    double cnt = post->column(2).NumericAt(i);
+    int64_t g = post.column(0).GetValue(i).AsInt();
+    double sum = post.column(1).NumericAt(i);
+    double cnt = post.column(2).NumericAt(i);
     if (g == 1) {
       EXPECT_DOUBLE_EQ(sum, 80 * 2.0);  // SUM scales
       EXPECT_DOUBLE_EQ(cnt, 3 * 2.0);   // COUNT scales
@@ -112,18 +122,15 @@ TEST_F(HashAggTest, GroupsAndScale) {
   }
 }
 
-TEST_F(HashAggTest, MergeCombinesDisjointPartitions) {
-  HashAggregate a(&query_->root());
-  HashAggregate b(&query_->root());
-  ASSERT_TRUE(a.Update(MakeChunk({1, 2}, {1, 2}), nullptr).ok());
-  ASSERT_TRUE(b.Update(MakeChunk({2, 3}, {20, 30}), nullptr).ok());
-  ASSERT_TRUE(a.Merge(std::move(b)).ok());
-  EXPECT_EQ(a.num_groups(), 3u);
-  auto post = a.Finalize(1.0);
-  ASSERT_TRUE(post.ok());
-  for (size_t i = 0; i < post->num_rows(); ++i) {
-    if (post->column(0).GetValue(i).AsInt() == 2) {
-      EXPECT_DOUBLE_EQ(post->column(1).NumericAt(i), 22.0);
+TEST_F(GroupAggregateTest, MergeCombinesDisjointPartitions) {
+  GroupAggregate agg(&query_->root(), /*weights=*/nullptr);
+  Fold(&agg, MakeChunk({1, 2}, {1, 2}));
+  Fold(&agg, MakeChunk({2, 3}, {20, 30}));
+  EXPECT_EQ(agg.num_groups(), 3u);
+  Chunk post = agg.Finalize(1.0);
+  for (size_t i = 0; i < post.num_rows(); ++i) {
+    if (post.column(0).GetValue(i).AsInt() == 2) {
+      EXPECT_DOUBLE_EQ(post.column(1).NumericAt(i), 22.0);
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "gola/gola.h"
+#include "workload/conviva_gen.h"
 
 namespace gola {
 namespace {
@@ -318,6 +319,35 @@ TEST_F(OnlineEdgeTest, ForcedFailuresStillExactForEveryConjunctForm) {
       EXPECT_GT(last->recomputes_so_far, 0) << sql;
     }
   }
+}
+
+/// 20 000 conviva rows over 64 ads and 24 geos: enough groups that a
+/// hash-ordered emission and a key-ordered one disagree.
+Table ManyGroupsConviva() {
+  ConvivaGenOptions conviva;
+  conviva.num_rows = 20'000;
+  conviva.num_ads = 64;
+  return GenerateConviva(conviva);
+}
+
+// Without ORDER BY the answer lists groups in emission order, which both
+// engines take from the key order of the one group state they share, so the
+// final online answer lists the exact answer's rows in the same positions.
+TEST_F(OnlineEdgeTest, UnorderedStringGroupsListTheExactRows) {
+  Register("conviva", ManyGroupsConviva());
+  GolaOptions opts;
+  opts.num_batches = 10;
+  ExpectConverges("SELECT geo, COUNT(*) AS n FROM conviva GROUP BY geo", opts);
+}
+
+// LIMIT without ORDER BY keeps the first groups of that order: the same
+// five ads exactly and online.
+TEST_F(OnlineEdgeTest, LimitWithoutOrderKeepsTheExactGroups) {
+  Register("conviva", ManyGroupsConviva());
+  GolaOptions opts;
+  opts.num_batches = 10;
+  ExpectConverges("SELECT ad_id, COUNT(*) AS n FROM conviva GROUP BY ad_id LIMIT 5",
+                  opts);
 }
 
 TEST_F(OnlineEdgeTest, StepAfterDoneErrors) {

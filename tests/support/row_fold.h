@@ -3,8 +3,9 @@
 // per-group ReplicatedAgg states through their per-row Update*Weighted
 // calls. With `weights == nullptr` it makes exactly the per-row AggState
 // calls an exact aggregation over the same rows makes, so one oracle serves
-// the online fold (the GroupArena of FoldTileOf, MergeTile and AggOverlay)
-// and the exact HashAggregate alike.
+// the GroupArena fold (FoldTileOf, MergeTile and AggOverlay) with
+// replicates, as the online engine runs it, and without, as the exact
+// engine and CDM run it.
 //
 // The engine never runs it: tests and bench_kernels link this target.
 #ifndef GOLA_TESTS_SUPPORT_ROW_FOLD_H_
@@ -13,7 +14,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/hash_aggregate.h"
+#include "exec/kernels/group_ids.h"
+#include "expr/evaluator.h"
+#include "plan/logical_plan.h"
 #include "support/replicated_agg.h"
 
 namespace gola {

@@ -11,8 +11,9 @@
 //     4-thread pool, against the oracle cloning touched groups from its own
 //     base; the arena base's checkpoint bytes must not change (copy on
 //     write);
-//   - the exact aggregate: HashAggregate over the same morsels, merged in
-//     order, against the oracle without replicates.
+//   - the exact aggregate: the same fold without replicates (B = 0), as
+//     the exact engine and CDM run it, against the oracle without
+//     replicates.
 //
 // Covered are every aggregate block of the paper queries (over its DimJoin
 // output) and randomized group-by shapes: arity 0–3, mixed int/double/
@@ -87,7 +88,7 @@ std::string Bytes(const double* v, size_t n) {
 }
 
 /// The deterministic state's checkpoint dump.
-std::string CheckpointBytes(const OnlineAggregate& agg) {
+std::string CheckpointBytes(const GroupAggregate& agg) {
   std::ostringstream buf(std::ios::binary);
   BinaryWriter w(&buf);
   GOLA_CHECK_OK(agg.SaveTo(&w));
@@ -171,7 +172,7 @@ void CheckBlock(const BlockDef& block, const Chunk& input, const std::string& na
     const std::vector<Chunk> morsels = Morsels(input, k);
 
     // The online fold: every morsel's tile first, then the in-order merge.
-    OnlineAggregate kernel(&block, &weights);
+    GroupAggregate kernel(&block, &weights);
     std::vector<GroupArena> tiles(k);
     for (size_t m = 0; m < k; ++m) {
       ASSERT_TRUE(kernel.FoldTileOf(morsels[m], nullptr, &tiles[m]).ok()) << what;
@@ -189,35 +190,29 @@ void CheckBlock(const BlockDef& block, const Chunk& input, const std::string& na
     }
     ExpectSameGroups(oracle, kernel.arena(), what + " [fold]");
 
-    // The exact aggregate: one partial per morsel, merged in order.
-    HashAggregate exact(&block);
+    // The exact aggregate: the same fold at B = 0, over morsels without
+    // serials (the exact engine's and CDM's chunks carry none).
+    GroupAggregate exact(&block, /*weights=*/nullptr);
     oracle::GroupMap exact_oracle;
-    for (const Chunk& morsel : morsels) {
-      HashAggregate partial(&block);
-      ASSERT_TRUE(partial.Update(morsel, nullptr).ok()) << what;
-      ASSERT_TRUE(exact.Merge(std::move(partial)).ok()) << what;
+    for (Chunk morsel : morsels) {
+      morsel.set_serials({});
+      GroupArena tile;
+      ASSERT_TRUE(exact.FoldTileOf(morsel, nullptr, &tile).ok()) << what;
+      if (tile.size() > 0) exact.MergeTile(tile);
       oracle::GroupMap oracle_partial;
       ASSERT_TRUE(
           oracle::UpdateGroupMap(block, nullptr, morsel, nullptr, &oracle_partial).ok())
           << what;
       oracle::MergeGroupMap(std::move(oracle_partial), &exact_oracle);
     }
-    ASSERT_EQ(exact_oracle.size(), exact.groups().size()) << what << " [exact]";
-    for (auto& [key, entry] : exact_oracle) {
-      auto it = exact.groups().find(key);
-      ASSERT_TRUE(it != exact.groups().end()) << what << " [exact] " << KeyString(key);
-      for (size_t a = 0; a < entry.aggs.size(); ++a) {
-        EXPECT_EQ(StateBytes(*entry.aggs[a].main_state()), StateBytes(*it->second[a]))
-            << what << " [exact] group " << KeyString(key) << " aggregate " << a;
-      }
-    }
+    ExpectSameGroups(exact_oracle, exact.arena(), what + " [exact]");
   }
 
   // The overlay fold: the first half is the deterministic base, and a random
   // selection of all rows folds onto it on a pool, in small pieces.
   const std::string what = name + " [overlay]";
   const Chunk first_half = input.Slice(0, input.num_rows() / 2);
-  OnlineAggregate base(&block, &weights);
+  GroupAggregate base(&block, &weights);
   GroupArena tile;
   ASSERT_TRUE(base.FoldTileOf(first_half, nullptr, &tile).ok());
   base.MergeTile(tile);
