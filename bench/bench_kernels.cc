@@ -1,11 +1,12 @@
 // Kernel-layer microbenchmarks (google-benchmark): the chunk-at-a-time
-// kernels the engine runs against a row-at-a-time reference on its three
-// hot paths — predicate filtering, grouped aggregation, and the poissonized
-// replicate fold. Every benchmark carries a `vec` argument (0 = reference,
-// 1 = kernels); tools/check_perf.py pairs the two and fails CI when the
-// kernels lose their speedup on the group-by / replicate benches. The
-// group-by and replicate references are the row-at-a-time fold the tests
-// use as their oracle (tests/support/row_fold.h).
+// kernels the engine runs against a row-at-a-time reference on its four
+// hot paths — predicate filtering, grouped aggregation, the poissonized
+// replicate fold and keyed-broadcast lookups. Every benchmark carries a
+// `vec` argument (0 = reference, 1 = kernels); tools/check_perf.py pairs the
+// two and fails CI when the kernels lose their speedup on the group-by,
+// replicate and key-probe benches. The references are the row-at-a-time
+// fold and the boxed key map the tests use as their oracles
+// (tests/support/row_fold.h, tests/support/boxed_key_map.h).
 //
 // Emits BENCH_kernels.json (google-benchmark JSON) in the working
 // directory unless --benchmark_out is passed explicitly.
@@ -18,7 +19,9 @@
 
 #include "bench_util.h"
 #include "exec/group_arena.h"
+#include "exec/kernels/key_index.h"
 #include "exec/pipeline.h"
+#include "support/boxed_key_map.h"
 #include "support/row_fold.h"
 
 namespace gola {
@@ -177,6 +180,35 @@ BENCHMARK(BM_KernelReplicateUpdate)
     ->ArgsProduct({{80, 100, 200}, {0, 1}})
     ->ArgNames({"B", "vec"})
     ->Repetitions(3);
+
+/// Correlated-subquery lookups as Q17 and Q20 make them: 200 000 int64 outer
+/// keys probed into the 400 keys of a keyed broadcast. Kernel path: one
+/// KeyIndex::Probe of the whole column; reference: the boxed map it
+/// replaced, one GetValue and one hash lookup per row.
+void BM_KernelKeyProbe(benchmark::State& state) {
+  constexpr int64_t kRows = 200'000;
+  constexpr int64_t kKeys = 400;
+  Rng rng(17);
+  std::vector<int64_t> keys(kKeys);
+  for (int64_t k = 0; k < kKeys; ++k) keys[k] = k * 37 + 1;
+  std::vector<int64_t> probes(kRows);
+  for (auto& p : probes) p = keys[rng.NextBelow(kKeys)];
+  const Column probe = Column::MakeInt(std::move(probes));
+  KeyIndex index;
+  index.Insert(Column::MakeInt(keys), nullptr, nullptr);
+  oracle::BoxedKeyMap boxed;
+  for (int64_t k : keys) boxed.Insert(Value::Int(k));
+
+  const bool vec = state.range(0) != 0;
+  std::vector<uint32_t> ids;
+  for (auto _ : state) {
+    if (vec) index.Probe(probe, nullptr, &ids);
+    else boxed.Probe(probe, &ids);
+    benchmark::DoNotOptimize(ids.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_KernelKeyProbe)->ArgsProduct({{0, 1}})->ArgNames({"vec"})->Repetitions(3);
 
 }  // namespace
 }  // namespace gola

@@ -46,12 +46,16 @@ Status BroadcastOrEmit(const BlockDef& block, const Chunk& rows, BroadcastEnv* e
     case BlockKind::kScalar: {
       GOLA_ASSIGN_OR_RETURN(Column values, Evaluate(*block.value_expr, rows, env));
       if (block.corr_key) {
-        std::unordered_map<Value, Value, ValueHash> keyed;
-        keyed.reserve(rows.num_rows());
-        for (size_t i = 0; i < rows.num_rows(); ++i) {
-          keyed[rows.column(0).GetValue(i)] = values.GetValue(i);
+        // One key id per group, in row order; each id's point is its row's.
+        auto keys = std::make_shared<KeyIndex>();
+        std::vector<uint32_t> ids;
+        keys->Insert(rows.column(0), nullptr, &ids);
+        std::vector<uint32_t> first_rows;
+        for (size_t i = 0; i < ids.size(); ++i) {
+          if (ids[i] == first_rows.size()) first_rows.push_back(static_cast<uint32_t>(i));
         }
-        env->SetKeyed(block.id, std::move(keyed));
+        env->SetKeyed(block.id, std::move(keys),
+                      values.Gather(first_rows.data(), first_rows.size()));
       } else {
         if (values.size() != 1) {
           return Status::ExecutionError("scalar subquery did not produce one row");
@@ -61,12 +65,11 @@ Status BroadcastOrEmit(const BlockDef& block, const Chunk& rows, BroadcastEnv* e
       return Status::OK();
     }
     case BlockKind::kMembership: {
-      std::unordered_set<Value, ValueHash> members;
-      const Column& keys = rows.column(static_cast<size_t>(block.membership_key_index));
-      members.reserve(rows.num_rows());
-      for (size_t i = 0; i < rows.num_rows(); ++i) {
-        if (!keys.IsNull(i)) members.insert(keys.GetValue(i));
-      }
+      // The rows passed HAVING already: every indexed key is a member.
+      auto members = std::make_shared<MemberSet>();
+      members->keys.Insert(rows.column(static_cast<size_t>(block.membership_key_index)),
+                           nullptr, nullptr);
+      members->member.assign(members->keys.size(), 1);
       env->SetMembership(block.id, std::move(members));
       return Status::OK();
     }

@@ -8,9 +8,20 @@ Result<DimHashTable> DimHashTable::Build(const Table& dim, const Expr& build_key
   DimHashTable table;
   table.build_rows_ = dim.Combined();
   GOLA_ASSIGN_OR_RETURN(Column keys, Evaluate(build_key, table.build_rows_));
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (keys.IsNull(i)) continue;
-    table.index_[keys.GetValue(i)].push_back(static_cast<int64_t>(i));
+  std::vector<uint32_t> ids;
+  table.index_.Insert(keys, nullptr, &ids);
+  // Counting pass, then a scatter in row order: each key's rows ascend.
+  table.key_offsets_.assign(table.index_.size() + 1, 0);
+  for (uint32_t id : ids) {
+    if (id != KeyIndex::kNone) ++table.key_offsets_[id + 1];
+  }
+  for (size_t k = 0; k < table.index_.size(); ++k) {
+    table.key_offsets_[k + 1] += table.key_offsets_[k];
+  }
+  table.key_rows_.resize(table.key_offsets_.back());
+  std::vector<uint32_t> cursor(table.key_offsets_.begin(), table.key_offsets_.end() - 1);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] != KeyIndex::kNone) table.key_rows_[cursor[ids[i]]++] = static_cast<int64_t>(i);
   }
   return table;
 }
@@ -18,15 +29,15 @@ Result<DimHashTable> DimHashTable::Build(const Table& dim, const Expr& build_key
 Result<Chunk> DimHashTable::Probe(const Chunk& probe, const Expr& probe_key,
                                   const SchemaPtr& output_schema) const {
   GOLA_ASSIGN_OR_RETURN(Column keys, Evaluate(probe_key, probe));
+  std::vector<uint32_t> ids;
+  index_.Probe(keys, nullptr, &ids);
   std::vector<int64_t> probe_rows;
   std::vector<int64_t> build_rows;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (keys.IsNull(i)) continue;
-    auto it = index_.find(keys.GetValue(i));
-    if (it == index_.end()) continue;
-    for (int64_t b : it->second) {
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] == KeyIndex::kNone) continue;
+    for (uint32_t r = key_offsets_[ids[i]]; r < key_offsets_[ids[i] + 1]; ++r) {
       probe_rows.push_back(static_cast<int64_t>(i));
-      build_rows.push_back(b);
+      build_rows.push_back(key_rows_[r]);
     }
   }
   Chunk left = probe.Take(probe_rows);

@@ -9,10 +9,10 @@
 #ifndef GOLA_EXEC_HASH_JOIN_H_
 #define GOLA_EXEC_HASH_JOIN_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "exec/kernels/key_index.h"
 #include "expr/expr.h"
 #include "storage/chunk.h"
 #include "storage/table.h"
@@ -22,7 +22,7 @@ namespace gola {
 class DimHashTable {
  public:
   /// Builds the hash table over `dim` keyed by `build_key` (bound over the
-  /// dimension schema). NULL keys never match.
+  /// dimension schema). NULL and NaN keys never match.
   static Result<DimHashTable> Build(const Table& dim, const Expr& build_key);
 
   /// Joins `probe` against the table: output columns are the probe columns
@@ -34,7 +34,11 @@ class DimHashTable {
 
  private:
   Chunk build_rows_;  // all dimension rows, combined
-  std::unordered_map<Value, std::vector<int64_t>, ValueHash> index_;
+  KeyIndex index_;
+  /// CSR: the dimension rows of key id k are
+  /// key_rows_[key_offsets_[k] .. key_offsets_[k + 1]), ascending.
+  std::vector<uint32_t> key_offsets_;
+  std::vector<int64_t> key_rows_;
 };
 
 }  // namespace gola

@@ -1,49 +1,15 @@
 #include "exec/kernels/group_ids.h"
 
-#include <cmath>
-#include <cstring>
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/random.h"
+#include "exec/kernels/key_hash.h"
 #include "obs/trace.h"
 
 namespace gola {
 namespace kernels {
 
 namespace {
-
-// Typed view of one key column: raw storage pointers, no per-row variant
-// dispatch inside the probe loops.
-struct KeyColView {
-  TypeId type;
-  const uint8_t* bools = nullptr;
-  const int64_t* ints = nullptr;
-  const double* floats = nullptr;
-  const std::string* strings = nullptr;
-  const uint8_t* nulls = nullptr;  // nullptr when the column has no null mask
-
-  bool IsNull(uint32_t row) const { return nulls != nullptr && nulls[row] != 0; }
-};
-
-constexpr uint64_t kNullHash = 0x9e3779b97f4a7c15ULL;
-// NaN rows can never match any resident group (NaN != NaN), so their hash
-// only affects probe clustering, not correctness.
-constexpr uint64_t kNanHash = 0xc2b2ae3d27d4eb4fULL;
-
-inline uint64_t HashFloat(double v) {
-  if (v == 0.0) return SplitMix64(0);  // -0.0 == 0.0: one group
-  if (std::isnan(v)) return kNanHash;
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return SplitMix64(bits);
-}
-
-inline uint64_t HashString(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
-  return h;
-}
 
 inline uint64_t HashRow(const std::vector<KeyColView>& cols, uint32_t row) {
   uint64_t h = 0x9e3779b97f4a7c15ULL;
@@ -158,15 +124,7 @@ Status ComputeGroupIds(const std::vector<Column>& key_cols, size_t n,
   for (const auto& c : key_cols) {
     if (c.size() < n) return Status::Internal("group-id kernel: short key column");
     KeyColView v;
-    v.type = c.type();
-    v.nulls = c.has_nulls() ? c.nulls().data() : nullptr;
-    switch (c.type()) {
-      case TypeId::kBool: v.bools = c.bools().data(); break;
-      case TypeId::kInt64: v.ints = c.ints().data(); break;
-      case TypeId::kFloat64: v.floats = c.floats().data(); break;
-      case TypeId::kString: v.strings = c.strings().data(); break;
-      default: typed_ok = false; break;
-    }
+    typed_ok = MakeKeyColView(c, &v) && typed_ok;
     views.push_back(v);
   }
   if (!typed_ok) {

@@ -1,5 +1,6 @@
 #include "expr/evaluator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -208,17 +209,24 @@ Result<Column> EvalSubqueryRef(const Expr& expr, const Chunk& chunk,
   if (!sv->keyed) {
     return Column::MakeConstant(sv->scalar, out_type, n);
   }
-  // Correlated: look up per-row by the outer key expression.
+  // Correlated: one probe of the outer keys, then a gather of the points,
+  // NULL where a key has none (a NULL key never matches).
   if (expr.children.empty()) {
     return Status::ExecutionError("correlated subquery reference missing outer key");
   }
   GOLA_ASSIGN_OR_RETURN(Column keys, Evaluate(*expr.children[0], chunk, env));
+  std::vector<uint32_t> ids;
+  sv->keys->Probe(keys, nullptr, &ids);
+  const Column& points = sv->points;
+  if (points.type() == out_type && !points.has_nulls() &&
+      std::find(ids.begin(), ids.end(), KeyIndex::kNone) == ids.end()) {
+    return points.Gather(ids.data(), ids.size());
+  }
   Column out(out_type);
   out.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto it = sv->keyed_values.find(keys.GetValue(i));
-    if (it == sv->keyed_values.end()) out.AppendNull();
-    else out.Append(it->second);
+  for (uint32_t id : ids) {
+    if (id == KeyIndex::kNone) out.AppendNull();
+    else out.Append(points.GetValue(id));
   }
   return out;
 }
@@ -235,10 +243,13 @@ Result<Column> EvalInSubquery(const Expr& expr, const Chunk& chunk,
   }
   GOLA_ASSIGN_OR_RETURN(Column keys, Evaluate(*expr.children[0], chunk, env));
   size_t n = keys.size();
+  std::vector<uint32_t> ids;
+  sv->members->keys.Probe(keys, nullptr, &ids);
+  const std::vector<uint8_t>& member = sv->members->member;
   std::vector<uint8_t> out(n, 0);
   for (size_t i = 0; i < n; ++i) {
     if (keys.IsNull(i)) continue;
-    bool in = sv->members.count(keys.GetValue(i)) > 0;
+    bool in = ids[i] != KeyIndex::kNone && member[ids[i]] != 0;
     out[i] = (in != expr.negated) ? 1 : 0;
   }
   return Column::MakeBool(std::move(out));

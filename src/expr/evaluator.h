@@ -13,23 +13,35 @@
 #ifndef GOLA_EXPR_EVALUATOR_H_
 #define GOLA_EXPR_EVALUATOR_H_
 
+#include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/status.h"
+#include "exec/kernels/key_index.h"
 #include "expr/expr.h"
 #include "storage/chunk.h"
 
 namespace gola {
 
+/// The answer of an IN subquery: the keys it emitted, indexed, and per key
+/// id whether the key is in the set (the online engine also indexes keys
+/// that fail HAVING, to classify them).
+struct MemberSet {
+  KeyIndex keys;
+  std::vector<uint8_t> member;
+};
+
 /// The broadcast value of one subquery: a global scalar, a correlation-keyed
-/// scalar map, or a membership set (IN-subquery).
+/// scalar, or a membership set (IN-subquery).
 struct SubqueryValue {
   bool keyed = false;
   bool membership = false;
   Value scalar;
-  std::unordered_map<Value, Value, ValueHash> keyed_values;
-  std::unordered_set<Value, ValueHash> members;
+  /// Keyed: the correlation keys, and the value of key id i at row i of
+  /// `points`.
+  std::shared_ptr<const KeyIndex> keys;
+  Column points;
+  std::shared_ptr<const MemberSet> members;
 };
 
 class BroadcastEnv {
@@ -39,16 +51,17 @@ class BroadcastEnv {
     sv.scalar = std::move(v);
     values_[id] = std::move(sv);
   }
-  void SetKeyed(int id, std::unordered_map<Value, Value, ValueHash> m) {
+  void SetKeyed(int id, std::shared_ptr<const KeyIndex> keys, Column points) {
     SubqueryValue sv;
     sv.keyed = true;
-    sv.keyed_values = std::move(m);
+    sv.keys = std::move(keys);
+    sv.points = std::move(points);
     values_[id] = std::move(sv);
   }
-  void SetMembership(int id, std::unordered_set<Value, ValueHash> s) {
+  void SetMembership(int id, std::shared_ptr<const MemberSet> members) {
     SubqueryValue sv;
     sv.membership = true;
-    sv.members = std::move(s);
+    sv.members = std::move(members);
     values_[id] = std::move(sv);
   }
 

@@ -27,20 +27,28 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 void OnlineEnv::SetScalar(int id, ScalarBroadcast b) {
   if (b.keyed) {
-    std::unordered_map<Value, Value, ValueHash> point_map;
-    point_map.reserve(b.keyed_entries.size());
-    for (const auto& [key, entry] : b.keyed_entries) point_map[key] = entry.point;
-    point_.SetKeyed(id, std::move(point_map));
+    // The points share one type, the value expression's; all-NULL points
+    // read as float64.
+    TypeId type = TypeId::kFloat64;
+    for (const ScalarEntry& e : b.entries) {
+      if (!e.point.is_null()) {
+        type = e.point.type();
+        break;
+      }
+    }
+    Column points(type);
+    points.Reserve(b.entries.size());
+    for (const ScalarEntry& e : b.entries) points.Append(e.point);
+    point_.SetKeyed(id, b.keys, std::move(points));
   } else {
     point_.SetScalar(id, b.global.point);
   }
   scalars_[id] = std::move(b);
 }
 
-void OnlineEnv::SetMembershipView(int id, std::unordered_set<Value, ValueHash> members,
-                                  MembershipSource* source) {
-  point_.SetMembership(id, std::move(members));
-  membership_[id] = source;
+void OnlineEnv::SetMembership(int id, std::shared_ptr<const MembershipView> view) {
+  point_.SetMembership(id, view);
+  memberships_[id] = std::move(view);
 }
 
 const ScalarBroadcast* OnlineEnv::scalar(int id) const {
@@ -48,9 +56,9 @@ const ScalarBroadcast* OnlineEnv::scalar(int id) const {
   return it == scalars_.end() ? nullptr : &it->second;
 }
 
-MembershipSource* OnlineEnv::membership(int id) const {
-  auto it = membership_.find(id);
-  return it == membership_.end() ? nullptr : it->second;
+const MembershipView* OnlineEnv::membership(int id) const {
+  auto it = memberships_.find(id);
+  return it == memberships_.end() ? nullptr : it->second.get();
 }
 
 // ------------------------------------------------------ OnlineBlockExec --
@@ -190,9 +198,6 @@ void OnlineBlockExec::Reset() {
   if (initialized_) uncertain_ = EmptyUncertain();
   uncertain_pass_.clear();
   if (classify_stage_) classify_stage_->ResetEnvelopes();
-  last_point_lhs_.clear();
-  last_members_.clear();
-  key_answers_.clear();
   rows_seen_ = 0;
 }
 
@@ -356,13 +361,10 @@ Status OnlineBlockExec::LoadState(BinaryReader* r) {
   }
   uncertain_ = Chunk(block_->input_schema, std::move(cols));
   uncertain_.set_serials(std::move(serials));
-  // Pass flags and broadcast-facing caches (membership views and answers)
-  // are intentionally stale here; the caller ReEmits every block in
-  // dependency order to rebuild them from the restored state.
+  // Pass flags and the broadcasts (scalar entries, membership views) are
+  // intentionally stale here; the caller ReEmits every block in dependency
+  // order to rebuild them from the restored state.
   uncertain_pass_.clear();
-  last_point_lhs_.clear();
-  last_members_.clear();
-  key_answers_.clear();
   return Status::OK();
 }
 
@@ -535,13 +537,22 @@ Status OnlineBlockExec::EmitScalar(const PostAggChunk& post, OnlineEnv* env,
 
   ScalarBroadcast broadcast;
   if (block_->corr_key) {
+    // One key id per row passing HAVING, in row order.
     broadcast.keyed = true;
-    broadcast.keyed_entries.reserve(rows);
+    SelectionVector passing;
     for (size_t i = 0; i < rows; ++i) {
-      if (!mask[i]) continue;
-      broadcast.keyed_entries.emplace(post.point.column(0).GetValue(i),
-                                      std::move(entries[i]));
+      if (mask[i]) passing.push_back(static_cast<uint32_t>(i));
     }
+    auto keys = std::make_shared<KeyIndex>();
+    std::vector<uint32_t> ids;
+    keys->Insert(post.point.column(0), &passing, &ids);
+    broadcast.entries.reserve(keys->size());
+    for (size_t k = 0; k < passing.size(); ++k) {
+      if (ids[k] == broadcast.entries.size()) {
+        broadcast.entries.push_back(std::move(entries[passing[k]]));
+      }
+    }
+    broadcast.keys = std::move(keys);
   } else {
     if (rows != 1) {
       return Status::ExecutionError("scalar subquery did not produce one row");
@@ -566,42 +577,42 @@ Status OnlineBlockExec::EmitMembership(const PostAggChunk& post, OnlineEnv* env,
   GOLA_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
                         EvaluateHavingMask(*block_, post.point, point));
 
+  // One key id per group, in row order; a key failing HAVING is indexed too,
+  // as a non-member, so downstream classification can still read its range.
   const Column& keys = post.point.column(static_cast<size_t>(block_->membership_key_index));
-  std::unordered_set<Value, ValueHash> members;
-  members.reserve(rows);
+  auto view = std::make_shared<MembershipView>();
+  std::vector<uint32_t> ids;
+  view->keys.Insert(keys, nullptr, &ids);
+  std::vector<uint32_t> first_rows;
   for (size_t i = 0; i < rows; ++i) {
-    if (mask[i] && !keys.IsNull(i)) members.insert(keys.GetValue(i));
+    if (ids[i] == first_rows.size()) first_rows.push_back(static_cast<uint32_t>(i));
   }
+  view->member.resize(first_rows.size());
+  for (size_t k = 0; k < first_rows.size(); ++k) view->member[k] = mask[first_rows[k]];
+  view->monotone = membership_monotone_;
 
   // Running classification values and the current threshold range, for
   // consumers' decision-validity monitoring — and, evaluated once here, the
   // threshold every key's range is classified against.
-  last_point_lhs_.clear();
-  last_rhs_valid_ = false;
-  key_answers_.clear();
   if (cls_conjunct_) {
     const ClsConjunct& cls = *cls_conjunct_;
+    view->cmp = cls.cmp;
     GOLA_ASSIGN_OR_RETURN(Column lhs_vals, Evaluate(*cls.lhs, post.point, point));
-    last_point_lhs_.reserve(rows);
-    for (size_t i = 0; i < rows; ++i) {
-      if (!keys.IsNull(i) && !lhs_vals.IsNull(i)) {
-        last_point_lhs_[keys.GetValue(i)] = lhs_vals.NumericAt(i);
-      }
-    }
+    view->point_lhs = lhs_vals.Gather(first_rows.data(), first_rows.size());
     if (cls.certain_rhs) {
       auto rhs = EvaluateScalar(*cls.certain_rhs, point);
       if (rhs.ok() && !rhs->is_null()) {
         double v = rhs->ToDouble().ValueOr(kNaN);
         if (!std::isnan(v)) {
-          last_rhs_range_ = VariationRange::Point(v);
-          last_rhs_valid_ = true;
+          view->threshold = VariationRange::Point(v);
+          view->decisive = true;
         }
       }
     } else if (cls.rhs_subquery_id >= 0) {
       const ScalarBroadcast* sb = env->scalar(cls.rhs_subquery_id);
       if (sb != nullptr && !sb->keyed && !std::isnan(sb->global.padded.lo)) {
-        last_rhs_range_ = sb->global.padded;
-        last_rhs_valid_ = true;
+        view->threshold = sb->global.padded;
+        view->decisive = true;
       }
     }
 
@@ -614,8 +625,9 @@ Status OnlineBlockExec::EmitMembership(const PostAggChunk& post, OnlineEnv* env,
     const bool bare = cls.lhs->kind == ExprKind::kAggregateCall && cls.lhs->agg_slot >= 0;
     const size_t num_keys = block_->group_by.size();
     const SchemaPtr rep_schema = ReplicateSchema(post.point.schema(), num_keys);
+    const VariationRange& threshold = view->threshold;
     std::vector<PieceRange> pieces = PlanPieces(
-        last_rhs_valid_ ? rows : 0, [b](size_t) { return std::max<size_t>(b, 1); }, ctx);
+        view->decisive ? rows : 0, [b](size_t) { return std::max<size_t>(b, 1); }, ctx);
     GOLA_RETURN_NOT_OK(RunPieces(ctx, pieces.size(), [&](size_t p) -> Status {
       const size_t g0 = pieces[p].begin;
       const size_t g1 = pieces[p].end;
@@ -654,20 +666,15 @@ Status OnlineBlockExec::EmitMembership(const PostAggChunk& post, OnlineEnv* env,
         if (std::isnan(est)) continue;
         VariationRange lhs_range = VariationRange::FromReplicates(
             reps.data(), b, est, options_->epsilon_mult, ReplicateStddev(reps.data(), b));
-        answers[g] = ClassifyRangeRange(cls.cmp, lhs_range, last_rhs_range_);
+        answers[g] = ClassifyRangeRange(cls.cmp, lhs_range, threshold);
       }
       return Status::OK();
     }));
-    if (last_rhs_valid_) {
-      key_answers_.reserve(rows);
-      for (size_t i = 0; i < rows; ++i) {
-        if (!keys.IsNull(i)) key_answers_.emplace(keys.GetValue(i), answers[i]);
-      }
-    }
+    view->answers.resize(first_rows.size());
+    for (size_t k = 0; k < first_rows.size(); ++k) view->answers[k] = answers[first_rows[k]];
   }
 
-  last_members_ = members;
-  env->SetMembershipView(block_->id, std::move(members), this);
+  env->SetMembership(block_->id, std::move(view));
   return Status::OK();
 }
 
@@ -793,14 +800,31 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
       cells[i * row_cells + c].column = block_->output_names[agg_outs[c]];
     }
   }
-  // Every aggregate-bearing output is evaluated once, over all selected
-  // rows' replicates stacked (row i, world j at i * num_reps + j); undefined
-  // replicates are NULL there.
+  // A bare aggregate output reads its replicates straight from its row of
+  // the replicate matrix. Every other aggregate-bearing output is evaluated
+  // once, over all selected rows' replicates stacked (row i, world j at
+  // i * num_reps + j); undefined replicates are NULL there.
+  auto bare_slot = [this](size_t o) {
+    const Expr& e = *block_->output_exprs[o];
+    return e.kind == ExprKind::kAggregateCall ? e.agg_slot : -1;
+  };
+  bool any_bare = false;
+  bool any_expr = false;
+  for (size_t o : agg_outs) {
+    if (bare_slot(o) >= 0) {
+      any_bare = true;
+    } else {
+      any_expr = true;
+    }
+  }
   Chunk stacked;
-  if (row_cells > 0) {
+  if (any_expr) {
+    std::vector<std::vector<double>> values;
+    if (any_bare) values = rep_matrix;
+    else values = std::move(rep_matrix);
     stacked = StackReplicates(selected_post,
                               ReplicateSchema(block_->post_agg_schema, num_groups),
-                              num_groups, 0, selected, num_reps, std::move(rep_matrix),
+                              num_groups, 0, selected, num_reps, std::move(values),
                               /*nan_is_null=*/true);
   }
   double max_rsd = 0;
@@ -808,8 +832,11 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
   std::vector<double> scratch;
   for (size_t agg = 0; agg < row_cells; ++agg) {
     const size_t o = agg_outs[agg];
-    GOLA_ASSIGN_OR_RETURN(Column rep_out,
-                          Evaluate(*block_->output_exprs[o], stacked, point));
+    const int slot = bare_slot(o);
+    Column rep_out;
+    if (slot < 0) {
+      GOLA_ASSIGN_OR_RETURN(rep_out, Evaluate(*block_->output_exprs[o], stacked, point));
+    }
     Column lo(TypeId::kFloat64), hi(TypeId::kFloat64), rsd(TypeId::kFloat64);
     for (size_t i = 0; i < selected; ++i) {
       const double est = all_cols[o].IsNull(i) ? kNaN : all_cols[o].NumericAt(i);
@@ -823,7 +850,13 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
         continue;
       }
       for (size_t j = 0; j < num_reps; ++j) {
-        reps[j] = StackedValue(rep_out, i * num_reps + j);
+        if (slot < 0) {
+          reps[j] = StackedValue(rep_out, i * num_reps + j);
+        } else {
+          // The stacked path's reading: an undefined replicate is kNaN.
+          const double v = rep_matrix[static_cast<size_t>(slot)][i * num_reps + j];
+          reps[j] = std::isnan(v) ? kNaN : v;
+        }
       }
       const ConfidenceInterval ci =
           PercentileCI(reps.data(), num_reps, est, options_->ci_level, &scratch);
@@ -865,28 +898,6 @@ Status OnlineBlockExec::EmitRoot(const PostAggChunk& post_in, double scale,
   root_emission_.max_rsd = max_rsd;
   root_emission_.uncertain_groups = uncertain_groups;
   return Status::OK();
-}
-
-// ---------------------------------------------------- MembershipSource --
-
-TriState OnlineBlockExec::ClassifyKey(const Value& key) {
-  if (membership_monotone_) {
-    // No HAVING: a key's presence can only be established, never revoked.
-    return last_members_.count(key) ? TriState::kTrue : TriState::kUncertain;
-  }
-  auto it = key_answers_.find(key);
-  return it == key_answers_.end() ? TriState::kUncertain : it->second;
-}
-
-TriState OnlineBlockExec::CurrentPointDecision(const Value& key) {
-  if (membership_monotone_) {
-    // Presence-only membership is monotone: an established member stays.
-    return last_members_.count(key) ? TriState::kTrue : TriState::kUncertain;
-  }
-  if (!cls_conjunct_ || !last_rhs_valid_) return TriState::kUncertain;
-  auto it = last_point_lhs_.find(key);
-  if (it == last_point_lhs_.end()) return TriState::kUncertain;
-  return ClassifyCmpRange(cls_conjunct_->cmp, it->second, last_rhs_range_);
 }
 
 }  // namespace gola

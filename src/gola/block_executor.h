@@ -53,7 +53,7 @@ struct RootEmission {
   int64_t uncertain_groups = 0;
 };
 
-class OnlineBlockExec : public MembershipSource {
+class OnlineBlockExec {
  public:
   OnlineBlockExec(const BlockDef* block, const Catalog* catalog,
                   const GolaOptions* options, const PoissonWeights* weights);
@@ -106,12 +106,6 @@ class OnlineBlockExec : public MembershipSource {
   /// envelope checks always use the full set.
   void set_ci_replicates(size_t n) { ci_replicates_ = n; }
 
-  // --- MembershipSource -------------------------------------------------
-  /// A read of the answers frozen at this block's last Emit (lock-free:
-  /// nothing writes them while downstream blocks classify).
-  TriState ClassifyKey(const Value& key) override;
-  TriState CurrentPointDecision(const Value& key) override;
-
  private:
   Status Init();
 
@@ -160,7 +154,7 @@ class OnlineBlockExec : public MembershipSource {
   std::vector<uint8_t> uncertain_pass_;
   int64_t rows_seen_ = 0;
 
-  // --- membership-source state (kMembership blocks) ----------------------
+  // --- membership classification (kMembership blocks) ---------------------
   // The single HAVING conjunct usable for range classification, pre-split
   // into lhs (aggregate-bearing, post-agg space) and rhs.
   struct ClsConjunct {
@@ -171,14 +165,6 @@ class OnlineBlockExec : public MembershipSource {
   };
   std::optional<ClsConjunct> cls_conjunct_;
   bool membership_monotone_ = false;  // no HAVING: presence is monotone
-
-  std::unordered_map<Value, double, ValueHash> last_point_lhs_;
-  VariationRange last_rhs_range_ = VariationRange::Point(0);
-  bool last_rhs_valid_ = false;
-  std::unordered_set<Value, ValueHash> last_members_;
-  /// Range classification of every key, computed once per Emit and frozen
-  /// until the next: ClassifyKey only reads it.
-  std::unordered_map<Value, TriState, ValueHash> key_answers_;
 
   RootEmission root_emission_;
   size_t ci_replicates_ = SIZE_MAX;

@@ -5,9 +5,10 @@
 #define GOLA_GOLA_ONLINE_ENV_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "bootstrap/ci.h"
 #include "common/thread_pool.h"
@@ -125,31 +126,46 @@ struct ScalarEntry {
 struct ScalarBroadcast {
   bool keyed = false;
   ScalarEntry global;
-  std::unordered_map<Value, ScalarEntry, ValueHash> keyed_entries;
-
-  const ScalarEntry* Find(const Value& key) const {
-    if (!keyed) return &global;
-    auto it = keyed_entries.find(key);
-    return it == keyed_entries.end() ? nullptr : &it->second;
-  }
+  /// Keyed: the correlation keys, and entries[id] for key id.
+  std::shared_ptr<const KeyIndex> keys;
+  std::vector<ScalarEntry> entries;
 };
 
-/// Per-key interface onto a membership block's running state; answers are
-/// valid until the block's next Emit. Implementations must be thread-safe:
-/// downstream blocks classify morsels concurrently.
-class MembershipSource {
- public:
-  virtual ~MembershipSource() = default;
+/// A membership block's answer frozen at its last Emit: the IN set the point
+/// environment reads, and per key id what downstream classification needs.
+/// One immutable view per batch, so concurrent classifiers read it without
+/// locks.
+struct MembershipView : MemberSet {
+  /// No HAVING: a key's presence can only be established, never revoked.
+  bool monotone = false;
+  /// A usable classification conjunct and a threshold to compare it with
+  /// (`lhs cmp threshold`); without one, every key stays uncertain.
+  bool decisive = false;
+  CmpOp cmp = CmpOp::kGt;
+  VariationRange threshold = VariationRange::Point(0);
+  /// Per key id: the conjunct's lhs running value (NULL where it has none),
+  /// and the key's range classification.
+  Column point_lhs;
+  std::vector<TriState> answers;
+
   /// Range-based classification of "key ∈ result set": deterministic only
   /// when the key's own variation range clears the threshold range.
-  virtual TriState ClassifyKey(const Value& key) = 0;
+  TriState ClassifyKey(uint32_t id) const {
+    if (id == KeyIndex::kNone) return TriState::kUncertain;
+    if (monotone) return member[id] ? TriState::kTrue : TriState::kUncertain;
+    return decisive ? answers[id] : TriState::kUncertain;
+  }
   /// Decision-validity monitor: the key's *current running value* compared
   /// against the *current* threshold range. A consumer that folded tuples
   /// under decision d must recompute when this no longer returns d — but a
-  /// value drifting around far from the threshold never triggers. Returns
-  /// kUncertain for unknown keys / no usable classification conjunct (the
-  /// caller skips those).
-  virtual TriState CurrentPointDecision(const Value& key) = 0;
+  /// value drifting around far from the threshold never triggers. kUncertain
+  /// for an unknown key or without a threshold.
+  TriState CurrentPointDecision(uint32_t id) const {
+    if (id == KeyIndex::kNone) return TriState::kUncertain;
+    if (monotone) return member[id] ? TriState::kTrue : TriState::kUncertain;
+    if (!decisive || point_lhs.IsNull(id)) return TriState::kUncertain;
+    return ClassifyCmpRange(cmp, point_lhs.NumericAt(id), threshold);
+  }
 };
 
 /// The per-batch communication fabric between blocks: point estimates for
@@ -159,17 +175,19 @@ class OnlineEnv {
   BroadcastEnv& point_env() { return point_; }
   const BroadcastEnv& point_env() const { return point_; }
 
+  /// Also gives the point environment the broadcast's key index and a point
+  /// column aligned with its ids.
   void SetScalar(int id, ScalarBroadcast b);
-  void SetMembershipView(int id, std::unordered_set<Value, ValueHash> members,
-                         MembershipSource* source);
+  /// The point environment's IN set is the view itself.
+  void SetMembership(int id, std::shared_ptr<const MembershipView> view);
 
   const ScalarBroadcast* scalar(int id) const;
-  MembershipSource* membership(int id) const;
+  const MembershipView* membership(int id) const;
 
  private:
   BroadcastEnv point_;
   std::unordered_map<int, ScalarBroadcast> scalars_;
-  std::unordered_map<int, MembershipSource*> membership_;
+  std::unordered_map<int, std::shared_ptr<const MembershipView>> memberships_;
 };
 
 }  // namespace gola

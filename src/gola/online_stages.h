@@ -3,19 +3,20 @@
 // every engine's FoldStage, with the block's bootstrap weights.
 //
 // Concurrency/determinism contract: during one batch, upstream broadcasts
-// and this block's classification envelopes are frozen, so every row's
-// tri-state is a pure function of the row — independent of morsel order and
-// of which thread runs it. Newly made decisions (envelope installs, member
-// decisions) are collected per morsel and applied at the barrier in morsel
-// order; since an installed envelope always equals the broadcast's current
-// padded range, deferring installs never changes any classification within
-// the batch. Partial aggregate states merge in morsel order, making the
+// and this block's classification envelopes are frozen key indexes, so
+// every row's tri-state is a pure function of the row — independent of
+// morsel order and of which thread runs it. Newly made decisions (envelope
+// installs, member decisions) are collected per morsel as (key, range) and
+// (key, decision) lists and applied at the barrier in morsel order, the
+// first install of a key winning; since an installed envelope always equals
+// the broadcast's current padded range, deferring installs never changes
+// any classification within the batch. Partial aggregate states merge in morsel order, making the
 // floating-point accumulation order — and the seeded bootstrap state —
 // bit-identical across pool sizes.
 #ifndef GOLA_GOLA_ONLINE_STAGES_H_
 #define GOLA_GOLA_ONLINE_STAGES_H_
 
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "exec/pipeline.h"
@@ -90,31 +91,38 @@ class OnlineClassifyStage : public ClassifyStage {
   Status LoadState(BinaryReader* r);
 
  private:
-  struct MemberDecision {
-    bool is_member = false;
-  };
   /// Installed decisions of one where-uncertain conjunct (frozen during a
-  /// batch; mutated only by EndBatch and CheckEnvelopes).
+  /// batch; mutated only by EndBatch and CheckEnvelopes). Per-key decisions
+  /// are a key index plus one payload per key id, in install order.
   struct ConjunctState {
     bool has_global = false;
     VariationRange global_envelope = VariationRange::Point(0);
-    std::unordered_map<Value, VariationRange, ValueHash> keyed_envelopes;
-    std::unordered_map<Value, MemberDecision, ValueHash> member_decisions;
+    KeyIndex envelope_keys;
+    std::vector<VariationRange> envelopes;  // per envelope key id
+    KeyIndex decision_keys;
+    std::vector<uint8_t> is_member;  // per decision key id
   };
-  /// Decisions one morsel wants to install (each worker writes only its own
-  /// morsel's slot — no locking).
+  /// Decisions one morsel wants to install, one per key, in row order (each
+  /// worker writes only its own morsel's slot — no locking).
   struct ConjInstalls {
     bool has_global = false;
     VariationRange global = VariationRange::Point(0);
-    std::unordered_map<Value, VariationRange, ValueHash> keyed;
-    std::unordered_map<Value, bool, ValueHash> members;
+    std::vector<std::pair<Value, VariationRange>> keyed;
+    std::vector<std::pair<Value, bool>> members;
   };
 
-  /// Tri-state of one scalar-cmp conjunct for a row; records a pending
-  /// envelope install on the first deterministic decision.
-  TriState ClassifyScalarRow(const UncertainConjunct& uc, const ConjunctState& cs,
-                             double lhs, const Value& key,
-                             ConjInstalls* installs) const;
+  /// Folds a scalar-cmp conjunct's tri-state for the rows `alive` of a
+  /// morsel into `state`, recording a pending envelope install on each
+  /// key's first deterministic decision. `keys` are the outer keys of a
+  /// correlated conjunct.
+  void ClassifyScalar(const UncertainConjunct& uc, const ConjunctState& cs,
+                      const Column& lhs, const Column& keys,
+                      const SelectionVector& alive, std::vector<TriState>* state,
+                      ConjInstalls* installs) const;
+  /// The same for a membership conjunct over its lhs keys.
+  void ClassifyMembership(const UncertainConjunct& uc, const ConjunctState& cs,
+                          const Column& keys, const SelectionVector& alive,
+                          std::vector<TriState>* state, ConjInstalls* installs) const;
 
   const BlockDef* block_;
   const GolaOptions* options_;

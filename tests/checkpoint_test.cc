@@ -20,6 +20,7 @@
 #include "common/string_util.h"
 #include "gola/checkpoint.h"
 #include "gola/gola.h"
+#include "obs/metrics.h"
 
 namespace gola {
 namespace {
@@ -56,6 +57,37 @@ void ExpectTablesIdentical(const Table& got, const Table& want,
                   want.At(r, static_cast<int>(c)))
           << what << " differs at row " << r << " col "
           << want.schema()->field(c).name;
+    }
+  }
+}
+
+/// Every update after a resume at `cut` equals the uninterrupted run's, bit
+/// for bit.
+void ExpectTailBitIdentical(const std::vector<OnlineUpdate>& tail,
+                            const std::vector<OnlineUpdate>& clean, size_t cut) {
+  auto same_bits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  ASSERT_EQ(tail.size(), clean.size() - cut);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    const Table& got = tail[i].result;
+    const Table& want = clean[i + cut].result;
+    EXPECT_EQ(tail[i].uncertain_tuples, clean[i + cut].uncertain_tuples) << i;
+    EXPECT_TRUE(same_bits(tail[i].max_rsd, clean[i + cut].max_rsd)) << i;
+    ASSERT_EQ(got.num_rows(), want.num_rows()) << i;
+    ASSERT_EQ(got.schema()->num_fields(), want.schema()->num_fields()) << i;
+    for (int64_t r = 0; r < want.num_rows(); ++r) {
+      for (size_t c = 0; c < want.schema()->num_fields(); ++c) {
+        const Value g = got.At(r, static_cast<int>(c));
+        const Value w = want.At(r, static_cast<int>(c));
+        const std::string where = Format("update %zu row %lld col %s", i,
+                                         static_cast<long long>(r),
+                                         want.schema()->field(c).name.c_str());
+        ASSERT_EQ(g.type(), w.type()) << where;
+        if (w.type() == TypeId::kFloat64) {
+          EXPECT_TRUE(same_bits(g.AsFloat(), w.AsFloat())) << where;
+        } else {
+          EXPECT_TRUE(g == w) << where;
+        }
+      }
     }
   }
 }
@@ -238,37 +270,52 @@ TEST_F(CheckpointTest, GenericAggregatesResumeBitIdentically) {
   auto resumed = engine_.ResumeOnline(kGeneric, path_, opts);
   GOLA_CHECK_OK(resumed.status());
 
-  auto same_bits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
   std::vector<OnlineUpdate> tail;
   while (!(*resumed)->done()) {
     auto update = (*resumed)->Step();
     GOLA_CHECK_OK(update.status());
     tail.push_back(std::move(*update));
   }
-  ASSERT_EQ(tail.size(), clean.size() - kCut);
-  for (size_t i = 0; i < tail.size(); ++i) {
-    const Table& got = tail[i].result;
-    const Table& want = clean[i + kCut].result;
-    EXPECT_EQ(tail[i].uncertain_tuples, clean[i + kCut].uncertain_tuples) << i;
-    EXPECT_TRUE(same_bits(tail[i].max_rsd, clean[i + kCut].max_rsd)) << i;
-    ASSERT_EQ(got.num_rows(), want.num_rows()) << i;
-    ASSERT_EQ(got.schema()->num_fields(), want.schema()->num_fields()) << i;
-    for (int64_t r = 0; r < want.num_rows(); ++r) {
-      for (size_t c = 0; c < want.schema()->num_fields(); ++c) {
-        const Value g = got.At(r, static_cast<int>(c));
-        const Value w = want.At(r, static_cast<int>(c));
-        const std::string where = Format("update %zu row %lld col %s", i,
-                                         static_cast<long long>(r),
-                                         want.schema()->field(c).name.c_str());
-        ASSERT_EQ(g.type(), w.type()) << where;
-        if (w.type() == TypeId::kFloat64) {
-          EXPECT_TRUE(same_bits(g.AsFloat(), w.AsFloat())) << where;
-        } else {
-          EXPECT_TRUE(g == w) << where;
-        }
-      }
-    }
+  ExpectTailBitIdentical(tail, clean, kCut);
+}
+
+TEST_F(CheckpointTest, MemberDecisionsResumeBitIdentically) {
+  // Q18's shape: an IN subquery whose HAVING compares each key's aggregate
+  // with a scalar subquery. Keys 1-2 fall clearly below the threshold and
+  // 5-7 clearly above it, so member decisions are installed by the cut and
+  // the checkpoint carries them.
+  constexpr const char* kIn =
+      "SELECT g1, SUM(a) AS s, COUNT(*) AS n FROM d "
+      "WHERE g2 IN (SELECT g2 FROM d GROUP BY g2 "
+      "             HAVING SUM(b * g2) > (SELECT 0.5 * SUM(b) FROM d)) "
+      "GROUP BY g1 ORDER BY g1";
+  GolaOptions opts = BaseOptions();
+  std::vector<OnlineUpdate> clean = RunClean(opts, kIn);
+  constexpr int kCut = 3;
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter* decisions =
+      obs::MetricsRegistry::Global().GetCounter("gola_online_member_decisions_total");
+  const int64_t decisions_before = decisions->Value();
+  {
+    auto online = engine_.ExecuteOnline(kIn, opts);
+    GOLA_CHECK_OK(online.status());
+    for (int i = 0; i < kCut; ++i) GOLA_CHECK_OK((*online)->Step().status());
+    GOLA_CHECK_OK((*online)->Checkpoint(path_));
   }
+  const int64_t decided = decisions->Value() - decisions_before;
+  obs::SetMetricsEnabled(metrics_were_enabled);
+  ASSERT_GT(decided, 0) << "the cut needs installed member decisions";
+
+  auto resumed = engine_.ResumeOnline(kIn, path_, opts);
+  GOLA_CHECK_OK(resumed.status());
+  std::vector<OnlineUpdate> tail;
+  while (!(*resumed)->done()) {
+    auto update = (*resumed)->Step();
+    GOLA_CHECK_OK(update.status());
+    tail.push_back(std::move(*update));
+  }
+  ExpectTailBitIdentical(tail, clean, kCut);
 }
 
 /// Rewrites a fresh checkpoint's version field to `version` and expects a

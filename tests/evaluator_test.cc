@@ -160,10 +160,9 @@ TEST_F(EvaluatorTest, GlobalScalarSubqueryRef) {
 
 TEST_F(EvaluatorTest, KeyedSubqueryRefLooksUpPerRow) {
   BroadcastEnv env;
-  std::unordered_map<Value, Value, ValueHash> keyed;
-  keyed[Value::Int(1)] = Value::Float(10);
-  keyed[Value::Int(3)] = Value::Float(-30);
-  env.SetKeyed(5, std::move(keyed));
+  auto keys = std::make_shared<KeyIndex>();
+  keys->Insert(Column::MakeInt({1, 3}), nullptr, nullptr);
+  env.SetKeyed(5, std::move(keys), Column::MakeFloat({10, -30}));
   ExprPtr ref = Expr::SubqueryScalar(5, BoundCol("i", 0, TypeId::kInt64));
   ref->type = TypeId::kFloat64;
   auto r = Evaluate(*ref, chunk_, &env);
@@ -175,8 +174,9 @@ TEST_F(EvaluatorTest, KeyedSubqueryRefLooksUpPerRow) {
 
 TEST_F(EvaluatorTest, MembershipSubqueryRef) {
   BroadcastEnv env;
-  std::unordered_set<Value, ValueHash> members;
-  members.insert(Value::Int(2));
+  auto members = std::make_shared<MemberSet>();
+  members->keys.Insert(Column::MakeInt({2}), nullptr, nullptr);
+  members->member.assign(1, 1);
   env.SetMembership(8, std::move(members));
   ExprPtr in = Expr::SubqueryIn(8, BoundCol("i", 0, TypeId::kInt64), false);
   in->type = TypeId::kBool;
